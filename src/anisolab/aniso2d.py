@@ -6,17 +6,20 @@ are bounded exactly when the directions span the plane, which the
 constructor enforces.  A radial wrapper covers the isotropic |xi|^p
 family the capacity experiments need.
 
-The Young conjugate is computed by exhaustive maximization over a primal
-sample grid.  The max over the product grid factorizes into two 1-D
-max-reductions (first over xi_1 for every (eta_1, xi_2), then over xi_2),
-which evaluates the identical quantity in O(n^3) instead of O(n^4);
-argmax locations are tracked so that a maximizer on the primal boundary
-triggers box expansion, capped at four doublings.
+The Young conjugate is computed exactly on sample grids: the max over the
+product grid factorizes into two 1-D discrete Legendre transforms (first
+over xi_1 for every (eta_1, xi_2), then over xi_2), each batched over rows
+in O(n + m) per row by a lower-hull scan merged with the sorted dual nodes
+(Lucet, Numer. Algorithms 16, 1997; Felzenszwalb and Huttenlocher, Theory
+of Computing 8, 2012).  Values and argmax indices match exhaustive
+maximization bit for bit, ties going to the lowest index; a maximizer on
+the primal boundary triggers box expansion, capped at four doublings.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import dataclass
 
@@ -266,6 +269,8 @@ class GridSpec2D:
     n: int
 
     def __post_init__(self):
+        if not (self.extent_x > 0.0 and self.extent_y > 0.0):
+            raise ValueError("grid extents must be positive")
         if self.n < 3 or self.n % 2 == 0:
             raise ValueError("grid size must be odd and >= 3 so the origin is a node")
 
@@ -318,9 +323,6 @@ class SampledFn2D:
             values=values,
         )
 
-    def value_at_node(self, i, j):
-        return float(self.values[i, j])
-
     def to_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh, lineterminator="\n")
@@ -340,45 +342,158 @@ class SampledFn2D:
 
     @classmethod
     def from_binary(cls, path):
+        """Read :meth:`to_binary` output; a malformed file raises ValueError."""
         with open(path, "rb") as fh:
-            nx, ny, x0, y0, h = struct.unpack("<qqddd", fh.read(40))
-            data = np.frombuffer(fh.read(8 * nx * ny), dtype="<f8").reshape(nx, ny)
+            header = fh.read(40)
+            if len(header) < 40:
+                raise ValueError(f"{path}: header has {len(header)} of 40 bytes")
+            nx, ny, x0, y0, h = struct.unpack("<qqddd", header)
+            if nx < 1 or ny < 1:
+                raise ValueError(f"{path}: grid size {nx} x {ny} is not positive")
+            if not (np.isfinite(x0) and np.isfinite(y0)):
+                raise ValueError(f"{path}: origin ({x0!r}, {y0!r}) is not finite")
+            if not (np.isfinite(h) and h > 0.0):
+                raise ValueError(f"{path}: spacing {h!r} is not finite and positive")
+            payload = os.fstat(fh.fileno()).st_size - 40
+            if payload != 8 * nx * ny:
+                raise ValueError(
+                    f"{path}: payload has {payload} bytes, a {nx} x {ny} grid needs {8 * nx * ny}"
+                )
+            data = np.frombuffer(fh.read(payload), dtype="<f8").reshape(nx, ny)
         return cls(x0=x0, y0=y0, hx=h, hy=h, values=data.copy())
 
 
-def _legendre_kernel(xs, ys, values, eta1, eta2, chunk=24):
+# Relative slack of the float comparisons in _legendre_1d: 16 eps = 32 unit
+# roundoffs, several times the error of evaluating eta * x - v and of the
+# hull's chord and slope arithmetic (each a few roundoffs).
+_TOL = 16.0 * np.finfo(float).eps
+
+
+def _lower_chains(x, v, scale):
+    """Per row of ``v``, the primal indices kept by a monotone-chain scan
+    for the lower convex hull of the finite points (x[i], v[r, i]).
+
+    A point is popped only when it lies above the chord of its neighbours
+    by more than the float error bound, so no popped point can reach the
+    float maximum of eta * x - v for any eta; points on or near the hull,
+    collinear runs included, stay on the chain.  Returns (chain, size):
+    chain[r, :size[r]] are row r's kept indices in increasing order, and
+    the rest of chain is 0.  +inf samples are never pushed.
+    """
+    rows_n, n = v.shape
+    chain = np.zeros((rows_n, n), dtype=np.intp)
+    size = np.zeros(rows_n, dtype=np.intp)
+    finite = np.isfinite(v)
+    for i in range(n):
+        rows = np.flatnonzero(finite[:, i])
+        pend = rows[size[rows] >= 2]
+        while pend.size:
+            b = chain[pend, size[pend] - 1]
+            a = chain[pend, size[pend] - 2]
+            va, vb, vc = v[pend, a], v[pend, b], v[pend, i]
+            gap = (vb - va) - (vc - va) * ((x[b] - x[a]) / (x[i] - x[a]))
+            slack = _TOL * (scale[pend] + np.abs(va) + np.abs(vb) + np.abs(vc))
+            pend = pend[gap > slack]
+            size[pend] -= 1
+            pend = pend[size[pend] >= 2]
+        chain[rows, size[rows]] = i
+        size[rows] += 1
+    return chain, size
+
+
+def _legendre_1d(x, v, eta):
+    """Row-wise discrete Legendre transform with the lowest argmax.
+
+    g[r, k] = max_i (eta[k] * x[i] - v[r, i]) and arg[r, k] the lowest
+    maximizing i, bit for bit what ``np.argmax`` over the full product
+    gives; a row of +inf samples gives (-inf, 0).  ``x`` must increase
+    strictly, ``eta`` must not decrease, ``v`` holds finite or +inf values.
+
+    Each row's chain (see :func:`_lower_chains`) is merged with the sorted
+    dual nodes: chain point p can hold the float maximum only for eta in
+    [s_{p-1} - w, s_p + w], with s the chain slopes and w their error
+    bounds, so a prefix max and a suffix min of those ends give every dual
+    node a contiguous window of candidates, found by ``np.searchsorted``.
+    The candidates are evaluated with the brute-force expression and the
+    first largest wins.  Windows hold one or two points unless eta meets
+    the slope of a (nearly) collinear run, whose points then tie exactly,
+    so the cost is O(n + m) per row.
+    """
+    rows_n, n = v.shape
+    m = len(eta)
+    vmin = np.min(v, axis=1)
+    scale = float(np.max(np.abs(eta)) * np.max(np.abs(x))) + np.where(
+        np.isfinite(vmin), np.abs(vmin), 0.0
+    )
+    chain, size = _lower_chains(x, v, scale)
+
+    xc = x[chain]
+    vc = np.take_along_axis(v, chain, axis=1)
+    edge = np.arange(n - 1)[None, :] < (size[:, None] - 1)
+    with np.errstate(all="ignore"):
+        dx = np.diff(xc, axis=1)
+        slope = np.diff(vc, axis=1) / dx
+        err = _TOL * (
+            scale[:, None] + np.abs(vc[:, :-1]) + np.abs(vc[:, 1:]) + np.max(np.abs(x)) * np.abs(slope)
+        ) / dx
+        hi = np.full((rows_n, n), np.inf)
+        hi[:, :-1] = np.where(edge, slope + err, np.inf)
+        lo = np.full((rows_n, n), -np.inf)
+        lo[:, 1:] = np.where(edge, slope - err, np.inf)
+    hi = np.maximum.accumulate(hi, axis=1)
+    lo = np.minimum.accumulate(lo[:, ::-1], axis=1)[:, ::-1]
+    # window of dual node k: chain positions with hi >= eta[k] and lo <= eta[k]
+    first = np.array([np.searchsorted(row, eta, side="left") for row in hi])
+    last = np.array([np.searchsorted(row, eta, side="right") for row in lo]) - 1
+    last = np.maximum(last, first)  # never an empty window
+
+    r = np.arange(rows_n)[:, None]
+    arg = chain[r, first]
+    g = eta[None, :] * x[arg] - v[r, arg]
+    g_flat, arg_flat = g.reshape(-1), arg.reshape(-1)
+    live = np.flatnonzero(last > first)
+    rl, kl = np.divmod(live, m)
+    pos = first.reshape(-1)[live]
+    while live.size:
+        pos = pos + 1
+        i = chain[rl, pos]
+        val = eta[kl] * x[i] - v[rl, i]
+        up = val > g_flat[live]
+        g_flat[live[up]] = val[up]
+        arg_flat[live[up]] = i[up]
+        more = pos < last.reshape(-1)[live]
+        live, rl, kl, pos = live[more], rl[more], kl[more], pos[more]
+    return g, arg
+
+
+def _legendre_kernel(xs, ys, values, eta1, eta2):
     """max over grid of <eta, xi> - values, with argmax tracking.
 
-    Returns (star, i_star, j_star); the reduction is exact (iterated max
-    over the product grid).
+    Returns (star, i_star, j_star) with star[k, l] the max over (i, j) of
+    eta1[k] xs[i] + eta2[l] ys[j] - values[i, j], as two row-batched 1-D
+    transforms: first over xs[i] for every (eta1[k], ys[j]), then over
+    ys[j]; (i_star, j_star) is the maximizer the iterated ``np.argmax``
+    would pick.
     """
-    nx, ny = values.shape
-    m1, m2 = len(eta1), len(eta2)
-    g1 = np.empty((m1, ny))
-    arg1 = np.empty((m1, ny), dtype=np.int32)
-    for a in range(0, m1, chunk):
-        b = min(a + chunk, m1)
-        tmp = eta1[a:b, None, None] * xs[None, :, None] - values[None, :, :]
-        arg1[a:b] = np.argmax(tmp, axis=1)
-        g1[a:b] = np.take_along_axis(tmp, arg1[a:b, None, :], axis=1)[:, 0, :]
-    star = np.empty((m1, m2))
-    jarg = np.empty((m1, m2), dtype=np.int32)
-    for a in range(0, m2, chunk):
-        b = min(a + chunk, m2)
-        tmp = eta2[None, a:b, None] * ys[None, None, :] + g1[:, None, :]
-        jarg[:, a:b] = np.argmax(tmp, axis=2)
-        star[:, a:b] = np.max(tmp, axis=2)
-    # i* per dual node: arg1[k, j*(k, l)]
-    iarg = arg1[np.arange(m1)[:, None], jarg]
+    g1, arg1 = _legendre_1d(xs, values.T, eta1)
+    g1, arg1 = g1.T, arg1.T
+    # eta2 y - (-g1) is bit for bit eta2 y + g1
+    star, jarg = _legendre_1d(ys, -g1, eta2)
+    iarg = arg1[np.arange(len(eta1))[:, None], jarg]
     return star, iarg, jarg
 
 
 def conjugate_of_samples(primal, dual_spec):
     """Discrete Legendre transform of a SampledFn2D onto a dual grid.
 
-    Returns (SampledFn2D, boundary_hit) where boundary_hit reports whether
-    any argmax landed on the primal box edge.
+    Samples must be finite or +inf.  Returns (SampledFn2D, boundary_hit)
+    where boundary_hit reports whether any argmax (the lowest index among
+    ties) landed on the primal box edge.
     """
+    if not (primal.hx > 0.0 and primal.hy > 0.0):
+        raise ValueError("primal grid spacings must be positive")
+    if np.any(np.isnan(primal.values) | np.isneginf(primal.values)):
+        raise ValueError("samples must be finite or +inf")
     star, iarg, jarg = _legendre_kernel(
         primal.x, primal.y, primal.values, dual_spec.x, dual_spec.y
     )
@@ -394,7 +509,10 @@ def conjugate_of_samples(primal, dual_spec):
 def conjugate2d(phi, dual_spec, primal_spec=None, max_expand=4):
     """Young conjugate of phi sampled on the dual grid.
 
-    The primal box starts at ``primal_spec`` (default: the dual box) and
+    Each attempt samples phi on the primal grid (non-finite values become
+    +inf) and takes one exact discrete Legendre transform of the samples
+    with :func:`conjugate_of_samples`, in O(n^2) time on n x n grids.  The
+    primal box starts at ``primal_spec`` (default: the dual box) and
     doubles while any maximizer touches its edge, up to ``max_expand``
     doublings; persistent boundary maximizers raise
     :class:`BoxTooSmallError`.

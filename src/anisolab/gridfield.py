@@ -8,8 +8,7 @@ all of its energy inside the box.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,19 +101,13 @@ def mask_to_rle(mask):
 
 
 def mask_from_rle(data):
+    """Inverse of :func:`mask_to_rle`; a run outside the n x n grid raises ValueError."""
     n = data["n"]
+    if n < 0:
+        raise ValueError(f"mask size {n} is negative")
     mask = np.zeros((n, n), dtype=bool)
     for i, j0, ln in data["runs"]:
+        if not (0 <= i < n and 0 <= j0 and ln >= 1 and j0 + ln <= n):
+            raise ValueError(f"run [{i}, {j0}, {ln}] lies outside the {n} x {n} mask")
         mask[i, j0 : j0 + ln] = True
     return mask
-
-
-def save_mask(mask, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(mask_to_rle(mask), fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_mask(path):
-    with open(path, encoding="utf-8") as fh:
-        return mask_from_rle(json.load(fh))

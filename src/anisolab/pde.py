@@ -293,10 +293,6 @@ class SolveReport:
     truncation: dict | None = None
     flux_modular_distances: dict | None = None
 
-    @property
-    def limit_candidate(self):
-        return self.solutions_a[-1]
-
     def gaps_decreasing(self):
         return bool(np.all(np.diff(self.l1_gaps) < 0.0))
 

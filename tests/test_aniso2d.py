@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,11 @@ from anisolab.aniso2d import (
     BoxTooSmallError,
     GridSpec2D,
     SampledFn2D,
+    _legendre_kernel,
     biconjugate2d,
     check_monotonicity_property,
     conjugate2d,
+    conjugate_of_samples,
     eval2d,
     eval2d_log,
     grad2d,
@@ -20,6 +24,7 @@ from anisolab.aniso2d import (
     trudinger_fn,
     verify_young_inequality,
 )
+from anisolab.gridfield import GridField2D
 from anisolab.numerics import RangeError
 from anisolab.young1d import PowerFn
 
@@ -207,3 +212,150 @@ def test_sampled_roundtrips(tmp_path):
     lines = c.read_text().strip().split("\n")
     assert lines[0] == "x,y,value"
     assert len(lines) == 1 + 33 * 33
+
+
+def _brute_legendre(xs, ys, values, eta1, eta2):
+    """Exhaustive iterated max-reduction: the reference the transform
+    must match bit for bit, argmax ties going to the lowest index."""
+    tmp = eta1[:, None, None] * xs[None, :, None] - values[None, :, :]
+    arg1 = np.argmax(tmp, axis=1)
+    g1 = np.take_along_axis(tmp, arg1[:, None, :], axis=1)[:, 0, :]
+    tmp = eta2[None, :, None] * ys[None, None, :] + g1[:, None, :]
+    jarg = np.argmax(tmp, axis=2)
+    star = np.max(tmp, axis=2)
+    iarg = arg1[np.arange(len(eta1))[:, None], jarg]
+    return star, iarg, jarg
+
+
+def _assert_matches_brute(xs, ys, values, eta1, eta2):
+    star, iarg, jarg = _legendre_kernel(xs, ys, values, eta1, eta2)
+    ref_star, ref_i, ref_j = _brute_legendre(xs, ys, values, eta1, eta2)
+    assert np.array_equal(star, ref_star)
+    assert np.array_equal(iarg, ref_i)
+    assert np.array_equal(jarg, ref_j)
+
+
+def test_legendre_matches_brute_force_nonconvex(rng):
+    # random rows are far from convex; random sizes make nx != ny and m != n
+    for _ in range(40):
+        nx, ny, m1, m2 = rng.integers(1, 48, 4)
+        xs = np.sort(rng.uniform(-3.0, 3.0, nx))
+        ys = np.linspace(-1.5, 2.5, ny)
+        values = rng.normal(size=(nx, ny)) * rng.uniform(0.1, 100.0)
+        e = rng.uniform(0.1, 10.0)
+        _assert_matches_brute(xs, ys, values, np.linspace(-e, e, m1), np.linspace(-0.5 * e, 2 * e, m2))
+
+
+def test_legendre_matches_brute_force_with_inf_samples(rng):
+    for _ in range(30):
+        nx, ny, m1, m2 = rng.integers(2, 40, 4)
+        xs, ys = np.linspace(-2.0, 2.0, nx), np.linspace(-3.0, 1.0, ny)
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        values = X**2 + np.abs(X - Y) ** 3 + rng.normal(size=X.shape)
+        values[rng.uniform(size=values.shape) < 0.3] = np.inf
+        values[rng.integers(nx), :] = np.inf
+        values[:, rng.integers(ny)] = np.inf
+        _assert_matches_brute(xs, ys, values, np.linspace(-4, 4, m1), np.linspace(-5, 3, m2))
+    # every sample +inf: the conjugate is -inf and the argmax index 0
+    values = np.full((5, 7), np.inf)
+    star, iarg, jarg = _legendre_kernel(np.arange(5.0), np.arange(7.0), values, np.arange(3.0), np.arange(4.0))
+    assert np.all(star == -np.inf) and not iarg.any() and not jarg.any()
+    _assert_matches_brute(np.arange(5.0), np.arange(7.0), values, np.arange(3.0), np.arange(4.0))
+
+
+def test_legendre_matches_brute_force_outside_slope_range(rng):
+    # dual nodes far beyond every chord slope land on the primal box edge
+    xs, ys = np.linspace(-1.0, 1.0, 31), np.linspace(-2.0, 2.0, 23)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    values = np.hypot(X, Y) ** 3 + 0.1 * rng.normal(size=X.shape)
+    for e in (0.01, 1.0, 1e3, 1e6):
+        _assert_matches_brute(xs, ys, values, np.linspace(-e, e, 17), np.linspace(-2 * e, e, 29))
+    star, iarg, jarg = _legendre_kernel(xs, ys, values, np.array([-1e6, 1e6]), np.array([1e6]))
+    assert list(iarg[:, 0]) == [0, 30] and np.all(jarg == 22)
+
+
+def test_legendre_exact_ties_go_to_lowest_index(rng):
+    # integer data: every product is exact, so collinear runs tie exactly
+    for _ in range(30):
+        nx, ny, m1, m2 = rng.integers(2, 40, 4)
+        xs, ys = np.arange(nx) - nx // 2.0, np.arange(ny) - ny // 3.0
+        values = rng.integers(-3, 4, (nx, ny)) * 4.0 + 2.0 * np.abs(xs)[:, None]
+        _assert_matches_brute(xs, ys, values, np.arange(m1) - m1 // 2.0, (np.arange(m2) - m2 // 2.0) / 2.0)
+    # quadratic on a primal box twice the dual box: dual nodes fall on chord
+    # slopes, where the winner is decided by float rounding
+    for n, c in ((33, 0.5), (65, 0.5), (65, 0.6)):
+        dual, primal = GridSpec2D.square(4.0, n), GridSpec2D.square(8.0, 2 * n - 1)
+        X, Y = np.meshgrid(primal.x, primal.y, indexing="ij")
+        values = power_sum_fn(2, 2, c, c).value(X, Y)
+        _assert_matches_brute(primal.x, primal.y, values, dual.x, dual.y)
+
+
+def test_legendre_rounding_near_ties(rng):
+    # points a few ulps off a line or a parabola: float rounding, not the
+    # exact hull, decides which of them the exhaustive argmax picks
+    for _ in range(20):
+        n, m = (int(k) for k in rng.integers(5, 40, 2))
+        xs, ys = np.linspace(-rng.uniform(1, 5), rng.uniform(1, 5), n), np.linspace(-2.0, 2.0, n + 3)
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        a, b = rng.uniform(0.1, 3.0, 2)
+        values = a * np.abs(X) + b * np.abs(X - Y) + 0.3 * np.abs(Y)
+        eta1 = np.sort(np.concatenate([np.linspace(-3 * a, 3 * a, m), [-a, a, b, a + b]]))
+        _assert_matches_brute(xs, ys, values, eta1, np.linspace(-3 * b, 3 * b, m + 2))
+
+        xs, ys = np.linspace(-1.0, 1.0, n), np.linspace(-1.0, 1.0, n + 1)
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        values = 500.0 * (X**2 + Y**2)
+        values += rng.integers(-4, 5, values.shape) * np.spacing(values + 1.0)
+        _assert_matches_brute(xs, ys, values, np.linspace(-1e3, 1e3, m), np.linspace(-1e3, 1e3, m))
+        # a large offset puts the rounding of v far above that of eta * x
+        values = 1e8 + X**2 + Y**2 + np.abs(X)
+        _assert_matches_brute(xs, ys, values, np.linspace(-3, 3, m), np.linspace(-3, 3, m))
+
+
+def test_conjugate_rejects_invalid_samples():
+    spec = GridSpec2D.square(1.0, 5)
+    for bad in (np.nan, -np.inf):
+        values = np.zeros((5, 5))
+        values[2, 3] = bad
+        with pytest.raises(ValueError):
+            conjugate_of_samples(SampledFn2D.from_spec(spec, values), spec)
+    flipped = SampledFn2D(x0=1.0, y0=-1.0, hx=-0.5, hy=0.5, values=np.zeros((5, 5)))
+    with pytest.raises(ValueError):
+        conjugate_of_samples(flipped, spec)
+    for ex, ey in ((0.0, 1.0), (1.0, -1.0), (np.nan, 1.0)):
+        with pytest.raises(ValueError):
+            GridSpec2D(ex, ey, 5)
+
+
+def _header(nx, ny, x0=-1.0, y0=-1.0, h=0.5):
+    return struct.pack("<qqddd", nx, ny, x0, y0, h)
+
+
+def test_from_binary_rejects_malformed_files(tmp_path, rng):
+    nx, ny = (int(k) for k in rng.integers(1, 9, 2))
+    payload = rng.normal(size=nx * ny).astype("<f8").tobytes()
+    good = tmp_path / "good.bin"
+    good.write_bytes(_header(nx, ny) + payload)
+    assert SampledFn2D.from_binary(good).values.shape == (nx, ny)
+    cut = int(rng.integers(1, 8 * nx * ny))
+    extra = int(rng.integers(1, 64))
+    bad = {
+        "short_header": _header(nx, ny)[: int(rng.integers(0, 40))],
+        "zero_nx": _header(0, ny) + payload,
+        "negative_ny": _header(nx, -int(rng.integers(1, 2**40))) + payload,
+        "nan_h": _header(nx, ny, h=np.nan) + payload,
+        "inf_h": _header(nx, ny, h=np.inf) + payload,
+        "zero_h": _header(nx, ny, h=0.0) + payload,
+        "negative_h": _header(nx, ny, h=-0.5) + payload,
+        "inf_origin": _header(nx, ny, x0=np.inf) + payload,
+        "short_payload": _header(nx, ny) + payload[:-cut],
+        "long_payload": _header(nx, ny) + payload + bytes(extra),
+        "huge_size": _header(2**31, 2**31) + payload,
+    }
+    for name, data in bad.items():
+        p = tmp_path / f"{name}.bin"
+        p.write_bytes(data)
+        with pytest.raises(ValueError):
+            SampledFn2D.from_binary(p)
+        with pytest.raises(ValueError):
+            GridField2D.from_binary(p)

@@ -39,6 +39,26 @@ def test_mask_rle_roundtrip(rng):
     assert np.array_equal(mask_from_rle(mask_to_rle(empty)), empty)
 
 
+def test_mask_rle_rejects_runs_outside_grid(rng):
+    n = int(rng.integers(3, 12))
+    i, j0 = (int(k) for k in rng.integers(0, n, 2))
+    for run in (
+        [-1, j0, 1],  # would wrap to the last row
+        [n, j0, 1],
+        [i, -1, 2],
+        [i, j0, n - j0 + 1],  # would be clipped at the edge
+        [i, n, 1],
+        [i, j0, 0],
+        [i, j0, -1],
+    ):
+        with pytest.raises(ValueError):
+            mask_from_rle({"n": n, "runs": [[0, 0, 1], run]})
+    with pytest.raises(ValueError):
+        mask_from_rle({"n": -1, "runs": []})
+    full = mask_from_rle({"n": n, "runs": [[n - 1, 0, n]]})
+    assert full.sum() == n and full[n - 1].all()
+
+
 def test_descent_solves_quadratic(rng):
     # min 0.5 x^T A x - b x with random SPD A
     m = rng.normal(size=(12, 12))
