@@ -381,7 +381,7 @@ def _lower_chains(x, v, scale):
     the rest of chain is 0.  +inf samples are never pushed.
     """
     rows_n, n = v.shape
-    chain = np.zeros((rows_n, n), dtype=np.intp)
+    chain = np.zeros((rows_n, n), dtype=np.int32)
     size = np.zeros(rows_n, dtype=np.intp)
     finite = np.isfinite(v)
     for i in range(n):
@@ -410,7 +410,37 @@ def _legendre_1d(x, v, eta):
     strictly, ``eta`` must not decrease, ``v`` holds finite or +inf values.
 
     Each row's chain (see :func:`_lower_chains`) is merged with the sorted
-    dual nodes: chain point p can hold the float maximum only for eta in
+    dual nodes by :func:`_merge_chains`, a block of rows at a time so that
+    the merge's temporaries stay near ``_MERGE_BLOCK`` elements each.
+    """
+    rows_n, n = v.shape
+    m = len(eta)
+    vmin = np.min(v, axis=1)
+    scale = float(np.max(np.abs(eta)) * np.max(np.abs(x))) + np.where(
+        np.isfinite(vmin), np.abs(vmin), 0.0
+    )
+    chain, size = _lower_chains(x, v, scale)
+    g = np.empty((rows_n, m))
+    arg = np.empty((rows_n, m), dtype=np.int32)
+    step = max(1, _MERGE_BLOCK // max(n, m))
+    for a in range(0, rows_n, step):
+        b = min(a + step, rows_n)
+        g[a:b], arg[a:b] = _merge_chains(x, v[a:b], eta, chain[a:b], size[a:b], scale[a:b])
+    return g, arg
+
+
+# Elements per temporary of one _merge_chains block (256 KiB of float64).
+# The merge makes a dozen temporaries; on whole (rows, n) grids they come
+# to tens of MiB, which the allocator keeps in its heap after the call, so
+# the process's resident size would depend on how that heap fragments.
+_MERGE_BLOCK = 1 << 15
+
+
+def _merge_chains(x, v, eta, chain, size, scale):
+    """Lowest argmax and max of eta[k] * x[i] - v[r, i] for the rows of one
+    block, given their chains and scales from :func:`_legendre_1d`.
+
+    Chain point p can hold the float maximum only for eta in
     [s_{p-1} - w, s_p + w], with s the chain slopes and w their error
     bounds, so a prefix max and a suffix min of those ends give every dual
     node a contiguous window of candidates, found by ``np.searchsorted``.
@@ -421,12 +451,6 @@ def _legendre_1d(x, v, eta):
     """
     rows_n, n = v.shape
     m = len(eta)
-    vmin = np.min(v, axis=1)
-    scale = float(np.max(np.abs(eta)) * np.max(np.abs(x))) + np.where(
-        np.isfinite(vmin), np.abs(vmin), 0.0
-    )
-    chain, size = _lower_chains(x, v, scale)
-
     xc = x[chain]
     vc = np.take_along_axis(v, chain, axis=1)
     edge = np.arange(n - 1)[None, :] < (size[:, None] - 1)
@@ -476,10 +500,10 @@ def _legendre_kernel(xs, ys, values, eta1, eta2):
     would pick.
     """
     g1, arg1 = _legendre_1d(xs, values.T, eta1)
-    g1, arg1 = g1.T, arg1.T
-    # eta2 y - (-g1) is bit for bit eta2 y + g1
-    star, jarg = _legendre_1d(ys, -g1, eta2)
-    iarg = arg1[np.arange(len(eta1))[:, None], jarg]
+    # eta2 y - (-g1) is bit for bit eta2 y + g1; negated in place, since
+    # g1 is needed no further
+    star, jarg = _legendre_1d(ys, np.negative(g1, out=g1).T, eta2)
+    iarg = arg1.T[np.arange(len(eta1))[:, None], jarg]
     return star, iarg, jarg
 
 
@@ -519,8 +543,7 @@ def conjugate2d(phi, dual_spec, primal_spec=None, max_expand=4):
     """
     spec = primal_spec or GridSpec2D(dual_spec.extent_x, dual_spec.extent_y, dual_spec.n)
     for _ in range(max_expand + 1):
-        X, Y = np.meshgrid(spec.x, spec.y, indexing="ij")
-        vals = phi.value(X, Y)
+        vals = phi.value(*np.meshgrid(spec.x, spec.y, indexing="ij"))
         vals = np.where(np.isfinite(vals), vals, np.inf)
         out, hit = conjugate_of_samples(
             SampledFn2D.from_spec(spec, vals), dual_spec

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from anisolab import aniso2d
 from anisolab.aniso2d import (
     AnisoFn2D,
     BoxTooSmallError,
@@ -244,6 +245,19 @@ def test_legendre_matches_brute_force_nonconvex(rng):
         values = rng.normal(size=(nx, ny)) * rng.uniform(0.1, 100.0)
         e = rng.uniform(0.1, 10.0)
         _assert_matches_brute(xs, ys, values, np.linspace(-e, e, m1), np.linspace(-0.5 * e, 2 * e, m2))
+
+
+def test_legendre_blocked_merge_matches_brute_force(rng, monkeypatch):
+    # merge blocks of one or a few rows, the last one short, give what one
+    # block over all rows gives
+    for block in (1, 100, 300):
+        monkeypatch.setattr(aniso2d, "_MERGE_BLOCK", block)
+        for _ in range(10):
+            nx, ny, m1, m2 = rng.integers(2, 40, 4)
+            xs, ys = np.sort(rng.uniform(-3.0, 3.0, nx)), np.linspace(-1.5, 2.5, ny)
+            values = rng.normal(size=(nx, ny)) * 10.0
+            values[rng.uniform(size=values.shape) < 0.2] = np.inf
+            _assert_matches_brute(xs, ys, values, np.linspace(-4, 4, m1), np.linspace(-2, 8, m2))
 
 
 def test_legendre_matches_brute_force_with_inf_samples(rng):
