@@ -41,7 +41,6 @@ __all__ = [
     "quadratic_fn",
     "radial_power_fn",
     "eval2d",
-    "eval2d_log",
     "grad2d",
     "conjugate2d",
     "conjugate_of_samples",
@@ -223,16 +222,11 @@ def radial_power_fn(p, coef=1.0):
 
 
 def eval2d(phi, xi):
-    """Phi(xi) as a float; overflow raises RangeError (use eval2d_log then)."""
+    """Phi(xi) as a float; overflow raises RangeError (use log_value_dir then)."""
     v = phi.value(xi[0], xi[1])
     if np.isinf(v):
-        raise RangeError("Phi overflows at this point; use eval2d_log")
+        raise RangeError("Phi overflows at this point; use log_value_dir")
     return float(v)
-
-
-def eval2d_log(phi, ux, uy, logr):
-    """log Phi(r u): the log-domain path for arguments beyond double range."""
-    return phi.log_value_dir(ux, uy, logr)
 
 
 def grad2d(phi, xi):

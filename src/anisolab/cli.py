@@ -28,7 +28,11 @@ from .aniso2d import (
     trudinger_fn,
 )
 from .capacity import disk_mask, relative_capacity, sobolev_capacity
-from .comparability import default_probe_family, essential_anisotropy_probe
+from .comparability import (
+    default_probe_family,
+    equivalent_on_rays,
+    essential_anisotropy_probe,
+)
 from .construction import TripleBuild, build_triple
 from .gridfield import GridField2D
 from .pde import ApproxSequence, DiscreteMeasure, uniqueness_experiment
@@ -154,21 +158,17 @@ def cmd_sublevel(args):
 def cmd_compare(args):
     f = parse_phi(args.f)
     g = parse_phi(args.g)
-    from .comparability import _CloudFn, _cloud_dominates, DEFAULT_D_GRID
-
     dirs = [(1.0, 0.0), (0.0, 1.0), (np.sqrt(0.5), np.sqrt(0.5)), (np.sqrt(0.5), -np.sqrt(0.5))]
     logr = np.linspace(-6 * np.log(10.0), 8 * np.log(10.0), 43)
-    F = _CloudFn(lambda ux, uy, lr: f.log_value_dir(ux, uy, lr), dirs)
-    G = _CloudFn(lambda ux, uy, lr: g.log_value_dir(ux, uy, lr), dirs)
-    fwd = _cloud_dominates(F, G, logr, DEFAULT_D_GRID, 1.0)
-    bwd = _cloud_dominates(G, F, logr, DEFAULT_D_GRID, 1.0)
+    rep = equivalent_on_rays(f.log_value_dir, g.log_value_dir, dirs, logr)
+    fwd, bwd = rep["forward"], rep["backward"]
     _dump_json(
         {
             "f": args.f,
             "g": args.g,
             "f_dominates_g": fwd.dominates,
             "g_dominates_f": bwd.dominates,
-            "equivalent": fwd.dominates and bwd.dominates,
+            "equivalent": rep["equivalent"],
             "forward_constants": {"c": fwd.c, "d": fwd.d},
             "backward_constants": {"c": bwd.c, "d": bwd.d},
         },

@@ -20,6 +20,8 @@ definite per-map verdict possible at a finite cycle count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,6 +32,7 @@ __all__ = [
     "LinearMap2D",
     "dominates",
     "equivalent",
+    "equivalent_on_rays",
     "axis_decomposition_test",
     "default_probe_family",
     "canonical_shear",
@@ -91,18 +94,21 @@ def _trend_diverges(mins, drop_min, tail=3):
 
 
 def _decade_minima(log_samples, gaps, per_decade=np.log(10.0)):
+    """Per-decade minima of ``gaps`` along its last axis, row by row."""
     buckets = np.floor((log_samples - log_samples[0]) / per_decade).astype(int)
-    mins = np.full(buckets[-1] + 1, np.inf)
-    np.minimum.at(mins, buckets, gaps)
+    mins = np.full(gaps.shape[:-1] + (buckets[-1] + 1,), np.inf)
+    np.minimum.at(mins.T, buckets, gaps.T)
     return mins
 
 
 def dominates(F, G, log_samples, d_grid=None, drop_min=1.0):
     """Does F dominate G (c G(d x) <= F(x)) on the sampled log-argument grid?
 
-    ``F``/``G`` expose ``log_value``.  Samples must be ordered and span a
-    wide range (a dozen decades is the working default).  Returns a
-    verdict with certificate constants, or witness trends per tested d.
+    ``F``/``G`` expose ``log_value``, which may return one row of values
+    per ray of a 2-D cloud, shape (rows, n); a trend diverging along any
+    row refutes the domination.  Samples must be ordered and span a wide
+    range (a dozen decades is the working default).  Returns a verdict
+    with certificate constants, or witness trends per tested d.
     """
     if d_grid is None:
         d_grid = DEFAULT_D_GRID
@@ -114,18 +120,18 @@ def dominates(F, G, log_samples, d_grid=None, drop_min=1.0):
         gaps = logF - G.log_value(log_samples + np.log(d))
         mins = _decade_minima(log_samples, gaps)
         min_gap = float(np.min(gaps))
-        diverging = _trend_diverges(mins, drop_min)
+        diverging = any(_trend_diverges(row, drop_min) for row in np.atleast_2d(mins))
         feasible = min_gap >= LOG_C_MIN
         if not diverging and feasible:
             # prefer the certificate with scaling closest to 1
             if best is None or abs(np.log(d)) < abs(np.log(best[1])):
                 best = (min_gap, float(d))
         else:
-            worst_at = float(log_samples[int(np.argmin(gaps))])
+            worst_at = float(log_samples[int(np.argmin(gaps)) % len(log_samples)])
             witnesses.append(
                 {
                     "d": float(d),
-                    "decade_minima": [float(v) for v in mins],
+                    "decade_minima": mins.tolist(),
                     "diverging": diverging,
                     "min_gap": min_gap,
                     "worst_log_argument": worst_at,
@@ -148,53 +154,17 @@ def equivalent(F, G, log_samples, d_grid=None, drop_min=1.0):
 # 2-D clouds
 
 
-class _CloudFn:
-    """log-evaluator of a 2-D function on (direction, log r) clouds."""
+def equivalent_on_rays(log_f, log_g, dirs, log_r, d_grid=None, drop_min=1.0):
+    """Two-sided domination of 2-D functions F, G on the rays r u, u in dirs.
 
-    def __init__(self, fn, dirs):
-        self.fn = fn
-        self.dirs = np.asarray(dirs, dtype=float)
-
-    def log_value(self, logr):
-        # (n_dirs, n_r) values flattened direction-major
-        out = [
-            self.fn(float(u[0]), float(u[1]), np.asarray(logr, dtype=float))
-            for u in self.dirs
-        ]
-        return np.stack(out)
-
-
-def _axis_sum_logeval(phi):
-    def f(ux, uy, logr):
-        with np.errstate(divide="ignore"):
-            ax = phi.log_value_dir(ux, 0.0, logr) if ux != 0.0 else np.full_like(logr, -np.inf)
-            ay = phi.log_value_dir(0.0, uy, logr) if uy != 0.0 else np.full_like(logr, -np.inf)
-        return np.logaddexp(ax, ay)
-
-    return f
-
-
-def _cloud_dominates(F_cloud, G_cloud, logr, d_grid, drop_min):
-    logF = F_cloud.log_value(logr)
-    witnesses = []
-    best = None
-    for d in d_grid:
-        logG = G_cloud.log_value(logr + np.log(d))
-        gaps = logF - logG
-        min_gap = float(np.min(gaps))
-        diverging = any(
-            _trend_diverges(_decade_minima(logr, gaps[i]), drop_min)
-            for i in range(gaps.shape[0])
-        )
-        feasible = min_gap >= LOG_C_MIN
-        if not diverging and feasible:
-            if best is None or abs(np.log(d)) < abs(np.log(best[1])):
-                best = (min_gap, float(d))
-        else:
-            witnesses.append({"d": float(d), "diverging": diverging, "min_gap": min_gap})
-    if best is not None:
-        return DominationVerdict(True, c=float(np.exp(min(best[0], LOG_C_MAX))), d=best[1])
-    return DominationVerdict(False, witnesses=witnesses)
+    ``log_f(ux, uy, log_r)`` is log F(r u), broadcast over its arguments
+    (the ``log_value_dir`` of a 2-D function).  Both are evaluated on all
+    rays at once, one row per direction, through :func:`equivalent`.
+    """
+    ux, uy = np.asarray(dirs, dtype=float).T[:, :, None]
+    F = SimpleNamespace(log_value=partial(log_f, ux, uy))
+    G = SimpleNamespace(log_value=partial(log_g, ux, uy))
+    return equivalent(F, G, log_r, d_grid, drop_min)
 
 
 def _standard_directions(phi):
@@ -231,16 +201,16 @@ def axis_decomposition_test(
     dirs = _standard_directions(phi)
     logr = np.linspace(decades[0] * np.log(10.0), decades[1] * np.log(10.0),
                        int((decades[1] - decades[0]) * per_decade) + 1)
-    A = _CloudFn(lambda ux, uy, lr: phi.log_value_dir(ux, uy, lr), dirs)
-    B = _CloudFn(_axis_sum_logeval(phi), dirs)
-    fwd = _cloud_dominates(A, B, logr, d_grid, drop_min)
-    bwd = _cloud_dominates(B, A, logr, d_grid, drop_min)
-    return {
-        "equivalent": fwd.dominates and bwd.dominates,
-        "method": "cloud",
-        "forward": fwd,
-        "backward": bwd,
-    }
+
+    def axis_sum(ux, uy, lr):
+        # Phi(x, 0) + Phi(0, y); a zero coordinate contributes log 0 = -inf
+        with np.errstate(divide="ignore"):
+            return np.logaddexp(
+                phi.log_value_dir(ux, 0.0 * uy, lr), phi.log_value_dir(0.0 * ux, uy, lr)
+            )
+
+    rep = equivalent_on_rays(phi.log_value_dir, axis_sum, dirs, logr, d_grid, drop_min)
+    return {"method": "cloud", **rep}
 
 
 # ---------------------------------------------------------------------------

@@ -147,27 +147,18 @@ def sobolev_conjugate(profile):
 def build_profile(table, n=2, margin=0.05):
     growth = classify_growth(table, n=n, margin=margin)
     H, spliced = build_H(table, n=n)
-    phin = None
-    if growth.label == "slow":
-        prof = SobolevProfile(
-            phicirc=table,
-            H=H,
-            phin=None,
-            growth=growth,
-            spliced=spliced,
-            splice_log_tau0=float(table.logx[0]),
-            n=n,
-        )
-        phin = sobolev_conjugate(prof)
-    return SobolevProfile(
+    prof = SobolevProfile(
         phicirc=table,
         H=H,
-        phin=phin,
+        phin=None,
         growth=growth,
         spliced=spliced,
         splice_log_tau0=float(table.logx[0]),
         n=n,
     )
+    if growth.label == "slow":
+        prof.phin = sobolev_conjugate(prof)
+    return prof
 
 
 # ---------------------------------------------------------------------------

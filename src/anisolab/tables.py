@@ -2,11 +2,12 @@
 
 A MonotoneTable carries (x_j, y_j) pairs of a strictly increasing map on
 (0, inf), interpolates linearly in log-log coordinates (exact on pure
-powers), and extrapolates with the edge slopes.  It doubles as a 1-D
-function object: ``value`` / ``derivative`` / ``log_value`` /
-``log_derivative`` match the protocol of the closed forms in
-:mod:`anisolab.young1d`, so tables slot into the same modulars, solvers
-and conjugation paths.
+powers), and extrapolates with the edge slopes.  It is a 1-D function of
+the single protocol of :mod:`anisolab.young1d`: it writes ``log_value`` /
+``log_derivative`` (both ``-inf`` at log x = -inf) and binds that module's
+shared ``value`` / ``derivative``, so x < 0 raises ValueError, x = 0 gives
+0, and tables slot into the same modulars, solvers and conjugation paths.
+``inverse`` follows the same rules on the y column.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 
 import numpy as np
 
-from .numerics import safe_exp
+from .young1d import _derivative_from_log, _from_log, _value_from_log
 
 __all__ = ["MonotoneTable"]
 
@@ -50,33 +51,20 @@ class MonotoneTable:
     def log_inverse(self, logy):
         return self._interp(logy, self.logy, self.logx, 1.0 / self._slopes)
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            out = safe_exp(self.log_value(np.log(x)))
-        out = np.where(x == 0.0, 0.0, out)
-        return out if np.ndim(out) else float(out)
-
-    def inverse(self, y):
-        y = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore"):
-            out = safe_exp(self.log_inverse(np.log(y)))
-        out = np.where(y == 0.0, 0.0, out)
-        return out if np.ndim(out) else float(out)
-
     def log_derivative(self, logx):
-        # d/dx of x^m-shaped segment: m * y / x
+        # d/dx of the x^m-shaped segment: m * y / x
         logx = np.asarray(logx, dtype=float)
         idx = np.clip(np.searchsorted(self.logx, logx) - 1, 0, len(self.logx) - 2)
-        out = np.log(self._slopes[idx]) + self.log_value(logx) - logx
+        with np.errstate(invalid="ignore"):
+            out = np.log(self._slopes[idx]) + self.log_value(logx) - logx
+        out = np.where(np.isneginf(logx), -np.inf, out)
         return out if out.ndim else float(out)
 
-    def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            out = safe_exp(self.log_derivative(np.log(x)))
-        out = np.where(x == 0.0, 0.0, out)
-        return out if np.ndim(out) else float(out)
+    value = _value_from_log
+    derivative = _derivative_from_log
+
+    def inverse(self, y):
+        return _from_log(self.log_inverse, y)
 
     # -- structure checks ----------------------------------------------------
 

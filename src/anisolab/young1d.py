@@ -3,13 +3,23 @@
 A Young function here is even, convex, vanishes exactly at zero and is
 finite; an N-function additionally grows superlinearly at infinity and is
 o(t) near zero.  Only the branch t >= 0 is represented; callers fold the
-sign.  Two representations coexist behind one small protocol
-(``log_value`` / ``log_derivative`` on log-arguments, ``value`` /
-``derivative`` on plain arguments, all elementwise-vectorized):
+sign.  Every 1-D function of the lab -- the closed forms below,
+:class:`PiecewiseYoungFn1D` (an ordered list of pieces split at log-domain
+breakpoints, the carrier for the glued competing functions) and
+:class:`~anisolab.tables.MonotoneTable` -- follows one protocol, all
+methods elementwise-vectorized:
 
-* closed forms (pure powers, power-log products, power-exp products),
-* :class:`PiecewiseYoungFn1D`, an ordered list of pieces split at
-  log-domain breakpoints, the carrier for the glued competing functions.
+* ``log_value`` / ``log_derivative`` map log t to log f(t) / log f'(t);
+  each type writes its own, and ``-inf`` (t = 0) gives ``-inf``, except
+  that ``PowerFn`` with p = 1 returns its slope log coef;
+* ``value`` / ``derivative`` on plain arguments are written once here,
+  as exp of the log form: t < 0 raises ValueError, t = 0 gives 0, a
+  scalar gives a float and an array keeps its shape.
+
+Each class binds the shared ``value`` / ``derivative`` in its own body
+rather than inheriting them, so tools that wrap methods class by class
+(the benchmark's tracer, ``bench/tracer.py``) find all four names in every
+class dict.
 
 Breakpoints grow like exp(poly(k)) under the inductive gluing, far past
 double range, so every structural computation runs on (log t, log f(t))
@@ -19,7 +29,7 @@ via :class:`~anisolab.numerics.RangeError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +39,7 @@ from .numerics import (
     expand_bracket_increasing,
     log_diff_of_args,
     log_of_tplus1,
+    logsubexp,
     safe_exp,
     value_from_log,
 )
@@ -41,7 +52,6 @@ __all__ = [
     "Piece",
     "PiecewiseYoungFn1D",
     "eval1d",
-    "eval1d_log",
     "derivative1d",
     "inverse1d",
     "inverse1d_log",
@@ -64,6 +74,21 @@ def _as_log_args(t):
 def _scalarize(x):
     x = np.asarray(x)
     return float(x) if x.ndim == 0 else x
+
+
+def _from_log(log_fn, t):
+    """exp(log_fn(log t)) for t >= 0, a float for a scalar t."""
+    return safe_exp(log_fn(_as_log_args(t)))
+
+
+def _value_from_log(self, t):
+    """f(t) for t >= 0, elementwise; overflow gives +inf."""
+    return _from_log(self.log_value, t)
+
+
+def _derivative_from_log(self, t):
+    """f'(t) for t >= 0, elementwise; overflow gives +inf."""
+    return _from_log(self.log_derivative, t)
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +122,8 @@ class PowerFn:
             out = np.where(np.isneginf(logt), -np.inf, out)
         return _scalarize(out)
 
-    def value(self, t):
-        return _scalarize(safe_exp(self.log_value(_as_log_args(t))))
-
-    def derivative(self, t):
-        return _scalarize(safe_exp(self.log_derivative(_as_log_args(t))))
+    value = _value_from_log
+    derivative = _derivative_from_log
 
 
 class PowerLogFn:
@@ -135,11 +157,8 @@ class PowerLogFn:
         out = np.where(np.isneginf(logt), -np.inf, out)
         return _scalarize(out)
 
-    def value(self, t):
-        return _scalarize(safe_exp(self.log_value(_as_log_args(t))))
-
-    def derivative(self, t):
-        return _scalarize(safe_exp(self.log_derivative(_as_log_args(t))))
+    value = _value_from_log
+    derivative = _derivative_from_log
 
 
 class PowerLogBaseFn:
@@ -179,18 +198,13 @@ class PowerLogBaseFn:
                 t2 = np.log(self.delta) + self.p * logt + (self.delta - 1.0) * loglg - lbt
                 out = np.logaddexp(t1, t2)
             else:
-                from .numerics import logsubexp
-
                 t2 = np.log(-self.delta) + self.p * logt + (self.delta - 1.0) * loglg - lbt
                 out = logsubexp(t1, t2)
         out = np.where(np.isneginf(logt), -np.inf, out)
         return _scalarize(out)
 
-    def value(self, t):
-        return _scalarize(safe_exp(self.log_value(_as_log_args(t))))
-
-    def derivative(self, t):
-        return _scalarize(safe_exp(self.log_derivative(_as_log_args(t))))
+    value = _value_from_log
+    derivative = _derivative_from_log
 
 
 class PowerExpFn:
@@ -218,15 +232,41 @@ class PowerExpFn:
         out = np.where(np.isneginf(logt), -np.inf, out)
         return _scalarize(out)
 
-    def value(self, t):
-        return _scalarize(safe_exp(self.log_value(_as_log_args(t))))
-
-    def derivative(self, t):
-        return _scalarize(safe_exp(self.log_derivative(_as_log_args(t))))
+    value = _value_from_log
+    derivative = _derivative_from_log
 
 
 # ---------------------------------------------------------------------------
 # pieces
+
+
+class _LinearSegment:
+    """f_a + slope * (t - t_a) for t >= t_a, held at f_a below the anchor."""
+
+    def __init__(self, log_slope, anchor_logt, anchor_logf):
+        self.log_slope = log_slope
+        self.anchor_logt = anchor_logt
+        self.anchor_logf = anchor_logf
+
+    def log_value(self, logt):
+        logt = np.asarray(logt, dtype=float)
+        at, af = self.anchor_logt, self.anchor_logf
+        with np.errstate(invalid="ignore"):
+            out = np.logaddexp(af, self.log_slope + log_diff_of_args(logt, at))
+        out = np.where(logt <= at, af, out)
+        return _scalarize(out)
+
+    def log_derivative(self, logt):
+        return _scalarize(np.full_like(np.asarray(logt, dtype=float), self.log_slope))
+
+
+# kind -> (log-domain form, its parameter names): Piece builds its form from
+# this table and PiecewiseYoungFn1D.from_json_dict reads parameters by name
+_PIECE_FORMS = {
+    "power": (PowerFn, ("p", "coef")),
+    "powerlog": (PowerLogFn, ("p", "alpha")),
+    "linear": (_LinearSegment, ("log_slope", "anchor_logt", "anchor_logf")),
+}
 
 
 @dataclass(frozen=True)
@@ -238,36 +278,24 @@ class Piece:
     kind "linear"   : f_a + slope * (t - t_a), stored as
                       (log_slope, anchor_logt, anchor_logf) so enormous
                       slopes and anchors stay representable.
+
+    The form evaluating the piece is built once, from ``params``.
     """
 
     kind: str
     params: dict
+    form: object = field(init=False, repr=False, compare=False)
 
-    def _fn(self):
-        if self.kind == "power":
-            return PowerFn(self.params["p"], self.params.get("coef", 1.0))
-        if self.kind == "powerlog":
-            return PowerLogFn(self.params["p"], self.params["alpha"])
-        raise ValueError(f"unknown closed piece kind {self.kind!r}")
+    def __post_init__(self):
+        if self.kind not in _PIECE_FORMS:
+            raise ValueError(f"unknown piece kind {self.kind!r}")
+        object.__setattr__(self, "form", _PIECE_FORMS[self.kind][0](**self.params))
 
     def log_value(self, logt):
-        if self.kind == "linear":
-            ls = self.params["log_slope"]
-            at = self.params["anchor_logt"]
-            af = self.params["anchor_logf"]
-            logt = np.asarray(logt, dtype=float)
-            with np.errstate(invalid="ignore"):
-                out = np.logaddexp(af, ls + log_diff_of_args(logt, at))
-            out = np.where(logt <= at, af, out)
-            return _scalarize(out)
-        return self._fn().log_value(logt)
+        return self.form.log_value(logt)
 
     def log_derivative(self, logt):
-        if self.kind == "linear":
-            logt = np.asarray(logt, dtype=float)
-            out = np.full_like(logt, self.params["log_slope"])
-            return _scalarize(out)
-        return self._fn().log_derivative(logt)
+        return self.form.log_derivative(logt)
 
     @staticmethod
     def power(p, coef=1.0):
@@ -300,7 +328,7 @@ class PiecewiseYoungFn1D:
 
     CONTINUITY_TOL = 1e-9
 
-    def __init__(self, pieces, breakpoints_logt, trace=None, _validate=True):
+    def __init__(self, pieces, breakpoints_logt, trace=None):
         if len(pieces) != len(breakpoints_logt) + 1:
             raise ValueError("need exactly one more piece than breakpoints")
         self.pieces = list(pieces)
@@ -308,8 +336,7 @@ class PiecewiseYoungFn1D:
         self.trace = dict(trace or {})
         if len(self.breakpoints_logt) and np.any(np.diff(self.breakpoints_logt) <= 0.0):
             raise ValueError("breakpoints must be strictly increasing")
-        if _validate:
-            self._check_continuity()
+        self._check_continuity()
 
     def _check_continuity(self):
         for i, b in enumerate(self.breakpoints_logt):
@@ -342,11 +369,8 @@ class PiecewiseYoungFn1D:
     def log_derivative(self, logt):
         return self._dispatch(logt, "log_derivative")
 
-    def value(self, t):
-        return _scalarize(safe_exp(self.log_value(_as_log_args(t))))
-
-    def derivative(self, t):
-        return _scalarize(safe_exp(self.log_derivative(_as_log_args(t))))
+    value = _value_from_log
+    derivative = _derivative_from_log
 
     # -- serialization ------------------------------------------------------
 
@@ -375,17 +399,9 @@ class PiecewiseYoungFn1D:
     def from_json_dict(cls, data):
         pieces, breaks = [], []
         for i, pd in enumerate(data["pieces"]):
-            kind = pd["kind"]
-            if kind == "power":
-                pieces.append(Piece.power(pd["p"], pd.get("coef", 1.0)))
-            elif kind == "powerlog":
-                pieces.append(Piece.powerlog(pd["p"], pd["alpha"]))
-            elif kind == "linear":
-                pieces.append(
-                    Piece.linear(pd["log_slope"], pd["anchor_logt"], pd["anchor_logf"])
-                )
-            else:
-                raise ValueError(f"unknown piece kind {kind!r}")
+            # Piece rejects an unknown kind
+            _, names = _PIECE_FORMS.get(pd["kind"], (None, ()))
+            pieces.append(Piece(pd["kind"], {n: float(pd[n]) for n in names if n in pd}))
             if i > 0:
                 breaks.append(pd["from_logt"])
         return cls(pieces, breaks, trace=data.get("trace"))
@@ -399,7 +415,7 @@ def eval1d(f, t):
     """Evaluate f at t >= 0 in the value domain.
 
     Raises :class:`RangeError` when the value overflows a double; use
-    :func:`eval1d_log` past that range.
+    ``f.log_value`` past that range.
     """
     if np.ndim(t) == 0:
         if t < 0.0:
@@ -409,13 +425,8 @@ def eval1d(f, t):
         return value_from_log(f.log_value(float(np.log(t))))
     v = f.value(t)
     if np.any(np.isinf(v)):
-        raise RangeError("value overflow; evaluate through eval1d_log")
+        raise RangeError("value overflow; evaluate through log_value")
     return v
-
-
-def eval1d_log(f, logt):
-    """log f(t) from log t; the log-domain path, valid at any scale."""
-    return f.log_value(logt)
 
 
 def derivative1d(f, t):
@@ -486,8 +497,6 @@ def check_convex(f, samples_per_piece=64, rel_slack=1e-8):
     logts = _sample_logts(f, samples_per_piece)
     logfs = f.log_value(logts)
     # log of (f(t_{i+1}) - f(t_i)) / (t_{i+1} - t_i)
-    from .numerics import logsubexp
-
     with np.errstate(invalid="ignore"):
         log_slopes = logsubexp(logfs[1:], logfs[:-1]) - logsubexp(logts[1:], logts[:-1])
     good = np.isfinite(log_slopes)

@@ -15,7 +15,6 @@ from anisolab.aniso2d import (
     conjugate2d,
     conjugate_of_samples,
     eval2d,
-    eval2d_log,
     grad2d,
     intro_exp_fn,
     involution_error,
@@ -73,7 +72,7 @@ def test_eval_overflow_flagged():
     phi = intro_exp_fn()
     with pytest.raises(RangeError):
         eval2d(phi, (0.0, 2000.0))
-    assert np.isfinite(eval2d_log(phi, 0.0, 1.0, np.log(2000.0)))
+    assert np.isfinite(phi.log_value_dir(0.0, 1.0, np.log(2000.0)))
 
 
 def test_grad_quadratic_identity():

@@ -101,6 +101,18 @@ def test_compare_equivalent_pair(tmp_path):
     assert verdict["equivalent"]
 
 
+def test_compare_non_equivalent_pair(tmp_path):
+    r = run_cli(
+        ["compare", "--f", "powersum:2,3", "--g", "quadratic", "--report", "v.json"],
+        tmp_path,
+    )
+    assert r.returncode == 0, r.stderr
+    verdict = json.loads((tmp_path / "v.json").read_text())
+    assert verdict["equivalent"] is False
+    assert not verdict["f_dominates_g"] and not verdict["g_dominates_f"]
+    assert verdict["forward_constants"] == {"c": None, "d": None}
+
+
 def test_probe_csv(tmp_path):
     run_cli(["construct", "--cycles", "9", "--out", "triple.json"], tmp_path)
     r = run_cli(

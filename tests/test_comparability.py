@@ -5,17 +5,17 @@ from anisolab.aniso2d import (
     AnisoFn2D,
     constructed_triple_fn,
     power_sum_fn,
+    radial_power_fn,
     trudinger_fn,
 )
 from anisolab.comparability import (
     LinearMap2D,
-    _CloudFn,
-    _cloud_dominates,
     axis_decomposition_test,
     canonical_shear,
     default_probe_family,
     dominates,
     equivalent,
+    equivalent_on_rays,
     essential_anisotropy_probe,
     power_sum_envelope_check,
 )
@@ -43,6 +43,16 @@ class _Sum:
         return out
 
 
+class _Rows:
+    """One row of log values per function: a cloud of 1-D rays."""
+
+    def __init__(self, *fns):
+        self.fns = fns
+
+    def log_value(self, lt):
+        return np.stack([f.log_value(lt) for f in self.fns])
+
+
 def test_identity_dominates():
     v = dominates(PowerFn(2), PowerFn(2), LOGS)
     assert v.dominates
@@ -56,6 +66,18 @@ def test_powers_incomparable_globally():
     assert not e["forward"].dominates and not e["backward"].dominates
     # failing witnesses recorded with diverging trends
     assert any(w["diverging"] for w in e["forward"].witnesses)
+
+
+def test_row_scan_matches_1d_and_one_row_refutes():
+    one = dominates(PowerFn(2), PowerFn(3), LOGS)
+    rows = dominates(_Rows(PowerFn(2)), _Rows(PowerFn(3)), LOGS)
+    assert [w["min_gap"] for w in rows.witnesses] == [w["min_gap"] for w in one.witnesses]
+    assert dominates(_Rows(PowerFn(2), PowerFn(3)), _Rows(PowerFn(2), PowerFn(3)), LOGS).dominates
+    # equal on the first ray, t^2 against t^3 on the second
+    v = dominates(_Rows(PowerFn(2), PowerFn(2)), _Rows(PowerFn(2), PowerFn(3)), LOGS)
+    assert not v.dominates
+    assert any(w["diverging"] for w in v.witnesses)
+    assert len(v.witnesses[0]["decade_minima"]) == 2
 
 
 def test_scaling_equivalent():
@@ -80,17 +102,24 @@ def test_max_square_equivalent_to_sum_of_squares():
     dirs = [(1.0, 0.0), (0.0, 1.0), (np.sqrt(0.5), np.sqrt(0.5)), (0.6, -0.8)]
 
     def max_sq(ux, uy, logr):
-        return 2.0 * (np.log(max(abs(ux), abs(uy))) + logr)
+        return 2.0 * (np.log(np.maximum(np.abs(ux), np.abs(uy))) + logr)
 
     q = power_sum_fn(2, 2)
-    F = _CloudFn(max_sq, dirs)
-    G = _CloudFn(lambda ux, uy, lr: q.log_value_dir(ux, uy, lr), dirs)
     logr = np.linspace(-12, 12, 49)
-    from anisolab.comparability import DEFAULT_D_GRID
+    rep = equivalent_on_rays(max_sq, q.log_value_dir, dirs, logr)
+    assert rep["forward"].dominates and rep["backward"].dominates
+    assert rep["equivalent"]
 
-    fwd = _cloud_dominates(F, G, logr, DEFAULT_D_GRID, 1.0)
-    bwd = _cloud_dominates(G, F, logr, DEFAULT_D_GRID, 1.0)
-    assert fwd.dominates and bwd.dominates
+
+def test_ray_rows_match_per_direction_loop():
+    dirs = np.array([(1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.6, -0.8), (-0.28, 0.96)])
+    logr = np.linspace(-14.0, 18.0, 43)
+    for phi in (trudinger_fn(), power_sum_fn(2, 3), radial_power_fn(1.5)):
+        with np.errstate(divide="ignore"):
+            rows = phi.log_value_dir(dirs[:, :1], dirs[:, 1:], logr)
+            loop = np.stack([phi.log_value_dir(float(ux), float(uy), logr) for ux, uy in dirs])
+        assert np.array_equal(rows, loop)
+        assert np.all(rows[2] == -np.inf)
 
 
 def test_constructed_light_sum_fails_to_dominate_leader(build6):

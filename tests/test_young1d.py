@@ -3,18 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from anisolab.numerics import RangeError
+from anisolab.numerics import RangeError, safe_exp
+from anisolab.tables import MonotoneTable
 from anisolab.young1d import (
     Piece,
     PiecewiseYoungFn1D,
     PowerExpFn,
     PowerFn,
+    PowerLogBaseFn,
     PowerLogFn,
     check_convex,
     derivative1d,
     doubling_indices,
     eval1d,
-    eval1d_log,
     inverse1d,
     is_doubling,
     nfunction_report,
@@ -44,7 +45,7 @@ def test_eval_overflow_raises_rangeerror():
     with pytest.raises(RangeError):
         eval1d(PowerExpFn(2), 1000.0)
     # the log path still works out there
-    assert np.isfinite(eval1d_log(PowerLogFn(2, 1), 500.0))
+    assert np.isfinite(PowerLogFn(2, 1).log_value(500.0))
 
 
 def test_derivative_power():
@@ -157,3 +158,59 @@ def test_piecewise_vanishes_at_zero(build6):
     for f in build6.phi:
         assert eval1d(f, 0.0) == 0.0
         assert f.log_value(-np.inf) == -np.inf
+
+
+_X = np.logspace(-3, 3, 25)
+PROTOCOL_CASES = {
+    "power": lambda b: PowerFn(2.5, 3.0),
+    "powerlog": lambda b: PowerLogFn(2, 1),
+    "powerlogbase": lambda b: PowerLogBaseFn(2, -0.5, np.e),
+    "powerexp": lambda b: PowerExpFn(2),
+    "table": lambda b: MonotoneTable.from_values(_X, 2.0 * _X**2.5),
+    "piecewise-build6": lambda b: b.phi[0],
+    "piece-power": lambda b: PiecewiseYoungFn1D([Piece.power(2.5, 3.0)], []),
+    "piece-powerlog": lambda b: PiecewiseYoungFn1D([Piece.powerlog(2, 1)], []),
+    # t^2 up to t = 1, then 1 + 2 (t - 1)
+    "piece-linear": lambda b: PiecewiseYoungFn1D(
+        [Piece.power(2), Piece.linear(np.log(2.0), 0.0, 0.0)], [0.0]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOL_CASES))
+def test_one_protocol_edge_rules(name, build6):
+    f = PROTOCOL_CASES[name](build6)
+    t = np.array([[0.0, 0.5], [3.0, 40.0]])
+    with np.errstate(divide="ignore"):
+        logt = np.log(t)
+    for plain, log_fn in ((f.value, f.log_value), (f.derivative, f.log_derivative)):
+        out = plain(t)
+        assert out.shape == t.shape
+        assert np.array_equal(out, safe_exp(log_fn(logt)))
+        assert type(plain(3.0)) is float and plain(3.0) == out[1, 0]
+        assert log_fn(-np.inf) == -np.inf
+        with pytest.raises(ValueError):
+            plain(-1.0)
+        with pytest.raises(ValueError):
+            plain(np.array([1.0, -1e-300]))
+    assert f.value(0.0) == 0.0
+    assert np.isfinite(f.derivative(0.0))
+
+
+def test_piece_evaluation_builds_no_closed_form(build6, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed form built during evaluation")
+
+    for cls in (PowerFn, PowerLogFn):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    logts = np.linspace(-5, 2000, 200)
+    for f in build6.phi:
+        assert np.all(np.isfinite(f.log_value(logts)))
+        assert np.all(np.isfinite(f.log_derivative(logts)))
+
+
+def test_unknown_piece_kind_rejected():
+    with pytest.raises(ValueError):
+        Piece("cubic", {"p": 3.0})
+    with pytest.raises(ValueError):
+        PiecewiseYoungFn1D.from_json_dict({"pieces": [{"kind": "cubic", "from_logt": None}]})
