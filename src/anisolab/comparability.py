@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -316,18 +317,16 @@ def default_probe_family(n_rot=360, n_shear=21, n_scale=21):
     thetas = np.deg2rad(np.arange(n_rot))
     shears = np.linspace(-2.0, 2.0, n_shear)
     scales = np.exp(np.linspace(-2.0, 2.0, n_scale) * np.log(2.0))
-    mats = np.empty((n_rot * n_shear * n_scale, 2, 2))
-    params = []
-    idx = 0
-    for th in thetas:
-        R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-        for s in shears:
-            S = np.array([[1.0, 0.0], [s, 1.0]])
-            RS = R @ S
-            for lam in scales:
-                mats[idx] = RS @ np.array([[lam, 0.0], [0.0, 1.0 / lam]])
-                params.append((float(np.rad2deg(th)), float(s), float(lam)))
-                idx += 1
+    c, s = np.cos(thetas), np.sin(thetas)
+    R = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    S = np.zeros((n_shear, 2, 2))
+    S[:, 0, 0] = S[:, 1, 1] = 1.0
+    S[:, 1, 0] = shears
+    L = np.zeros((n_scale, 2, 2))
+    L[:, 0, 0] = scales
+    L[:, 1, 1] = 1.0 / scales
+    mats = ((R[:, None] @ S[None])[:, :, None] @ L[None, None]).reshape(-1, 2, 2)
+    params = list(product(np.rad2deg(thetas).tolist(), shears.tolist(), scales.tolist()))
     return mats, params
 
 

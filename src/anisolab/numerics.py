@@ -128,14 +128,25 @@ def expand_bracket_increasing(f, start, step=1.0, factor=2.0, max_steps=200):
 
 
 def bisect_increasing_arrays(f, lo, hi, rtol=1e-12, max_iter=200):
-    """Vectorized bisection: f maps arrays to arrays, nondecreasing per lane."""
+    """Vectorized bisection: f maps arrays to arrays, nondecreasing per lane.
+
+    Convergence is judged per row along the last axis: a row stops once
+    every lane's bracket is below ``rtol * max(1, |mid|)``.  A stopped row
+    is frozen at its midpoint (``lo = hi = mid``, and ``0.5 * (mid + mid)``
+    is exactly ``mid``), so each row ends bit for bit where a bisection of
+    that row alone would end; f still sees the full array.  A 1-D input is
+    one row.
+    """
     lo = np.array(lo, dtype=float, copy=True)
     hi = np.array(hi, dtype=float, copy=True)
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         width = hi - lo
-        if np.all(width <= rtol * np.maximum(1.0, np.abs(mid))):
+        done = np.all(width <= rtol * np.maximum(1.0, np.abs(mid)), axis=-1, keepdims=True)
+        if np.all(done):
             return mid
+        lo = np.where(done, mid, lo)
+        hi = np.where(done, mid, hi)
         fm = f(mid)
         take_lo = fm < 0.0
         lo = np.where(take_lo, mid, lo)

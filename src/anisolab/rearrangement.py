@@ -4,7 +4,9 @@ Sublevel sets of a convex function vanishing at the origin are convex and
 star-shaped about 0, so the boundary is a single radius per angle and the
 area is the polar integral (1/2) * integral of rho(theta)^2.  Radii come
 from bisection on log Phi along each ray, which keeps the machinery exact
-at levels whose radii overflow doubles.
+at levels whose radii overflow doubles.  A profile over many levels is
+one bisection with a row of rays per level; each row stops on its own,
+so its radii equal those of a one-level cast bit for bit.
 
 The radial rearrangement maps each level t to the radius s(t) of the disk
 with the same sublevel area; the resulting monotone table is the
@@ -36,15 +38,21 @@ LOG_PI = float(np.log(np.pi))
 
 
 def ray_radii_log(phi, log_t, n_angles, rtol=1e-10):
-    """log rho(theta_i) with Phi(rho * omega) = t, per uniform angle."""
+    """log rho(theta_i) with Phi(rho * omega) = t, per uniform angle.
+
+    ``log_t`` is one level or a 1-D array of levels; an array gives one row
+    of log radii per level, all solved in one bisection.
+    """
     theta = 2.0 * np.pi * np.arange(n_angles) / n_angles
     ux, uy = np.cos(theta), np.sin(theta)
+    log_t = np.asarray(log_t, dtype=float)
+    rows = log_t.reshape(-1, 1)
 
     def f(logr):
-        return phi.log_value_dir(ux, uy, logr) - log_t
+        return phi.log_value_dir(ux, uy, logr) - rows
 
-    lo = np.full(n_angles, -700.0)
-    hi = np.full(n_angles, max(1.0, log_t))
+    lo = np.full((rows.shape[0], n_angles), -700.0)
+    hi = np.broadcast_to(np.maximum(1.0, rows), lo.shape)
     for _ in range(64):
         bad = f(hi) < 0.0
         if not np.any(bad):
@@ -54,28 +62,28 @@ def ray_radii_log(phi, log_t, n_angles, rtol=1e-10):
         raise ValueError("ray not bracketed; Phi not coercive along some direction")
     if np.any(f(lo) > 0.0):
         raise ValueError("level too small to bracket above rho = exp(-700)")
-    return bisect_increasing_arrays(f, lo, hi, rtol=rtol)
+    logr = bisect_increasing_arrays(f, lo, hi, rtol=rtol)
+    return logr[0] if log_t.ndim == 0 else logr
+
+
+def _log_area(logr):
+    """log of (1/2) * sum rho_i^2 * dtheta for one row of log radii."""
+    two = 2.0 * logr
+    mx = float(np.max(two))
+    s = mx + np.log(np.sum(np.exp(two - mx)))
+    return s + np.log(np.pi / logr.size)
 
 
 def log_sublevel_area(phi, log_t, n_angles=2048, rtol=1e-10, adaptive=True):
     """log of the sublevel-set area at level t, angular quadrature refined
     until the relative change under angle doubling falls below 1e-6."""
-
-    def one(m):
-        logr = ray_radii_log(phi, log_t, m, rtol=rtol)
-        # log( (1/2) * sum rho_i^2 * dtheta )
-        two = 2.0 * logr
-        mx = float(np.max(two))
-        s = mx + np.log(np.sum(np.exp(two - mx)))
-        return s + np.log(np.pi / m)
-
-    area = one(n_angles)
+    area = _log_area(ray_radii_log(phi, log_t, n_angles, rtol=rtol))
     if adaptive:
         for _ in range(4):
-            refined = one(2 * n_angles)
+            n_angles *= 2
+            refined = _log_area(ray_radii_log(phi, log_t, n_angles, rtol=rtol))
             if abs(refined - area) <= 1e-6:
                 return refined
-            n_angles *= 2
             area = refined
     return area
 
@@ -96,15 +104,17 @@ class LevelSetProfile:
     log_area: np.ndarray
 
 
-def level_profile(phi, log_t_grid, n_angles=2048, adaptive=False):
-    las = np.array([log_sublevel_area(phi, lt, n_angles, adaptive=adaptive) for lt in log_t_grid])
-    return LevelSetProfile(log_t=np.asarray(log_t_grid, dtype=float), log_area=las)
+def level_profile(phi, log_t_grid, n_angles=2048):
+    """Log sublevel areas at every level of the grid, from one ray casting."""
+    log_t = np.asarray(log_t_grid, dtype=float)
+    logr = ray_radii_log(phi, log_t, n_angles)
+    return LevelSetProfile(log_t=log_t, log_area=np.array([_log_area(row) for row in logr]))
 
 
-def phi_circ(phi, t_grid, n_angles=2048, adaptive=False):
+def phi_circ(phi, t_grid, n_angles=2048):
     """Radial rearrangement table: s_j = sqrt(A(t_j)/pi), value t_j."""
     log_t = np.log(np.asarray(t_grid, dtype=float))
-    prof = level_profile(phi, log_t, n_angles=n_angles, adaptive=adaptive)
+    prof = level_profile(phi, log_t, n_angles=n_angles)
     if np.any(np.diff(prof.log_area) <= 0.0):
         raise RuntimeError("sublevel areas not strictly increasing")
     log_s = 0.5 * (prof.log_area - LOG_PI)
@@ -125,10 +135,9 @@ def verify_levelset_bounds(build, t_list, n_angles=2048):
     phi2d = constructed_triple_fn(build)
     hi = build.upper
     p = build.p
+    prof = level_profile(phi2d, np.log(np.asarray(t_list, dtype=float)), n_angles)
     rows = []
-    for t in t_list:
-        log_t = float(np.log(t))
-        log_area = log_sublevel_area(phi2d, log_t, n_angles, adaptive=False)
+    for t, log_t, log_area in zip(t_list, prof.log_t.tolist(), prof.log_area):
         log_tau3 = inverse1d_log(hi, log_t - np.log(3.0))
         log_lower = np.log(np.pi / 4.0) + 2.0 * log_tau3
         log_tau = inverse1d_log(hi, log_t)

@@ -168,6 +168,31 @@ def test_axis_test_triple_fails(build9):
     assert rep["worst_drop"] >= 0.5
 
 
+def _probe_family_loop(n_rot, n_shear, n_scale):
+    """Reference: the family built one map at a time, in row-major order."""
+    thetas = np.deg2rad(np.arange(n_rot))
+    shears = np.linspace(-2.0, 2.0, n_shear)
+    scales = np.exp(np.linspace(-2.0, 2.0, n_scale) * np.log(2.0))
+    mats, params = [], []
+    for th in thetas:
+        R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+        for s in shears:
+            RS = R @ np.array([[1.0, 0.0], [s, 1.0]])
+            for lam in scales:
+                mats.append(RS @ np.array([[lam, 0.0], [0.0, 1.0 / lam]]))
+                params.append((float(np.rad2deg(th)), float(s), float(lam)))
+    return np.array(mats), params
+
+
+@pytest.mark.parametrize("shape", [(12, 3, 3), (36, 7, 7)])
+def test_probe_family_matches_loop(shape):
+    mats, params = default_probe_family(*shape)
+    ref_mats, ref_params = _probe_family_loop(*shape)
+    assert mats.shape == (np.prod(shape), 2, 2)
+    assert mats.tobytes() == ref_mats.tobytes()
+    assert params == ref_params
+
+
 def test_probe_triple_small_family(build9):
     phi = constructed_triple_fn(build9)
     mats, _ = default_probe_family(24, 5, 5)

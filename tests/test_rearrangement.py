@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from anisolab.aniso2d import constructed_triple_fn, power_sum_fn, radial_power_fn
+from anisolab.numerics import bisect_increasing_arrays
 from anisolab.rearrangement import (
+    level_profile,
     log_sublevel_area,
     phi_circ,
+    ray_radii_log,
     sublevel_area,
     verify_growth_envelope,
     verify_levelset_bounds,
@@ -32,6 +35,78 @@ def test_area_strictly_increasing(build6):
     ts = np.logspace(0.5, 7, 12)
     areas = [log_sublevel_area(phi, np.log(t), 512, adaptive=False) for t in ts]
     assert np.all(np.diff(areas) > 0.0)
+
+
+def test_bisect_rows_match_one_row_at_a_time():
+    # brackets from 1e-3 to 1e3 wide: the rows stop after different counts
+    c = np.array([[0.3, -2.0, 5.0], [1e3, 7.0, -1e3], [0.0, 1e-7, 2.0]])
+    lo = np.array([[-1e-3] * 3, [-1e3] * 3, [-1.0] * 3]) + np.minimum(c, 0.0)
+    hi = np.array([[1e-3] * 3, [1e3] * 3, [1.0] * 3]) + np.maximum(c, 0.0)
+
+    def solve(c, lo, hi):
+        calls = []
+
+        def f(x):
+            calls.append(1)
+            return x**3 + x - (c**3 + c)
+
+        return bisect_increasing_arrays(f, lo, hi, rtol=1e-12), len(calls)
+
+    rows = [solve(c[i], lo[i], hi[i]) for i in range(3)]
+    assert len({n for _, n in rows}) == 3
+    batched, n_batched = solve(c, lo, hi)
+    assert n_batched == max(n for _, n in rows)
+    for i, (row, _) in enumerate(rows):
+        assert batched[i].tobytes() == row.tobytes()
+
+
+class _Dilated:
+    """x -> Phi(x / exp(shift)): every radius grows by the factor exp(shift)."""
+
+    def __init__(self, phi, shift):
+        self.phi, self.shift = phi, shift
+
+    def log_value_dir(self, ux, uy, logr):
+        return self.phi.log_value_dir(ux, uy, logr - self.shift)
+
+
+@pytest.mark.parametrize("case", ["triple", "triple_dilated", "ellipse"])
+def test_ray_radii_levels_match_one_level_at_a_time(case, build6):
+    if case == "ellipse":
+        phi = power_sum_fn(2, 2, 1.0, 4.0)
+    else:
+        phi = constructed_triple_fn(build6)
+        if case == "triple_dilated":
+            # radii past exp(max(1, log t)) from log t = -40 to 400: bracket expansion
+            phi = _Dilated(phi, 380.0)
+    log_t = np.array([-760.0, -40.0, -3.0, 0.0, 0.7, 2.5, 30.0, 400.0, 2500.0])
+    rows = ray_radii_log(phi, log_t, 256)
+    assert rows.shape == (len(log_t), 256)
+    for lt, row in zip(log_t, rows):
+        assert row.tobytes() == ray_radii_log(phi, float(lt), 256).tobytes()
+
+
+def test_level_profile_matches_per_level_areas(build6):
+    phi = constructed_triple_fn(build6)
+    log_t = np.log(np.logspace(-3, 9, 9))
+    prof = level_profile(phi, log_t, n_angles=512)
+    ref = [log_sublevel_area(phi, lt, 512, adaptive=False) for lt in log_t]
+    assert prof.log_area.tobytes() == np.array(ref).tobytes()
+
+
+class _Bounded:
+    """log Phi = min(log r, 0) on every ray: not coercive past level 1."""
+
+    def log_value_dir(self, ux, uy, logr):
+        return np.minimum(logr, 0.0) + 0.0 * ux
+
+
+def test_unbracketable_level_in_array_raises():
+    ray_radii_log(_Bounded(), np.array([-1.0, -0.5]), 16)
+    with pytest.raises(ValueError, match="not bracketed"):
+        ray_radii_log(_Bounded(), np.array([-1.0, 0.5]), 16)
+    with pytest.raises(ValueError, match="too small"):
+        ray_radii_log(power_sum_fn(2, 2), np.array([0.0, -2000.0]), 16)
 
 
 def test_phi_circ_radial_fixed_point():
