@@ -1,20 +1,24 @@
 """Sobolev and relative capacities as discretized convex minimization.
 
-The capacity of a condenser is the infimum of
+Capacities and the weak solves of :mod:`anisolab.pde` minimize one grid
+energy, built here once by :func:`minimize_grid_energy`:
 
-    F[u] = sum_cells Phi(grad u) h^2  (+ sum_nodes phicirc(kappa |u|) h^2)
+    F[u] = sum_cells (Phi(grad u) + G . grad u) h^2 + sum_nodes psi(u) h^2
 
-over grid fields with u = 1 on the marked set, u = 0 on the outer
-constraint (the box edge for the whole-plane capacity, the complement of
-Omega for the relative one), and 0 <= u <= 1.  Clamping at 1 never
-increases the energy, so the box projection loses nothing against the
-test classes that merely exceed 1 on the set.
+under a caller-given projection.  A capacity has no flux G and, in full
+mode, psi(u) = phicirc(kappa |u|); it is taken over grid fields with
+u = 1 on the marked set, u = 0 on the outer constraint (the box edge for
+the whole-plane capacity, the complement of Omega for the relative one),
+and 0 <= u <= 1.  Clamping at 1 never increases the energy, so the box
+projection loses nothing against the test classes that merely exceed 1
+on the set.  An empty set has capacity zero without a solve.
 
 Solves warm-start from related minimizers wherever the classical
 structure makes the answer comparable: the union/intersection solves
 start from the pointwise max/min of the pair's minimizers, which turns
 strong subadditivity into a property the descent preserves instead of a
-numerical coincidence.
+numerical coincidence.  Point capacities and the diffuse/singular split
+share one refinement ladder of nested grids, warm-started rung to rung.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .aniso2d import radial_power_fn
 from .descent import minimize_projected
 from .gridfield import GridField2D, divergence_of, forward_gradient
 from .young1d import PowerFn
@@ -30,6 +35,7 @@ from .young1d import PowerFn
 __all__ = [
     "CapacityResult",
     "NonDoublingError",
+    "minimize_grid_energy",
     "disk_mask",
     "square_mask",
     "sobolev_capacity",
@@ -53,17 +59,7 @@ class CapacityResult:
     mode: str
     n: int
     side: float
-
-
-def results_csv(results, path):
-    """Capacity results as CSV rows (config id, mode, N, value, iterations)."""
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["config", "mode", "n", "value", "iterations"])
-        for config_id, res in results:
-            w.writerow([config_id, res.mode, res.n, repr(res.value), res.iterations])
+    stop_reason: str
 
 
 def disk_mask(n, cx, cy, r, side=1.0):
@@ -78,32 +74,6 @@ def square_mask(n, x_lo, x_hi, y_lo, y_hi, side=1.0):
     return (X >= x_lo) & (X <= x_hi) & (Y >= y_lo) & (Y <= y_hi)
 
 
-def _require_doubling(phi):
-    if not phi.is_doubling():
-        raise NonDoublingError("capacity solver requires doubling growth")
-
-
-def _capacity_energy(phi, phicirc, kappa, h, include_zero_order):
-    area = h * h
-
-    def energy(u):
-        gx, gy = forward_gradient(u, h)
-        e = float(np.sum(phi.value(gx, gy))) * area
-        if include_zero_order:
-            e += float(np.sum(phicirc.value(kappa * np.abs(u)))) * area
-        return e
-
-    def grad(u):
-        gx, gy = forward_gradient(u, h)
-        ax, ay = phi.grad(gx, gy)
-        g = -divergence_of(ax, ay, h, u.shape[0]) * area
-        if include_zero_order:
-            g = g + area * kappa * np.sign(u) * phicirc.derivative(kappa * np.abs(u))
-        return g
-
-    return energy, grad
-
-
 def needs_preconditioner(phi):
     """Growth below quadratic flattens curvature at zero gradient; those
     energies get the diagonal damping, clean ones run plain BB."""
@@ -114,7 +84,7 @@ def needs_preconditioner(phi):
     return i_lo < 1.99
 
 
-def secant_preconditioner(phi, h, floor_scale=1e-8):
+def secant_preconditioner(phi, h):
     """Diagonal curvature proxy from the secant slope |A(grad u)| / |grad u|.
 
     Power growth below 2 has curvature blowing up where the gradient
@@ -126,7 +96,7 @@ def secant_preconditioner(phi, h, floor_scale=1e-8):
         gx, gy = forward_gradient(u, h)
         ax, ay = phi.grad(gx, gy)
         mag = np.maximum(np.abs(gx), np.abs(gy))
-        floor = floor_scale * max(float(np.max(mag)), 1.0)
+        floor = 1e-8 * max(float(np.max(mag)), 1.0)
         w = np.maximum(np.abs(ax), np.abs(ay)) / np.maximum(mag, floor)
         wpos = w[w > 0.0]
         base = float(np.mean(wpos)) if wpos.size else 1.0
@@ -140,25 +110,62 @@ def secant_preconditioner(phi, h, floor_scale=1e-8):
     return precond
 
 
+def minimize_grid_energy(phi, u0, project, h, psi=None, flux=None, rel_tol=1e-8, max_iter=60_000):
+    """Minimize sum_cells (Phi(grad u) + G . grad u) h^2 + sum_nodes psi(u) h^2.
+
+    ``psi`` is a pair of nodewise callables (value, derivative) or None,
+    ``flux`` a pair of cell arrays (Gx, Gy) or None, and ``project`` the
+    feasible set's projection.  Rejects non-doubling ``phi`` with
+    :class:`NonDoublingError`, damps growth below quadratic with the
+    secant preconditioner, and returns the descent result.
+    """
+    if not phi.is_doubling():
+        raise NonDoublingError("the grid-energy solve requires doubling growth")
+    area = h * h
+
+    def energy(u):
+        gx, gy = forward_gradient(u, h)
+        e = float(np.sum(phi.value(gx, gy)))
+        if psi is not None:
+            e += float(np.sum(psi[0](u)))
+        if flux is not None:
+            e += float(np.sum(flux[0] * gx + flux[1] * gy))
+        return e * area
+
+    def grad(u):
+        gx, gy = forward_gradient(u, h)
+        ax, ay = phi.grad(gx, gy)
+        if flux is not None:
+            ax, ay = ax + flux[0], ay + flux[1]
+        g = -divergence_of(ax, ay, h, u.shape[0])
+        if psi is not None:
+            g = g + psi[1](u)
+        return g * area
+
+    return minimize_projected(
+        energy,
+        grad,
+        project,
+        u0,
+        rel_tol=rel_tol,
+        max_iter=max_iter,
+        precond=secant_preconditioner(phi, h) if needs_preconditioner(phi) else None,
+    )
+
+
 def _solve_condenser(
-    phi,
-    phicirc,
-    kappa,
-    one_mask,
-    zero_mask,
-    n,
-    side,
-    mode,
-    u0=None,
-    rel_tol=1e-8,
-    window=50,
-    max_iter=60_000,
-    use_precond=None,
+    phi, phicirc, kappa, one_mask, zero_mask, n, side, mode, u0=None, rel_tol=1e-8, max_iter=60_000
 ):
-    _require_doubling(phi)
     h = side / (n - 1)
-    include_zero_order = mode == "full"
-    energy, grad = _capacity_energy(phi, phicirc, kappa, h, include_zero_order)
+    if not one_mask.any():
+        # the zero field is feasible and has zero energy
+        return CapacityResult(0.0, GridField2D.zeros(n, h), 0, 0.0, mode, n, side, "stationary")
+    psi = None
+    if mode == "full":
+        psi = (
+            lambda u: phicirc.value(kappa * np.abs(u)),
+            lambda u: kappa * np.sign(u) * phicirc.derivative(kappa * np.abs(u)),
+        )
 
     def project(u):
         u = np.clip(u, 0.0, 1.0)
@@ -168,18 +175,7 @@ def _solve_condenser(
 
     if u0 is None:
         u0 = np.where(one_mask, 1.0, 0.0)
-    res = minimize_projected(
-        energy,
-        grad,
-        project,
-        u0,
-        rel_tol=rel_tol,
-        window=window,
-        max_iter=max_iter,
-        precond=secant_preconditioner(phi, h)
-        if (needs_preconditioner(phi) if use_precond is None else use_precond)
-        else None,
-    )
+    res = minimize_grid_energy(phi, u0, project, h, psi=psi, rel_tol=rel_tol, max_iter=max_iter)
     return CapacityResult(
         value=res.objective,
         minimizer=GridField2D(res.u, h),
@@ -188,6 +184,7 @@ def _solve_condenser(
         mode=mode,
         n=n,
         side=side,
+        stop_reason=res.stop_reason,
     )
 
 
@@ -205,17 +202,6 @@ def sobolev_capacity(phi, phicirc, kappa, e_mask, n, side=1.0, u0=None, **kw):
     An empty set has capacity zero by definition.
     """
     e_mask = np.asarray(e_mask, dtype=bool)
-    if not e_mask.any():
-        h = side / (n - 1)
-        return CapacityResult(
-            value=0.0,
-            minimizer=GridField2D.zeros(n, h),
-            iterations=0,
-            rel_decrease=0.0,
-            mode="full",
-            n=n,
-            side=side,
-        )
     zero = _boundary_mask(n) & ~e_mask
     return _solve_condenser(phi, phicirc, kappa, e_mask, zero, n, side, "full", u0=u0, **kw)
 
@@ -230,17 +216,6 @@ def relative_capacity(
     """
     k_mask = np.asarray(k_mask, dtype=bool)
     omega_mask = np.asarray(omega_mask, dtype=bool)
-    if not k_mask.any():
-        h = side / (n - 1)
-        return CapacityResult(
-            value=0.0,
-            minimizer=GridField2D.zeros(n, h),
-            iterations=0,
-            rel_decrease=0.0,
-            mode=mode,
-            n=n,
-            side=side,
-        )
     if np.any(k_mask & ~omega_mask):
         raise ValueError("K must sit inside Omega")
     zero = (~omega_mask) | (_boundary_mask(n) & ~k_mask)
@@ -303,14 +278,16 @@ def capacity_property_suite(phi, phicirc, kappa, pairs, n, side=1.0, rel_tol_che
     return {"ok": ok, "rows": rows}
 
 
-def radial_condenser_profile(n, p, side=1.0, r0_cells=1.0):
-    """Continuum minimizer shape of the p-condenser (cell, box): the warm
-    start that spares the descent the long radial transient."""
+def radial_condenser_profile(n, p, side=1.0, r0_cells=1.0, centre=None):
+    """Continuum minimizer shape of the p-condenser (cell, disk of radius
+    side / 2) around ``centre`` (default: the box middle), clipped to
+    [0, 1]: the warm start that spares the descent the long radial
+    transient."""
     ax = np.linspace(0.0, side, n)
     X, Y = np.meshgrid(ax, ax, indexing="ij")
-    c = side / 2.0
+    cx, cy = (side / 2.0, side / 2.0) if centre is None else centre
     h = side / (n - 1)
-    r = np.hypot(X - c, Y - c)
+    r = np.hypot(X - cx, Y - cy)
     r0, big_r = r0_cells * h, side / 2.0
     if abs(p - 2.0) < 1e-9:
         prof = np.log(big_r / np.maximum(r, r0)) / np.log(big_r / r0)
@@ -333,55 +310,53 @@ def upsample_nested(values):
     return out
 
 
-def point_capacity_scaling(
-    p_values, n_values=(33, 65, 129, 257), side=1.0, kappa=1.0, rel_tol=1e-8, max_iter=120_000
-):
+def _cell_capacity_ladder(p, x, y, n_values, side=1.0, kappa=1.0):
+    """Full-mode capacity of the one-node set at (x, y) relative to the open
+    box, for |xi|^p growth, on each of the nested grids ``n_values``.
+
+    The node is snapped to the coarsest grid (kept off the edge) and
+    followed as (2i, 2j) down the grids, so every rung marks the same
+    point.  The first rung starts from the radial condenser profile
+    around it, each later one from the upsampled minimizer below it.
+    """
+    if any(m != 2 * n - 1 for n, m in zip(n_values, n_values[1:])):
+        raise ValueError(f"grid sizes {tuple(n_values)} are not nested (each next n is 2n - 1)")
+    phi, phicirc = radial_power_fn(p), PowerFn(p)
+    n = n_values[0]
+    h = side / (n - 1)
+    i = min(max(int(round(x / side * (n - 1))), 1), n - 2)
+    j = min(max(int(round(y / side * (n - 1))), 1), n - 2)
+    u0 = radial_condenser_profile(n, p, side=side, centre=(i * h, j * h))
+    values = []
+    for n in n_values:
+        k_mask = np.zeros((n, n), dtype=bool)
+        k_mask[i, j] = True
+        omega = ~_boundary_mask(n)
+        res = relative_capacity(
+            phi, phicirc, kappa, k_mask, omega, n, side=side, u0=u0, max_iter=120_000
+        )
+        values.append(res.value)
+        u0 = upsample_nested(res.minimizer.values)
+        i, j = 2 * i, 2 * j
+    return values
+
+
+def point_capacity_scaling(p_values, n_values=(33, 65, 129, 257), side=1.0, kappa=1.0):
     """Single-cell capacity across grid refinements, per growth exponent.
 
     In the plane a point is capacity-null exactly for powers up to the
     dimension; the numeric signature is a value trend that collapses for
     p < 2 and stays bounded below for p > 2.  Trend rule: collapsing if
-    the finest value is below half the coarsest.  Refinements warm-start
-    from the upsampled previous minimizer.
+    the finest value is below half the coarsest.  The grids must be
+    nested (each next n is 2n - 1); the cell is the middle one.
     """
-    from .aniso2d import radial_power_fn
-
     report = {}
     for p in p_values:
-        phi = radial_power_fn(p)
-        phicirc = PowerFn(p)
-        values = []
-        prev = None
-        for n in n_values:
-            k_mask = np.zeros((n, n), dtype=bool)
-            c = n // 2
-            k_mask[c, c] = True
-            omega = ~_boundary_mask(n)
-            if prev is not None and prev.shape[0] * 2 - 1 == n:
-                u0 = upsample_nested(prev)
-            else:
-                u0 = radial_condenser_profile(n, p, side=side)
-            res = relative_capacity(
-                phi,
-                phicirc,
-                kappa,
-                k_mask,
-                omega,
-                n,
-                side=side,
-                mode="full",
-                u0=u0,
-                rel_tol=rel_tol,
-                max_iter=max_iter,
-            )
-            values.append(res.value)
-            prev = res.minimizer.values
-        values = np.array(values)
-        collapsing = bool(values[-1] < 0.5 * values[0])
+        values = np.array(_cell_capacity_ladder(p, side / 2.0, side / 2.0, n_values, side, kappa))
         report[p] = {
             "n": list(n_values),
             "values": [float(v) for v in values],
-            "collapsing": collapsing,
+            "collapsing": bool(values[-1] < 0.5 * values[0]),
             "monotone_decreasing": bool(np.all(np.diff(values) <= 1e-12)),
         }
     return report
@@ -391,30 +366,14 @@ def diffuse_singular_split(measure, p, n_values=(33, 65, 129), side=1.0, kappa=1
     """Split a measure into a capacity-respecting part and null-set atoms.
 
     Each atom is classified by the refinement trend of the capacity of its
-    own cell; collapsing trend means the atom charges a capacity-null
-    point and goes to the singular part.  The density always belongs to
-    the diffuse part.
+    own cell, from the same ladder as :func:`point_capacity_scaling`;
+    collapsing trend means the atom charges a capacity-null point and goes
+    to the singular part.  The density always belongs to the diffuse part.
     """
-    from .aniso2d import radial_power_fn
-
-    phi = radial_power_fn(p)
-    phicirc = PowerFn(p)
     diffuse_atoms, singular_atoms, details = [], [], []
     for atom in measure.atoms:
-        x, y, w = atom
-        values = []
-        for n in n_values:
-            i = int(round(x / side * (n - 1)))
-            j = int(round(y / side * (n - 1)))
-            i = min(max(i, 1), n - 2)
-            j = min(max(j, 1), n - 2)
-            k_mask = np.zeros((n, n), dtype=bool)
-            k_mask[i, j] = True
-            omega = ~_boundary_mask(n)
-            res = relative_capacity(
-                phi, phicirc, kappa, k_mask, omega, n, side=side, mode="full"
-            )
-            values.append(res.value)
+        x, y, _ = atom
+        values = _cell_capacity_ladder(p, x, y, n_values, side, kappa)
         collapsing = values[-1] < 0.5 * values[0]
         (singular_atoms if collapsing else diffuse_atoms).append(atom)
         details.append({"atom": atom, "values": values, "null_supported": collapsing})

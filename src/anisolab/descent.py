@@ -11,6 +11,13 @@ Energies with degenerate curvature (power growth below 2 flattens out at
 zero gradient) accept a diagonal preconditioner callback; the direction
 becomes g / D, which is still a descent direction for positive D, and
 the step proposal is the BB quotient in the D-metric.
+
+Every result says why the descent stopped: ``rel_decrease`` (the window
+rule), ``stationary`` (a projected trial step brings no first-order
+decrease: at a constrained optimum, or once the step is below the
+rounding of u), ``linesearch_exhausted`` (every backtrack failed the Armijo
+test, so nothing is certified and ``converged`` is False) or ``cap`` (on
+the partial result that :class:`IterationCapError` carries).
 """
 
 from __future__ import annotations
@@ -20,6 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["DescentResult", "IterationCapError", "minimize_projected"]
+
+ARMIJO = 1e-4
+MAX_BACKTRACKS = 60
+PRECOND_EVERY = 25  # accepted steps between preconditioner refreshes
 
 
 class IterationCapError(RuntimeError):
@@ -35,6 +46,7 @@ class DescentResult:
     iterations: int
     converged: bool
     rel_decrease: float
+    stop_reason: str
 
 
 def minimize_projected(
@@ -45,16 +57,13 @@ def minimize_projected(
     rel_tol=1e-8,
     window=50,
     max_iter=100_000,
-    armijo=1e-4,
-    max_backtracks=60,
     precond=None,
-    precond_every=25,
 ):
     """Minimize a convex energy over the projected feasible set.
 
     ``project`` must be idempotent and is applied to the start point and
     every trial point.  ``precond``, when given, maps the current iterate
-    to a positive node array D; it is refreshed every ``precond_every``
+    to a positive node array D; it is refreshed every ``PRECOND_EVERY``
     accepted steps.  Convergence is declared when the objective drops by
     less than ``rel_tol`` (relative) over ``window`` iterations; running
     past ``max_iter`` raises :class:`IterationCapError` with the partial
@@ -68,21 +77,18 @@ def minimize_projected(
     step = 1.0 / max(float(np.sqrt(np.vdot(direction, direction).real)), 1.0)
     history = [e]
     for it in range(1, max_iter + 1):
-        moved = False
         alpha = step
-        for _ in range(max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             cand = project(u - alpha * direction)
-            d = u - cand
-            decrease = float(np.vdot(g, d).real)
+            decrease = float(np.vdot(g, u - cand).real)
             if decrease <= 0.0:
-                break
+                return DescentResult(u, e, it, True, 0.0, "stationary")
             e_cand = energy(cand)
-            if e_cand <= e - armijo * decrease:
-                moved = True
+            if e_cand <= e - ARMIJO * decrease:
                 break
             alpha *= 0.5
-        if not moved:
-            return DescentResult(u=u, objective=e, iterations=it, converged=True, rel_decrease=0.0)
+        else:
+            return DescentResult(u, e, it, False, 0.0, "linesearch_exhausted")
         g_cand = gradient(cand)
         s = cand - u
         y = g_cand - g
@@ -96,7 +102,7 @@ def minimize_projected(
         # degenerate energies would burn the whole backtracking budget
         step = float(np.clip(step, 1e-14, max(1e6 * alpha, 1e-14)))
         u, e, g = cand, e_cand, g_cand
-        if precond is not None and it % precond_every == 0:
+        if precond is not None and it % PRECOND_EVERY == 0:
             diag = precond(u)
         direction = g / diag if diag is not None else g
         history.append(e)
@@ -104,9 +110,7 @@ def minimize_projected(
             prev = history[-window - 1]
             rel = (prev - e) / max(abs(e), 1e-300)
             if rel < rel_tol:
-                return DescentResult(
-                    u=u, objective=e, iterations=it, converged=True, rel_decrease=float(rel)
-                )
+                return DescentResult(u, e, it, True, float(rel), "rel_decrease")
     result = DescentResult(
         u=u,
         objective=e,
@@ -115,5 +119,6 @@ def minimize_projected(
         rel_decrease=float((history[-window - 1] - e) / max(abs(e), 1e-300))
         if len(history) > window
         else np.inf,
+        stop_reason="cap",
     )
     raise IterationCapError(f"no convergence within {max_iter} iterations", result)

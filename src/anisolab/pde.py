@@ -2,7 +2,11 @@
 
 The operator is the variational one, A = grad Phi, so each approximate
 problem -div A(grad u) = h_s with zero boundary is the Euler-Lagrange
-equation of a convex energy and is solved by the shared descent engine.
+equation of a convex energy.  :func:`solve_weak` minimizes it through
+the grid-energy solve the capacities use
+(:func:`anisolab.capacity.minimize_grid_energy`, with psi(u) = -f u and
+an optional flux G), so it shares their doubling check, preconditioner
+choice and descent engine.
 A measure is atoms plus a density, optionally with an explicit
 (f, G) decomposition whose action f - div G is discretely exact against
 the forward-difference pairing.
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .descent import minimize_projected
+from .capacity import minimize_grid_energy
 from .gridfield import GridField2D, divergence_of, forward_gradient
 from .sobolev import luxemburg_norm_gradient, modular_scalar, modular_vector
 
@@ -61,17 +65,22 @@ class DiscreteMeasure:
             return self.density
         raise ValueError("measure carries no grid; supply one explicitly")
 
+    def _atom_nodes(self, g):
+        """(i, j, weight) per atom, binned to the nearest node of g; an atom
+        off the grid raises ValueError."""
+        for x, y, w in self.atoms:
+            i = int(round((x - g.x0) / g.h))
+            j = int(round((y - g.y0) / g.h))
+            if not (0 <= i < g.n and 0 <= j < g.n):
+                raise ValueError(f"atom at ({x}, {y}) outside the grid")
+            yield i, j, w
+
     def node_values(self, base=None):
         """Node density: atoms binned to nearest node plus the density."""
         g = base or self.grid()
         vals = np.zeros_like(g.values)
-        n, h = g.n, g.h
-        for x, y, w in self.atoms:
-            i = int(round((x - g.x0) / h))
-            j = int(round((y - g.y0) / h))
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"atom at ({x}, {y}) outside the grid")
-            vals[i, j] += w / (h * h)
+        for i, j, w in self._atom_nodes(g):
+            vals[i, j] += w / (g.h * g.h)
         if self.density is not None:
             vals = vals + self.density.values
         return vals
@@ -97,9 +106,7 @@ class DiscreteMeasure:
         gx, gy = forward_gradient(test.values, test.h)
         out -= float(np.sum(self.flux[0] * gx + self.flux[1] * gy)) * test.cell_area
         # atoms sit outside (f, G); add their direct action
-        for x, y, w in self.atoms:
-            i = int(round((x - test.x0) / test.h))
-            j = int(round((y - test.y0) / test.h))
+        for i, j, w in self._atom_nodes(test):
             out += w * test.values[i, j]
         return out
 
@@ -175,53 +182,33 @@ def mollify_measure(measure, eps, kernel, base, smooth_density=False):
 # weak solves
 
 
-def solve_weak(phi, f_field, flux=None, rel_tol=1e-9, window=50, max_iter=120_000, u0=None):
-    """Minimizer of sum(Phi(grad u) - f u + G . grad u) h^2, zero boundary."""
-    from .capacity import NonDoublingError, needs_preconditioner, secant_preconditioner
+def solve_weak(phi, f_field, flux=None, rel_tol=1e-9, u0=None):
+    """Minimizer of sum(Phi(grad u) - f u + G . grad u) h^2, zero boundary.
 
-    if not phi.is_doubling():
-        raise NonDoublingError("weak solver requires doubling growth")
-    h = f_field.h
-    n = f_field.n
-    area = h * h
+    Returns the minimizer as a field carrying the descent's
+    ``iterations``, ``objective`` and ``stop_reason``; non-doubling
+    ``phi`` raises :class:`anisolab.capacity.NonDoublingError`.
+    """
     f_vals = f_field.values
-    gx_flux, gy_flux = (None, None) if flux is None else flux
-    boundary = np.zeros((n, n), dtype=bool)
-    boundary[0, :] = boundary[-1, :] = boundary[:, 0] = boundary[:, -1] = True
-
-    def energy(u):
-        gx, gy = forward_gradient(u, h)
-        e = float(np.sum(phi.value(gx, gy))) - float(np.sum(f_vals * u))
-        if gx_flux is not None:
-            e += float(np.sum(gx_flux * gx + gy_flux * gy))
-        return e * area
-
-    def grad(u):
-        gx, gy = forward_gradient(u, h)
-        ax, ay = phi.grad(gx, gy)
-        if gx_flux is not None:
-            ax, ay = ax + gx_flux, ay + gy_flux
-        return (-divergence_of(ax, ay, h, n) - f_vals) * area
 
     def project(u):
-        u[boundary] = 0.0
+        u[0, :] = u[-1, :] = u[:, 0] = u[:, -1] = 0.0
         return u
 
-    if u0 is None:
-        u0 = np.zeros((n, n))
-    res = minimize_projected(
-        energy,
-        grad,
+    res = minimize_grid_energy(
+        phi,
+        np.zeros_like(f_vals) if u0 is None else u0,
         project,
-        u0,
+        f_field.h,
+        psi=(lambda u: -f_vals * u, lambda u: -f_vals),
+        flux=flux,
         rel_tol=rel_tol,
-        window=window,
-        max_iter=max_iter,
-        precond=secant_preconditioner(phi, h) if needs_preconditioner(phi) else None,
+        max_iter=120_000,
     )
-    out = GridField2D(res.u, h, f_field.x0, f_field.y0)
+    out = GridField2D(res.u, f_field.h, f_field.x0, f_field.y0)
     out.iterations = res.iterations
     out.objective = res.objective
+    out.stop_reason = res.stop_reason
     return out
 
 

@@ -285,24 +285,6 @@ def standard_corpus(n, seed=20240811):
     return fields
 
 
-def poincare_report_csv(report, path):
-    """Per-field certificate rows: field id, constants, gradient modular."""
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["field", "kappa_poincare", "kappa_sobolev", "gradient_modular"])
-        for row in report["rows"]:
-            w.writerow(
-                [
-                    row["field"],
-                    repr(row["kappa_poincare"]),
-                    repr(row["kappa_sobolev"]) if "kappa_sobolev" in row else "",
-                    repr(row["gradient_modular"]),
-                ]
-            )
-
-
 def poincare_sobolev_check(phi, phicirc_fn, corpus, phin=None, kappa_grid=None):
     """Certified embedding constants over a corpus of zero-boundary fields.
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anisolab import capacity
 from anisolab.aniso2d import intro_exp_fn, quadratic_fn, radial_power_fn
 from anisolab.capacity import (
     NonDoublingError,
@@ -26,7 +27,17 @@ def test_empty_set_zero():
     empty = np.zeros((n, n), dtype=bool)
     assert sobolev_capacity(PHI, PC, 1.0, empty, n).value == 0.0
     omega = disk_mask(n, 0.5, 0.5, 0.4)
-    assert relative_capacity(PHI, PC, 1.0, empty, omega, n).value == 0.0
+    res = relative_capacity(PHI, PC, 1.0, empty, omega, n)
+    assert res.value == 0.0 and res.iterations == 0 and res.stop_reason == "stationary"
+    # no solve runs, so growth that the solver rejects is fine
+    assert sobolev_capacity(intro_exp_fn(), PC, 1.0, empty, n).value == 0.0
+
+
+def test_capacity_reports_stop_reason():
+    n = 33
+    res = sobolev_capacity(PHI, PC, 1.0, square_mask(n, 0.4, 0.6, 0.4, 0.6), n)
+    assert res.iterations > 0
+    assert res.stop_reason in ("rel_decrease", "stationary")
 
 
 def test_nested_monotonicity_tight():
@@ -148,14 +159,41 @@ def test_diffuse_singular_split():
     assert rep30["diffuse_atoms"] == [(0.5, 0.5, 1.0)]
 
 
-def test_results_csv(tmp_path):
-    from anisolab.capacity import results_csv
+def _recorded_cells(monkeypatch):
+    """Record (n, marked node coordinates) of every ladder rung."""
+    cells = []
+    solve = capacity.relative_capacity
 
-    n = 33
-    E = square_mask(n, 0.4, 0.6, 0.4, 0.6)
-    res = sobolev_capacity(PHI, PC, 1.0, E, n)
-    p = tmp_path / "caps.csv"
-    results_csv([("sq", res)], p)
-    lines = p.read_text().strip().split("\n")
-    assert lines[0] == "config,mode,n,value,iterations"
-    assert lines[1].startswith("sq,full,33,")
+    def spy(phi, phicirc, kappa, k_mask, omega_mask, n, side=1.0, **kw):
+        (i, j), = np.argwhere(k_mask)
+        cells.append((n, i * side / (n - 1), j * side / (n - 1)))
+        return solve(phi, phicirc, kappa, k_mask, omega_mask, n, side=side, **kw)
+
+    monkeypatch.setattr(capacity, "relative_capacity", spy)
+    return cells
+
+
+def test_centred_split_values_equal_point_scaling():
+    atomic = DiscreteMeasure(atoms=[(0.5, 0.5, 1.0)])
+    for p in (1.5, 3.0):
+        split = diffuse_singular_split(atomic, p, n_values=(17, 33, 65))
+        scaling = point_capacity_scaling([p], n_values=(17, 33, 65))
+        assert split["details"][0]["values"] == scaling[p]["values"]
+
+
+def test_off_centre_atom_keeps_one_point(monkeypatch):
+    cells = _recorded_cells(monkeypatch)
+    atomic = DiscreteMeasure(atoms=[(0.3, 0.7, 1.0)])
+    diffuse_singular_split(atomic, 1.5, n_values=(17, 33, 65))
+    assert [n for n, _, _ in cells] == [17, 33, 65]
+    # 0.3 snaps to 0.3125 on the 17-node grid and stays there
+    assert {(x, y) for _, x, y in cells} == {(0.3125, 0.6875)}
+
+
+def test_ladder_rejects_grids_that_are_not_nested(monkeypatch):
+    cells = _recorded_cells(monkeypatch)
+    with pytest.raises(ValueError):
+        point_capacity_scaling([1.5], n_values=(33, 64))
+    with pytest.raises(ValueError):
+        diffuse_singular_split(DiscreteMeasure(atoms=[(0.5, 0.5, 1.0)]), 1.5, n_values=(17, 65))
+    assert cells == []

@@ -73,7 +73,48 @@ def test_descent_solves_quadratic(rng):
         window=20,
     )
     assert res.converged
+    assert res.stop_reason in ("rel_decrease", "stationary")
     assert np.allclose(res.u, np.linalg.solve(A, b), atol=1e-5)
+
+
+def test_descent_stops_on_relative_decrease():
+    # an ill-conditioned quadratic at a loose tolerance: the window rule
+    # fires long before the iterate reaches the rounding floor
+    d = np.logspace(0.0, 3.0, 20)
+    res = minimize_projected(
+        lambda x: 0.5 * float(np.sum(d * (x - 1.0) ** 2)) + 1.0,
+        lambda x: d * (x - 1.0),
+        lambda x: x,
+        np.zeros(20),
+        rel_tol=1e-3,
+        window=5,
+    )
+    assert res.stop_reason == "rel_decrease"
+    assert res.converged and 0.0 < res.rel_decrease < 1e-3
+
+
+def test_descent_start_at_box_optimum_is_stationary():
+    target = np.array([2.0, -1.0])
+    res = minimize_projected(
+        lambda x: 0.5 * np.sum((x - target) ** 2),
+        lambda x: x - target,
+        lambda x: np.clip(x, 0.0, 1.0),
+        np.array([1.0, 0.0]),
+    )
+    assert res.stop_reason == "stationary"
+    assert res.converged and res.iterations == 1 and res.rel_decrease == 0.0
+    assert np.array_equal(res.u, [1.0, 0.0])
+
+
+def test_descent_wrong_sign_gradient_exhausts_line_search():
+    # the "gradient" points uphill: every backtrack fails the Armijo test
+    res = minimize_projected(
+        lambda x: float(x[0]), lambda x: np.array([-1.0]), lambda x: x, np.array([0.0])
+    )
+    assert res.stop_reason == "linesearch_exhausted"
+    assert not res.converged
+    assert res.iterations == 1 and res.rel_decrease == 0.0
+    assert res.u[0] == 0.0
 
 
 def test_descent_objective_monotone(rng):
@@ -124,3 +165,5 @@ def test_descent_iteration_cap():
             max_iter=50,
         )
     assert info.value.result.iterations == 50
+    assert info.value.result.stop_reason == "cap"
+    assert not info.value.result.converged

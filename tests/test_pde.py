@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from anisolab.aniso2d import quadratic_fn, radial_power_fn
+from anisolab.aniso2d import intro_exp_fn, quadratic_fn, radial_power_fn
+from anisolab.capacity import NonDoublingError
 from anisolab.gridfield import GridField2D, divergence_of, forward_gradient
 from anisolab.pde import (
     ApproxSequence,
@@ -109,6 +110,42 @@ def test_atom_outside_grid_rejected():
     mu = DiscreteMeasure(atoms=[(1.5, 0.5, 1.0)])
     with pytest.raises(ValueError):
         mu.node_values(base)
+
+
+def test_decomposition_action_rejects_atoms_off_the_grid():
+    n = 17
+    test = GridField2D.unit_square(n)
+    flux = (np.zeros((n - 1, n - 1)), np.zeros((n - 1, n - 1)))
+    for atom in ((-0.2, 0.5, 1.0), (0.5, -0.2, 1.0), (1.5, 0.5, 1.0), (0.5, 1.5, 1.0)):
+        mu = DiscreteMeasure(atoms=[atom], flux=flux)
+        with pytest.raises(ValueError):
+            mu.decomposition_action(test)
+    test.values[:] = 2.0
+    inside = DiscreteMeasure(atoms=[(0.5, 0.5, 1.5)], flux=flux)
+    assert inside.decomposition_action(test) == 3.0
+
+
+@pytest.mark.parametrize("phi", [quadratic_fn(), radial_power_fn(1.5)], ids=["quadratic", "p1.5"])
+def test_flux_solve_matches_divergence_datum(phi):
+    # sum(G . grad u) = -sum(u div G): the flux G acts as the datum div G
+    n = 33
+    f = _unit_source(n)
+    ax = f.axis()[:-1]
+    X, Y = np.meshgrid(ax, ax, indexing="ij")
+    flux = (np.sin(np.pi * X) * Y, np.cos(np.pi * Y) * X)
+    g = GridField2D(f.values + divergence_of(*flux, f.h, n), f.h)
+    u_flux = solve_weak(phi, f, flux=flux)
+    u_div = solve_weak(phi, g)
+    scale = float(np.max(np.abs(u_div.values)))
+    assert scale > 0.0
+    assert np.max(np.abs(u_flux.values - u_div.values)) <= 1e-4 * scale
+    assert u_flux.objective == pytest.approx(u_div.objective, rel=1e-8)
+    assert u_flux.stop_reason in ("rel_decrease", "stationary")
+
+
+def test_solve_weak_rejects_non_doubling():
+    with pytest.raises(NonDoublingError):
+        solve_weak(intro_exp_fn(), _unit_source(17))
 
 
 def test_solve_zero_datum_zero_solution():

@@ -173,15 +173,3 @@ def test_phin_convex_on_nodes():
     prof = build_profile(_power_table(1.5))
     assert prof.phin.convex_on_nodes(rel_slack=1e-8)
     assert np.all(np.diff(prof.H.logy) > 0.0)
-
-
-def test_poincare_report_csv(tmp_path):
-    from anisolab.sobolev import poincare_report_csv
-
-    corpus = standard_corpus(33)
-    rep = poincare_sobolev_check(quadratic_fn(), PowerFn(2, 0.5), corpus)
-    p = tmp_path / "poincare.csv"
-    poincare_report_csv(rep, p)
-    lines = p.read_text().strip().split("\n")
-    assert lines[0] == "field,kappa_poincare,kappa_sobolev,gradient_modular"
-    assert len(lines) == 1 + len(corpus)
