@@ -41,8 +41,14 @@ from .comparability import (
     essential_anisotropy_probe,
     power_sum_envelope_check,
 )
-from .construction import build_triple, envelope_report, incomparability_certificate
+from .construction import (
+    build_triple,
+    envelope_report,
+    incomparability_certificate,
+    schedule_order_violation,
+)
 from .gridfield import GridField2D
+from .numerics import log1p_exp
 from .pde import (
     ApproxSequence,
     DiscreteMeasure,
@@ -71,18 +77,14 @@ def _timed(fn):
 
 
 @_timed
-def criterion_construction(quick=False, seed=DEFAULT_SEED, budget_seconds=5.0):
+def criterion_construction(quick=False, seed=DEFAULT_SEED):
     t0 = time.perf_counter()
     build = build_triple(2.0, 1.0, 6)
     build_seconds = time.perf_counter() - t0
     sched = build.schedule
-    increasing = all(
-        r.logt <= r.logtau < r.logh < r.logs < r.logt_next for r in sched
-    ) and all(a.logt_next == b.logt for a, b in zip(sched[:-1], sched[1:]))
-    from .numerics import log_of_tplus1
-
+    increasing = schedule_order_violation(sched) is None
     growth_ok = all(
-        log_of_tplus1(r.logt_next) ** build.alpha >= r.k ** (build.p + 1.0) - 1e-9
+        log1p_exp(r.logt_next) ** build.alpha >= r.k ** (build.p + 1.0) - 1e-9
         for r in sched
     )
     t0_ok = sched[0].logt == 0.0
@@ -103,7 +105,7 @@ def criterion_construction(quick=False, seed=DEFAULT_SEED, budget_seconds=5.0):
             and env["min_matches_lower_envelope"]
             and env["max_matches_upper_envelope"]
             and margins_ok
-            and build_seconds < budget_seconds
+            and build_seconds < RUNTIME_BUDGETS["1_construction"]
         ),
         "margins": margins,
         "build_seconds": build_seconds,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import RangeError, logaddexp_many
-from .young1d import PowerExpFn, PowerFn, PowerLogBaseFn, is_doubling
+from .young1d import PowerExpFn, PowerFn, PowerLogBaseFn, doubling_indices, is_doubling
 
 __all__ = [
     "AnisoFn2D",
@@ -41,7 +41,6 @@ __all__ = [
     "quadratic_fn",
     "radial_power_fn",
     "eval2d",
-    "grad2d",
     "conjugate2d",
     "conjugate_of_samples",
     "biconjugate2d",
@@ -49,6 +48,10 @@ __all__ = [
     "verify_young_inequality",
     "check_monotonicity_property",
 ]
+
+
+GROWTH_LOG_RANGE = (-12.0, 12.0)  # log t range of the growth indices
+INVOLUTION_INTERIOR = 0.5  # involution_error compares on this fraction of the box
 
 
 class BoxTooSmallError(RuntimeError):
@@ -112,12 +115,12 @@ class AnisoFn2D:
     def is_doubling(self):
         return all(is_doubling(fn) for _, _, fn in self.terms)
 
-    def growth_indices(self, log_lo=-12.0, log_hi=12.0):
-        from .young1d import doubling_indices
-
+    def growth_indices(self):
+        """Smallest lower and largest upper index of the terms over
+        ``GROWTH_LOG_RANGE``."""
         lo, hi = np.inf, -np.inf
         for _, _, fn in self.terms:
-            i, s = doubling_indices(fn, log_lo, log_hi)
+            i, s = doubling_indices(fn, *GROWTH_LOG_RANGE)
             lo, hi = min(lo, i), max(hi, s)
         return lo, hi
 
@@ -157,10 +160,8 @@ class RadialFn2D:
     def is_doubling(self):
         return is_doubling(self.fn)
 
-    def growth_indices(self, log_lo=-12.0, log_hi=12.0):
-        from .young1d import doubling_indices
-
-        return doubling_indices(self.fn, log_lo, log_hi)
+    def growth_indices(self):
+        return doubling_indices(self.fn, *GROWTH_LOG_RANGE)
 
 
 # -- built-ins ---------------------------------------------------------------
@@ -227,11 +228,6 @@ def eval2d(phi, xi):
     if np.isinf(v):
         raise RangeError("Phi overflows at this point; use log_value_dir")
     return float(v)
-
-
-def grad2d(phi, xi):
-    gx, gy = phi.grad(xi[0], xi[1])
-    return np.array([gx, gy])
 
 
 def check_monotonicity_property(phi, pairs, rtol=1e-12):
@@ -562,29 +558,30 @@ def _dual_extents(phi, spec, margin=1.05):
     return margin * float(np.max(np.abs(gx))), margin * float(np.max(np.abs(gy)))
 
 
-def biconjugate2d(phi, primal_spec, dual_n=None, max_expand=4):
+def biconjugate2d(phi, primal_spec):
     """Biconjugate of phi sampled back on the primal grid.
 
-    The intermediate dual box is sized from the gradient range of phi on
-    the primal box edge, so that maximizers of the second transform stay
-    interior for interior primal points.
+    The intermediate dual grid has the primal grid's size, on a box sized
+    from the gradient range of phi on the primal box edge, so that
+    maximizers of the second transform stay interior for interior primal
+    points.
     """
-    dual_n = dual_n or primal_spec.n
     ex, ey = _dual_extents(phi, primal_spec)
-    dual_spec = GridSpec2D(ex, ey, dual_n)
-    star = conjugate2d(phi, dual_spec, primal_spec=primal_spec, max_expand=max_expand)
+    dual_spec = GridSpec2D(ex, ey, primal_spec.n)
+    star = conjugate2d(phi, dual_spec, primal_spec=primal_spec)
     back, _ = conjugate_of_samples(star, primal_spec)
     return back, star
 
 
-def involution_error(phi, spec, interior_fraction=0.5, dual_n=None):
-    """Sup error of the biconjugate against phi on an interior sub-box,
-    normalized by the sup of |phi| there."""
-    back, _ = biconjugate2d(phi, spec, dual_n=dual_n)
+def involution_error(phi, spec):
+    """Sup error of the biconjugate against phi on the interior sub-box
+    (``INVOLUTION_INTERIOR`` of each half-width), normalized by the sup of
+    |phi| there."""
+    back, _ = biconjugate2d(phi, spec)
     X, Y = np.meshgrid(spec.x, spec.y, indexing="ij")
     ref = phi.value(X, Y)
-    keep_x = np.abs(spec.x) <= interior_fraction * spec.extent_x
-    keep_y = np.abs(spec.y) <= interior_fraction * spec.extent_y
+    keep_x = np.abs(spec.x) <= INVOLUTION_INTERIOR * spec.extent_x
+    keep_y = np.abs(spec.y) <= INVOLUTION_INTERIOR * spec.extent_y
     sub = np.ix_(np.where(keep_x)[0], np.where(keep_y)[0])
     scale = float(np.max(np.abs(ref[sub])))
     err = float(np.max(np.abs(back.values[sub] - ref[sub])))

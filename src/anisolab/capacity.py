@@ -46,6 +46,13 @@ __all__ = [
 ]
 
 
+# the point-capacity ladder: box side, zero-order weight kappa, and the
+# radius (in cells of the coarsest grid) of its warm start's inner disk
+LADDER_SIDE = 1.0
+LADDER_KAPPA = 1.0
+R0_CELLS = 1.0
+
+
 class NonDoublingError(ValueError):
     """The solver only accepts doubling growth."""
 
@@ -72,16 +79,6 @@ def square_mask(n, x_lo, x_hi, y_lo, y_hi, side=1.0):
     ax = np.linspace(0.0, side, n)
     X, Y = np.meshgrid(ax, ax, indexing="ij")
     return (X >= x_lo) & (X <= x_hi) & (Y >= y_lo) & (Y <= y_hi)
-
-
-def needs_preconditioner(phi):
-    """Growth below quadratic flattens curvature at zero gradient; those
-    energies get the diagonal damping, clean ones run plain BB."""
-    try:
-        i_lo, _ = phi.growth_indices()
-    except AttributeError:
-        return True
-    return i_lo < 1.99
 
 
 def secant_preconditioner(phi, h):
@@ -116,8 +113,10 @@ def minimize_grid_energy(phi, u0, project, h, psi=None, flux=None, rel_tol=1e-8,
     ``psi`` is a pair of nodewise callables (value, derivative) or None,
     ``flux`` a pair of cell arrays (Gx, Gy) or None, and ``project`` the
     feasible set's projection.  Rejects non-doubling ``phi`` with
-    :class:`NonDoublingError`, damps growth below quadratic with the
-    secant preconditioner, and returns the descent result.
+    :class:`NonDoublingError` and returns the descent result.  Growth
+    below quadratic flattens the curvature at zero gradient, so those
+    energies get the secant preconditioner's diagonal damping; the others
+    run plain BB steps.
     """
     if not phi.is_doubling():
         raise NonDoublingError("the grid-energy solve requires doubling growth")
@@ -149,7 +148,7 @@ def minimize_grid_energy(phi, u0, project, h, psi=None, flux=None, rel_tol=1e-8,
         u0,
         rel_tol=rel_tol,
         max_iter=max_iter,
-        precond=secant_preconditioner(phi, h) if needs_preconditioner(phi) else None,
+        precond=secant_preconditioner(phi, h) if phi.growth_indices()[0] < 1.99 else None,
     )
 
 
@@ -222,20 +221,7 @@ def relative_capacity(
     return _solve_condenser(phi, phicirc, kappa, k_mask, zero, n, side, mode, u0=u0, **kw)
 
 
-def nested_capacity_pair(phi, phicirc, kappa, inner_mask, outer_mask, n, side=1.0, **kw):
-    """(C(inner), C(outer)) with the inner solve warm-started from the
-    outer minimizer; descent then guarantees C(inner) <= C(outer) exactly,
-    not just within solver tolerance."""
-    if np.any(inner_mask & ~outer_mask):
-        raise ValueError("inner set must sit inside the outer set")
-    outer = sobolev_capacity(phi, phicirc, kappa, outer_mask, n, side=side, **kw)
-    inner = sobolev_capacity(
-        phi, phicirc, kappa, inner_mask, n, side=side, u0=outer.minimizer.values, **kw
-    )
-    return inner, outer
-
-
-def capacity_property_suite(phi, phicirc, kappa, pairs, n, side=1.0, rel_tol_check=1e-3, **kw):
+def capacity_property_suite(phi, phicirc, kappa, pairs, n, rel_tol_check=1e-3, **kw):
     """Monotonicity, strong subadditivity and finite subadditivity checks.
 
     ``pairs`` is a list of (mask_a, mask_b).  For each pair the suite
@@ -247,17 +233,18 @@ def capacity_property_suite(phi, phicirc, kappa, pairs, n, side=1.0, rel_tol_che
         C(A u B) <= C(A) + C(B) + tol              (subadditivity)
     """
     rows = []
-    solve = lambda mask, u0=None: sobolev_capacity(
-        phi, phicirc, kappa, mask, n, side=side, u0=u0, **kw
-    )
+
+    def solve(mask, u0):
+        return sobolev_capacity(phi, phicirc, kappa, mask, n, u0=u0, **kw)
+
     for idx, (ma, mb) in enumerate(pairs):
-        ra, rb = solve(ma), solve(mb)
+        ra, rb = solve(ma, None), solve(mb, None)
         union, inter = ma | mb, ma & mb
-        ru = solve(union, u0=np.maximum(ra.minimizer.values, rb.minimizer.values))
+        ru = solve(union, np.maximum(ra.minimizer.values, rb.minimizer.values))
         if inter.any():
-            ri = solve(inter, u0=np.minimum(ra.minimizer.values, rb.minimizer.values))
+            ri = solve(inter, np.minimum(ra.minimizer.values, rb.minimizer.values))
         else:
-            ri = solve(inter)
+            ri = solve(inter, None)
         tol = rel_tol_check * max(ra.value + rb.value, 1e-12)
         rows.append(
             {
@@ -278,17 +265,17 @@ def capacity_property_suite(phi, phicirc, kappa, pairs, n, side=1.0, rel_tol_che
     return {"ok": ok, "rows": rows}
 
 
-def radial_condenser_profile(n, p, side=1.0, r0_cells=1.0, centre=None):
-    """Continuum minimizer shape of the p-condenser (cell, disk of radius
-    side / 2) around ``centre`` (default: the box middle), clipped to
-    [0, 1]: the warm start that spares the descent the long radial
-    transient."""
-    ax = np.linspace(0.0, side, n)
+def radial_condenser_profile(n, p, centre):
+    """Continuum minimizer shape of the p-condenser (disk of ``R0_CELLS``
+    cells, disk of radius ``LADDER_SIDE`` / 2) around ``centre``, on the
+    ladder's box and clipped to [0, 1]: the warm start that spares the
+    descent the long radial transient."""
+    ax = np.linspace(0.0, LADDER_SIDE, n)
     X, Y = np.meshgrid(ax, ax, indexing="ij")
-    cx, cy = (side / 2.0, side / 2.0) if centre is None else centre
-    h = side / (n - 1)
+    cx, cy = centre
+    h = LADDER_SIDE / (n - 1)
     r = np.hypot(X - cx, Y - cy)
-    r0, big_r = r0_cells * h, side / 2.0
+    r0, big_r = R0_CELLS * h, LADDER_SIDE / 2.0
     if abs(p - 2.0) < 1e-9:
         prof = np.log(big_r / np.maximum(r, r0)) / np.log(big_r / r0)
     else:
@@ -310,9 +297,10 @@ def upsample_nested(values):
     return out
 
 
-def _cell_capacity_ladder(p, x, y, n_values, side=1.0, kappa=1.0):
-    """Full-mode capacity of the one-node set at (x, y) relative to the open
-    box, for |xi|^p growth, on each of the nested grids ``n_values``.
+def _cell_capacity_ladder(p, x, y, n_values):
+    """Full-mode capacity (kappa = ``LADDER_KAPPA``) of the one-node set at
+    (x, y) relative to the open box of side ``LADDER_SIDE``, for |xi|^p
+    growth, on each of the nested grids ``n_values``.
 
     The node is snapped to the coarsest grid (kept off the edge) and
     followed as (2i, 2j) down the grids, so every rung marks the same
@@ -323,17 +311,17 @@ def _cell_capacity_ladder(p, x, y, n_values, side=1.0, kappa=1.0):
         raise ValueError(f"grid sizes {tuple(n_values)} are not nested (each next n is 2n - 1)")
     phi, phicirc = radial_power_fn(p), PowerFn(p)
     n = n_values[0]
-    h = side / (n - 1)
-    i = min(max(int(round(x / side * (n - 1))), 1), n - 2)
-    j = min(max(int(round(y / side * (n - 1))), 1), n - 2)
-    u0 = radial_condenser_profile(n, p, side=side, centre=(i * h, j * h))
+    h = LADDER_SIDE / (n - 1)
+    i = min(max(int(round(x / LADDER_SIDE * (n - 1))), 1), n - 2)
+    j = min(max(int(round(y / LADDER_SIDE * (n - 1))), 1), n - 2)
+    u0 = radial_condenser_profile(n, p, (i * h, j * h))
     values = []
     for n in n_values:
         k_mask = np.zeros((n, n), dtype=bool)
         k_mask[i, j] = True
         omega = ~_boundary_mask(n)
         res = relative_capacity(
-            phi, phicirc, kappa, k_mask, omega, n, side=side, u0=u0, max_iter=120_000
+            phi, phicirc, LADDER_KAPPA, k_mask, omega, n, side=LADDER_SIDE, u0=u0, max_iter=120_000
         )
         values.append(res.value)
         u0 = upsample_nested(res.minimizer.values)
@@ -341,7 +329,7 @@ def _cell_capacity_ladder(p, x, y, n_values, side=1.0, kappa=1.0):
     return values
 
 
-def point_capacity_scaling(p_values, n_values=(33, 65, 129, 257), side=1.0, kappa=1.0):
+def point_capacity_scaling(p_values, n_values=(33, 65, 129, 257)):
     """Single-cell capacity across grid refinements, per growth exponent.
 
     In the plane a point is capacity-null exactly for powers up to the
@@ -351,8 +339,9 @@ def point_capacity_scaling(p_values, n_values=(33, 65, 129, 257), side=1.0, kapp
     nested (each next n is 2n - 1); the cell is the middle one.
     """
     report = {}
+    mid = LADDER_SIDE / 2.0
     for p in p_values:
-        values = np.array(_cell_capacity_ladder(p, side / 2.0, side / 2.0, n_values, side, kappa))
+        values = np.array(_cell_capacity_ladder(p, mid, mid, n_values))
         report[p] = {
             "n": list(n_values),
             "values": [float(v) for v in values],
@@ -362,7 +351,7 @@ def point_capacity_scaling(p_values, n_values=(33, 65, 129, 257), side=1.0, kapp
     return report
 
 
-def diffuse_singular_split(measure, p, n_values=(33, 65, 129), side=1.0, kappa=1.0):
+def diffuse_singular_split(measure, p, n_values=(33, 65, 129)):
     """Split a measure into a capacity-respecting part and null-set atoms.
 
     Each atom is classified by the refinement trend of the capacity of its
@@ -373,7 +362,7 @@ def diffuse_singular_split(measure, p, n_values=(33, 65, 129), side=1.0, kappa=1
     diffuse_atoms, singular_atoms, details = [], [], []
     for atom in measure.atoms:
         x, y, _ = atom
-        values = _cell_capacity_ladder(p, x, y, n_values, side, kappa)
+        values = _cell_capacity_ladder(p, x, y, n_values)
         collapsing = values[-1] < 0.5 * values[0]
         (singular_atoms if collapsing else diffuse_atoms).append(atom)
         details.append({"atom": atom, "values": values, "null_supported": collapsing})

@@ -44,6 +44,16 @@ __all__ = [
 DEFAULT_D_GRID = np.exp(np.linspace(-20.0, 20.0, 41) * np.log(2.0))
 LOG_C_MIN = -20.0 * np.log(2.0)
 LOG_C_MAX = 20.0 * np.log(2.0)
+# axis_decomposition_test's generic cloud: the log10 range of the ray
+# radii, samples per decade, and the least trend drop (nats) that refutes
+AXIS_DECADES = (-6.0, 8.0)
+AXIS_PER_DECADE = 3
+AXIS_DROP_MIN = 1.0
+# cycle-witness refutation: the least total gap drop (nats) that counts
+# as divergence, and the margin (nats) kept from each zone's ends
+WITNESS_DROP_MIN = 0.5
+WITNESS_SAFETY = 0.25
+PROBE_CHUNK = 4096  # maps per independent chunk of the probe
 
 
 @dataclass(frozen=True)
@@ -63,10 +73,6 @@ class LinearMap2D:
 
     def as_array(self):
         return np.array([[self.a, self.b], [self.c, self.d]])
-
-    def compose(self, other):
-        m = self.as_array() @ other.as_array()
-        return LinearMap2D(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
 
 @dataclass
@@ -180,28 +186,24 @@ def _standard_directions(phi):
     return dirs
 
 
-def axis_decomposition_test(
-    phi, d_grid=None, decades=(-6.0, 8.0), per_decade=3, drop_min=1.0
-):
+def axis_decomposition_test(phi):
     """Is Phi(x, y) equivalent to Phi(x, 0) + Phi(0, y) on a sample cloud?
 
     The constructed triple carries its schedule, and for it the dedicated
     cycle-witness refutation decides the verdict; other functions go
-    through the generic two-sided cloud scan.
+    through the generic two-sided cloud scan over ``DEFAULT_D_GRID``.
     """
-    if d_grid is None:
-        d_grid = DEFAULT_D_GRID
     if hasattr(phi, "build"):
         forms = np.array([[dx, dy] for dx, dy, _ in phi.terms])
-        fails, drops = _triple_axis_fails(phi.build, forms[None, :, :], np.log(d_grid))
+        fails, drops = _triple_axis_fails(phi.build, forms[None, :, :], np.log(DEFAULT_D_GRID))
         return {
             "equivalent": not bool(fails[0]),
             "method": "cycle-witness",
             "worst_drop": float(drops[0]),
         }
     dirs = _standard_directions(phi)
-    logr = np.linspace(decades[0] * np.log(10.0), decades[1] * np.log(10.0),
-                       int((decades[1] - decades[0]) * per_decade) + 1)
+    lo, hi = AXIS_DECADES
+    logr = np.linspace(lo * np.log(10.0), hi * np.log(10.0), int((hi - lo) * AXIS_PER_DECADE) + 1)
 
     def axis_sum(ux, uy, lr):
         # Phi(x, 0) + Phi(0, y); a zero coordinate contributes log 0 = -inf
@@ -210,7 +212,7 @@ def axis_decomposition_test(
                 phi.log_value_dir(ux, 0.0 * uy, lr), phi.log_value_dir(0.0 * ux, uy, lr)
             )
 
-    rep = equivalent_on_rays(phi.log_value_dir, axis_sum, dirs, logr, d_grid, drop_min)
+    rep = equivalent_on_rays(phi.log_value_dir, axis_sum, dirs, logr, DEFAULT_D_GRID, AXIS_DROP_MIN)
     return {"method": "cloud", **rep}
 
 
@@ -228,13 +230,13 @@ def _witness_cycles(build, k_min=2):
     return per_index
 
 
-def _triple_axis_fails(build, forms, log_d, drop_min=0.5, safety=0.25):
+def _triple_axis_fails(build, forms, log_d):
     """Vectorized per-map refutation of the axis decomposition.
 
     forms: (M, 3, 2) composed linear forms of Phi o T.
     Returns (fails (M,), worst_drop (M,)): fails[m] means the gap sequence
     along some kernel direction decreases across that index's leading
-    cycles for every d in the grid.
+    cycles for every d in the grid, by ``WITNESS_DROP_MIN`` in all.
     """
     M = forms.shape[0]
     D = len(log_d)
@@ -266,12 +268,12 @@ def _triple_axis_fails(build, forms, log_d, drop_min=0.5, safety=0.25):
         K = len(zones)
         gaps = np.full((M, D, K), np.nan)
         for kz, (logs_k, logh_k, logt_next) in enumerate(zones):
-            lo_l = np.maximum(logs_k + safety - logc[0], logs_k + safety - logc[1])
+            lo_l = np.maximum(logs_k + WITNESS_SAFETY - logc[0], logs_k + WITNESS_SAFETY - logc[1])
             hi_l = np.minimum(
-                logt_next - safety - logc[0], logt_next - safety - logc[1]
+                logt_next - WITNESS_SAFETY - logc[0], logt_next - WITNESS_SAFETY - logc[1]
             )
             lo_h = logh_k + log2 - logb[:, None] - log_d[None, :]
-            hi_h = logt_next - safety - logb[:, None] - log_d[None, :]
+            hi_h = logt_next - WITNESS_SAFETY - logb[:, None] - log_d[None, :]
             lo = np.maximum(lo_l[:, None], lo_h)
             hi = np.minimum(hi_l[:, None], hi_h)
             usable = lo <= hi
@@ -302,7 +304,7 @@ def _triple_axis_fails(build, forms, log_d, drop_min=0.5, safety=0.25):
             dec &= ~have_prev | (cur < prev)
             drop = np.where(have_prev, drop + (prev - cur), drop)
             prev = np.where(np.isfinite(cur), cur, prev)
-        diverging = dec & (count >= 2) & (drop >= drop_min)
+        diverging = dec & (count >= 2) & (drop >= WITNESS_DROP_MIN)
         fails_d |= diverging
         worst_drop = np.maximum(worst_drop, drop.max(axis=1))
     return fails_d.all(axis=1), worst_drop
@@ -350,33 +352,28 @@ def _worker_count():
         return 1
 
 
-def essential_anisotropy_probe(
-    phi, mats=None, d_grid=None, chunk=4096, drop_min=0.5, n_workers=None
-):
-    """Axis-decomposition verdicts for Phi o T over a family of maps.
+def essential_anisotropy_probe(phi, mats, n_workers=None):
+    """Axis-decomposition verdicts for Phi o T over the maps ``mats``
+    (an (M, 2, 2) array, such as :func:`default_probe_family` gives).
 
-    For the constructed triple the batched cycle-witness path runs the
-    whole default family (360 x 21 x 21) in one scan; for other functions
-    each requested map goes through the generic cloud test.  Chunks are
-    independent; ANISOLAB_THREADS (or ``n_workers``) caps the pool, and
-    the reduction is indexed, so scheduling cannot change the result.
+    For the constructed triple the batched cycle-witness path scans the
+    maps in chunks of ``PROBE_CHUNK``; for other functions each map goes
+    through the generic cloud test.  Chunks are independent;
+    ANISOLAB_THREADS (or ``n_workers``) caps the pool, and the reduction
+    is indexed, so scheduling cannot change the result.
     """
-    if mats is None:
-        mats, _ = default_probe_family()
-    if d_grid is None:
-        d_grid = DEFAULT_D_GRID
-    log_d = np.log(np.asarray(d_grid, dtype=float))
+    log_d = np.log(DEFAULT_D_GRID)
     if n_workers is None:
         n_workers = _worker_count()
     if hasattr(phi, "build"):
         forms = composed_forms(phi, mats)
         fails = np.zeros(len(mats), dtype=bool)
         drops = np.zeros(len(mats))
-        spans = [(a, min(a + chunk, len(mats))) for a in range(0, len(mats), chunk)]
+        spans = [(a, min(a + PROBE_CHUNK, len(mats))) for a in range(0, len(mats), PROBE_CHUNK)]
 
         def run_span(span):
             a, b = span
-            return span, _triple_axis_fails(phi.build, forms[a:b], log_d, drop_min=drop_min)
+            return span, _triple_axis_fails(phi.build, forms[a:b], log_d)
 
         if n_workers > 1 and len(spans) > 1:
             from concurrent.futures import ThreadPoolExecutor
@@ -405,7 +402,7 @@ def essential_anisotropy_probe(
             f = mat.T @ np.array([dx, dy])
             terms.append((f[0], f[1], fn))
         composed = AnisoFn2D(terms, name=phi.name + "@T")
-        results.append(axis_decomposition_test(composed, d_grid=d_grid))
+        results.append(axis_decomposition_test(composed))
     return {
         "method": "cloud",
         "n_maps": len(mats),

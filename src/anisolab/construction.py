@@ -55,11 +55,14 @@ __all__ = [
     "incomparability_certificate",
     "certificate_margin",
     "envelope_report",
+    "schedule_order_violation",
 ]
 
 MANEUVER_MIN_LOGT = float(np.log(2.0))  # tangent feasibility needs t > e-1
 LOG_GRID_STEP = 2.0**-10  # breakpoints snap up to this log grid
 MAX_CYCLES = 12
+ENVELOPE_SAMPLES = 1000  # log-spaced samples of envelope_report
+ENVELOPE_LOGT_LO = -3.0  # envelope_report's lowest log t
 
 
 class ConstructionError(RuntimeError):
@@ -131,6 +134,11 @@ class TripleBuild:
 
     @classmethod
     def from_json_dict(cls, data):
+        """Inverse of :meth:`to_json_dict`.  Malformed input (not three
+        functions, a schedule that does not match ``cycles``, an index out
+        of range or out of order) raises ValueError naming the field."""
+        if len(data["phi"]) != 3:
+            raise ValueError(f"phi: a triple has 3 functions, not {len(data['phi'])}")
         phi = tuple(PiecewiseYoungFn1D.from_json_dict(d) for d in data["phi"])
         schedule = [
             CycleRecord(
@@ -146,6 +154,20 @@ class TripleBuild:
             )
             for r in data["schedule"]
         ]
+        if len(schedule) != data["cycles"]:
+            raise ValueError(f"cycles: {data['cycles']!r}, but the schedule has {len(schedule)} records")
+        for i, r in enumerate(schedule):
+            if r.k != i:
+                raise ValueError(f"schedule[{i}].k: {r.k!r}, expected {i}")
+            if r.heavy_index not in (0, 1, 2):
+                raise ValueError(f"schedule[{i}].heavy_index: {r.heavy_index!r} is not 0, 1 or 2")
+            if sorted(r.permutation) != [0, 1, 2]:
+                raise ValueError(
+                    f"schedule[{i}].permutation: {list(r.permutation)!r} is not a permutation of (0, 1, 2)"
+                )
+        violation = schedule_order_violation(schedule)
+        if violation is not None:
+            raise ValueError(violation)
         build = cls(
             p=data["p"],
             alpha=data["alpha"],
@@ -189,6 +211,34 @@ class TripleBuild:
 
 # ---------------------------------------------------------------------------
 # schedule steps
+
+
+def schedule_order_violation(schedule):
+    """Where a schedule breaks its chained order, or None if it keeps it.
+
+    Each record must have logt <= logtau < logh < logs < logt_next, and
+    each record's logt_next must equal the next record's logt.  The first
+    break is returned as a message naming the offending field.
+    """
+    for i, r in enumerate(schedule):
+        steps = (
+            ("logtau", r.logt <= r.logtau),
+            ("logh", r.logtau < r.logh),
+            ("logs", r.logh < r.logs),
+            ("logt_next", r.logs < r.logt_next),
+        )
+        for name, ok in steps:
+            if not ok:
+                return (
+                    f"schedule[{i}].{name}: {getattr(r, name)!r} breaks "
+                    "logt <= logtau < logh < logs < logt_next"
+                )
+        if i + 1 < len(schedule) and schedule[i + 1].logt != r.logt_next:
+            return (
+                f"schedule[{i + 1}].logt: {schedule[i + 1].logt!r} differs from "
+                f"schedule[{i}].logt_next {r.logt_next!r}"
+            )
+    return None
 
 
 def tangent_point(logt_k, p, alpha, rtol=1e-12):
@@ -369,14 +419,13 @@ def certificate_margin(heavy_fn, light_a, light_b, k, logt_next, p=None):
     return float(lhs - rhs)
 
 
-def incomparability_certificate(build, require_nonnegative=True):
+def incomparability_certificate(build):
     """Per-cycle certificate records for a finished build.
 
     With at least three cycles every stored index holds the leading
     position somewhere, so all six pairwise domination directions are
     blocked by some certificate.  A negative margin indicates a
-    construction bug and raises :class:`CertificateError` unless
-    ``require_nonnegative`` is off.
+    construction bug and raises :class:`CertificateError`.
     """
     if build.cycles < 3:
         raise ValueError("need K >= 3 so each index leads at least once")
@@ -387,7 +436,7 @@ def incomparability_certificate(build, require_nonnegative=True):
         margin = certificate_margin(
             build.upper, build.lower, build.lower, rec.k, rec.logt_next
         )
-        if require_nonnegative and margin < 0.0:
+        if margin < 0.0:
             raise CertificateError(
                 f"certificate violated at cycle {rec.k}: margin {margin:.3g}"
             )
@@ -402,17 +451,18 @@ def incomparability_certificate(build, require_nonnegative=True):
     return records
 
 
-def envelope_report(build, n_samples=1000, logt_lo=-3.0, logt_hi=None):
-    """Check min/max of the triple against the two reference envelopes.
+def envelope_report(build):
+    """Check min/max of the triple against the two reference envelopes on
+    ``ENVELOPE_SAMPLES`` points from log t = ``ENVELOPE_LOGT_LO`` to 2
+    past the last breakpoint.
 
     The reference curves cross at t = e-1 (below it the upper curve runs
     under the power curve), so the envelopes are the pointwise min and max
     of the two reference formulas.  Beyond the crossing this is exactly
     "min is the power curve, max is the log-weighted curve".
     """
-    if logt_hi is None:
-        logt_hi = build.schedule[-1].logt_next + 2.0 if build.schedule else 6.0
-    logts = np.linspace(logt_lo, logt_hi, n_samples)
+    logt_hi = build.schedule[-1].logt_next + 2.0 if build.schedule else 6.0
+    logts = np.linspace(ENVELOPE_LOGT_LO, logt_hi, ENVELOPE_SAMPLES)
     vals = np.stack([f.log_value(logts) for f in build.phi])
     tri_min, tri_max = vals.min(axis=0), vals.max(axis=0)
     ref_lo = build.lower.log_value(logts)
@@ -431,5 +481,5 @@ def envelope_report(build, n_samples=1000, logt_lo=-3.0, logt_hi=None):
         "all_between_envelopes": inside,
         "min_log_error": min_err,
         "max_log_error": max_err,
-        "samples": int(n_samples),
+        "samples": ENVELOPE_SAMPLES,
     }

@@ -1,4 +1,4 @@
-"""Scalar fields on uniform square grids, with mask and file plumbing.
+"""Scalar fields on uniform square grids, their grid differences and files.
 
 Fields live on the nodes of an N x N grid with spacing h over
 [x0, x0 + (N-1) h]^2 and extend by zero outside; gradients are forward
@@ -14,7 +14,7 @@ import numpy as np
 
 from .aniso2d import SampledFn2D
 
-__all__ = ["GridField2D", "forward_gradient", "divergence_of", "mask_to_rle", "mask_from_rle"]
+__all__ = ["GridField2D", "forward_gradient", "divergence_of"]
 
 
 @dataclass
@@ -60,9 +60,6 @@ class GridField2D:
             raise ValueError("grid fields are square")
         return cls(values=s.values, h=s.hx, x0=s.x0, y0=s.y0)
 
-    def to_csv(self, path):
-        self.as_sampled().to_csv(path)
-
 
 def forward_gradient(values, h):
     """Cell gradients ((N-1) x (N-1) arrays): forward differences at each
@@ -80,34 +77,3 @@ def divergence_of(ax, ay, h, n):
     out[1:, :-1] -= ax
     out[:-1, 1:] -= ay
     return out / h
-
-
-def mask_to_rle(mask):
-    """Run-length encode a boolean node mask as {"n": N, "runs": [[i, j0, len]]}."""
-    mask = np.asarray(mask, dtype=bool)
-    runs = []
-    for i in range(mask.shape[0]):
-        j = 0
-        row = mask[i]
-        while j < len(row):
-            if row[j]:
-                j0 = j
-                while j < len(row) and row[j]:
-                    j += 1
-                runs.append([int(i), int(j0), int(j - j0)])
-            else:
-                j += 1
-    return {"n": int(mask.shape[0]), "runs": runs}
-
-
-def mask_from_rle(data):
-    """Inverse of :func:`mask_to_rle`; a run outside the n x n grid raises ValueError."""
-    n = data["n"]
-    if n < 0:
-        raise ValueError(f"mask size {n} is negative")
-    mask = np.zeros((n, n), dtype=bool)
-    for i, j0, ln in data["runs"]:
-        if not (0 <= i < n and 0 <= j0 and ln >= 1 and j0 + ln <= n):
-            raise ValueError(f"run [{i}, {j0}, {ln}] lies outside the {n} x {n} mask")
-        mask[i, j0 : j0 + ln] = True
-    return mask

@@ -53,16 +53,6 @@ def log1p_exp(x):
     return out
 
 
-def log_of_tplus1(logt):
-    """log(t + 1) given log t, stable for any magnitude of t."""
-    return log1p_exp(logt)
-
-
-def log_diff_of_args(logt, log_t0):
-    """log(t - t0) given logs of t > t0 >= 0, elementwise; -inf at equality."""
-    return logsubexp(logt, log_t0)
-
-
 def safe_exp(logv):
     """exp(logv) mapping overflow to +inf rather than raising."""
     logv = np.asarray(logv, dtype=float)
@@ -71,13 +61,6 @@ def safe_exp(logv):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def value_from_log(logv):
-    """exp(logv) raising RangeError on overflow (scalar only)."""
-    if logv > 709.0:
-        raise RangeError(f"value exp({logv:.6g}) exceeds double range")
-    return float(np.exp(logv))
 
 
 def bisect_increasing(f, lo, hi, rtol=1e-12, max_iter=200):

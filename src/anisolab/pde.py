@@ -11,10 +11,10 @@ A measure is atoms plus a density, optionally with an explicit
 (f, G) decomposition whose action f - div G is discretely exact against
 the forward-difference pairing.
 
-The uniqueness experiment drives two genuinely different approximation
-sequences (kernel family and flux-truncation scheme differ) at geometric
-scales toward the same measure and reports two trend curves: the L1
-distance between same-stage solutions and the monotonicity-gap integral
+The uniqueness experiment drives two approximation sequences, each a
+mollifier kernel at geometric scales, toward the same measure and
+reports two trend curves: the L1 distance between same-stage solutions
+and the monotonicity-gap integral
 
     int_{|T_l uA - T_l uB| <= t} (A(grad uA) - A(grad uB)) . grad(uA - uB)
 
@@ -27,10 +27,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .capacity import minimize_grid_energy
 from .gridfield import GridField2D, divergence_of, forward_gradient
-from .sobolev import luxemburg_norm_gradient, modular_scalar, modular_vector
+from .sobolev import luxemburg_norm_gradient
 
 __all__ = [
     "DiscreteMeasure",
@@ -41,10 +42,11 @@ __all__ = [
     "solve_weak",
     "euler_lagrange_residual",
     "truncation_bounds_check",
-    "modular_distance_scalar",
-    "modular_distance_vector",
     "uniqueness_experiment",
 ]
+
+TRUNCATION_STABILITY = 0.30  # truncation_bounds_check's spread allowed around the median
+GAP_T, GAP_L = 0.05, 1.0  # t and l of the monotonicity-gap integral
 
 
 @dataclass
@@ -60,11 +62,6 @@ class DiscreteMeasure:
     density: GridField2D | None = None
     flux: tuple | None = None
 
-    def grid(self):
-        if self.density is not None:
-            return self.density
-        raise ValueError("measure carries no grid; supply one explicitly")
-
     def _atom_nodes(self, g):
         """(i, j, weight) per atom, binned to the nearest node of g; an atom
         off the grid raises ValueError."""
@@ -75,9 +72,9 @@ class DiscreteMeasure:
                 raise ValueError(f"atom at ({x}, {y}) outside the grid")
             yield i, j, w
 
-    def node_values(self, base=None):
-        """Node density: atoms binned to nearest node plus the density."""
-        g = base or self.grid()
+    def node_values(self, g):
+        """Node density on the grid of g: atoms binned to the nearest node
+        plus the density."""
         vals = np.zeros_like(g.values)
         for i, j, w in self._atom_nodes(g):
             vals[i, j] += w / (g.h * g.h)
@@ -85,8 +82,8 @@ class DiscreteMeasure:
             vals = vals + self.density.values
         return vals
 
-    def total_variation(self, base=None):
-        g = base or self.grid()
+    def total_variation(self, g):
+        """Total mass of |mu|, the density integrated on the grid of g."""
         tv = sum(abs(w) for _, _, w in self.atoms)
         if self.density is not None:
             tv += float(np.sum(np.abs(self.density.values))) * g.cell_area
@@ -133,14 +130,13 @@ def _kernel_profile(kind, r2_over_eps2):
     raise ValueError(f"unknown kernel {kind!r}")
 
 
-def mollify_measure(measure, eps, kernel, base, smooth_density=False):
+def mollify_measure(measure, eps, kernel, base):
     """Smooth data field approximating the measure at scale eps.
 
     Atoms become normalized kernel blobs (discrete mass exactly the atom
     weight; blobs clipped by the boundary are renormalized with a
-    warning).  The density passes through untouched unless
-    ``smooth_density`` is set, in which case it is convolved with the same
-    kernel (that is what an approximation sequence of smooth data does).
+    warning), and the density is convolved with the same kernel: that is
+    what an approximation sequence of smooth data does.
     """
     if eps < 2.0 * base.h:
         raise ValueError("mollification scale must be at least two grid cells")
@@ -162,19 +158,14 @@ def mollify_measure(measure, eps, kernel, base, smooth_density=False):
         mass = float(np.sum(blob)) * h * h
         out += (w / mass) * blob
     if measure.density is not None:
-        if smooth_density:
-            from numpy.lib.stride_tricks import sliding_window_view
-
-            kr = int(np.ceil(eps / h)) + 1
-            off = np.arange(-kr, kr + 1) * h
-            OX, OY = np.meshgrid(off, off, indexing="ij")
-            patch = _kernel_profile(kernel, (OX**2 + OY**2) / (eps * eps))
-            patch = patch / (float(np.sum(patch)) * h * h)
-            padded = np.pad(measure.density.values, kr, mode="constant")
-            windows = sliding_window_view(padded, patch.shape)
-            out += np.einsum("ijkl,kl->ij", windows, patch) * h * h
-        else:
-            out += measure.density.values
+        kr = int(np.ceil(eps / h)) + 1
+        off = np.arange(-kr, kr + 1) * h
+        OX, OY = np.meshgrid(off, off, indexing="ij")
+        patch = _kernel_profile(kernel, (OX**2 + OY**2) / (eps * eps))
+        patch = patch / (float(np.sum(patch)) * h * h)
+        padded = np.pad(measure.density.values, kr, mode="constant")
+        windows = sliding_window_view(padded, patch.shape)
+        out += np.einsum("ijkl,kl->ij", windows, patch) * h * h
     return GridField2D(out, h, base.x0, base.y0)
 
 
@@ -226,11 +217,11 @@ def euler_lagrange_residual(phi, u, f_field, flux=None):
 # diagnostics
 
 
-def truncation_bounds_check(solutions, k_list, phi, stability=0.30):
+def truncation_bounds_check(solutions, k_list, phi):
     """Fit C0 = max_k |grad T_k u_s|_Phi / k per stage; flag instability.
 
-    The verdict is ok when every stage constant sits within ``stability``
-    of the median across stages.
+    The verdict is ok when every stage constant sits within
+    ``TRUNCATION_STABILITY`` (relative) of the median across stages.
     """
     table = []
     stage_c0 = []
@@ -242,31 +233,14 @@ def truncation_bounds_check(solutions, k_list, phi, stability=0.30):
             worst = max(worst, norm / k)
         stage_c0.append(worst)
     med = float(np.median(stage_c0))
-    ok = all(abs(c - med) <= stability * med for c in stage_c0)
+    ok = all(abs(c - med) <= TRUNCATION_STABILITY * med for c in stage_c0)
     return {"ok": ok, "C0": float(max(stage_c0)), "per_stage": stage_c0, "table": table}
-
-
-def modular_distance_scalar(u, v, fn, lambda_grid, tol=1e-3):
-    """Smallest grid lambda with sum fn(|u-v|/lambda) h^2 <= tol."""
-    diff = np.abs(u.values - v.values)
-    for lam in sorted(lambda_grid):
-        if modular_scalar(diff / lam, fn, u.cell_area) <= tol:
-            return float(lam)
-    return float("inf")
-
-
-def modular_distance_vector(gx, gy, phi, cell_area, lambda_grid, tol=1e-3):
-    for lam in sorted(lambda_grid):
-        if modular_vector(gx / lam, gy / lam, phi, cell_area) <= tol:
-            return float(lam)
-    return float("inf")
 
 
 @dataclass
 class ApproxSequence:
     kernel: str
     scales: list
-    flux_scheme: str = "none"  # "none" | "sup-truncation" | "smooth-cutoff"
 
 
 @dataclass
@@ -277,8 +251,6 @@ class SolveReport:
     stages: int
     solutions_a: list
     solutions_b: list
-    truncation: dict | None = None
-    flux_modular_distances: dict | None = None
 
     def gaps_decreasing(self):
         return bool(np.all(np.diff(self.l1_gaps) < 0.0))
@@ -287,28 +259,9 @@ class SolveReport:
         return bool(np.all(np.diff(self.gap_integrals) < 0.0))
 
 
-def _stage_flux(measure, scheme, stage_index, base):
-    if measure.flux is None or scheme == "none":
-        return None
-    gx, gy = measure.flux
-    if scheme == "sup-truncation":
-        level = 2.0 ** (stage_index + 1) * max(
-            1e-12, float(np.median(np.abs(np.concatenate([gx.ravel(), gy.ravel()]))))
-        )
-        return np.clip(gx, -level, level), np.clip(gy, -level, level)
-    if scheme == "smooth-cutoff":
-        n1 = gx.shape[0]
-        ax = np.linspace(0.0, 1.0, n1)
-        X, Y = np.meshgrid(ax, ax, indexing="ij")
-        w = 1.0 / (stage_index + 2.0)
-        cut = np.clip(np.minimum.reduce([X, Y, 1 - X, 1 - Y]) / w, 0.0, 1.0)
-        return gx * cut, gy * cut
-    raise ValueError(f"unknown flux scheme {scheme!r}")
-
-
-def _gap_integral(phi, ua, ub, t, l, h):
-    ta, tb = np.clip(ua.values, -l, l), np.clip(ub.values, -l, l)
-    sel = np.abs(ta - tb)[:-1, :-1] <= t  # cell flag at the base node
+def _gap_integral(phi, ua, ub, h):
+    ta, tb = np.clip(ua.values, -GAP_L, GAP_L), np.clip(ub.values, -GAP_L, GAP_L)
+    sel = np.abs(ta - tb)[:-1, :-1] <= GAP_T  # cell flag at the base node
     gxa, gya = forward_gradient(ua.values, h)
     gxb, gyb = forward_gradient(ub.values, h)
     axa, aya = phi.grad(gxa, gya)
@@ -319,79 +272,48 @@ def _gap_integral(phi, ua, ub, t, l, h):
     return float(np.sum(integrand[sel])) * h * h
 
 
-def uniqueness_experiment(
-    phi,
-    measure,
-    seq_a,
-    seq_b,
-    base,
-    gap_t=0.05,
-    gap_l=1.0,
-    rel_tol=1e-9,
-    k_list=None,
-    conj_phi=None,
-    lambda_grid=(2.0**-12, 2.0**-8, 2.0**-4, 1.0, 16.0, 256.0),
-):
+def uniqueness_experiment(phi, measure, seq_a, seq_b, base, rel_tol=1e-9):
     """Solve both approximation sequences and report the two trend curves.
 
     Preconditions checked numerically: each sequence's data converges to
-    the measure's density part in L1, every stage's data mass stays below
-    twice the measure's total variation, and when distinct flux stages are
-    used with a supplied conjugate function their modular distances to the
-    limit flux must not grow.  Raises on setup violations.
+    the measure's density part in L1, and every stage's data mass stays
+    below twice the measure's total variation.  Raises on setup
+    violations.
     """
     if len(seq_a.scales) != len(seq_b.scales):
         raise ValueError("sequences must share the stage count")
     stages = len(seq_a.scales)
     sols = {"a": [], "b": []}
     f_errors = {"a": [], "b": []}
-    flux_dists = {"a": [], "b": []}
     target = measure.node_values(base)
     tv_bound = 2.0 * measure.total_variation(base) + 1e-12
     for name, seq in (("a", seq_a), ("b", seq_b)):
         prev = None
         for s, eps in enumerate(seq.scales):
-            h_field = mollify_measure(measure, eps, seq.kernel, base, smooth_density=True)
+            h_field = mollify_measure(measure, eps, seq.kernel, base)
             if float(np.sum(np.abs(h_field.values))) * base.cell_area > tv_bound:
                 raise ValueError(f"sequence {name}: stage {s} mass exceeds 2 |mu|")
-            flux = _stage_flux(measure, seq.flux_scheme, s, base)
-            u = solve_weak(phi, h_field, flux=flux, rel_tol=rel_tol, u0=prev)
+            u = solve_weak(phi, h_field, rel_tol=rel_tol, u0=prev)
             sols[name].append(u)
             prev = u.values.copy()
             f_errors[name].append(
                 float(np.sum(np.abs(h_field.values - target))) * base.cell_area
             )
-            if flux is not None and conj_phi is not None:
-                flux_dists[name].append(
-                    modular_distance_vector(
-                        flux[0] - measure.flux[0],
-                        flux[1] - measure.flux[1],
-                        conj_phi,
-                        base.cell_area,
-                        lambda_grid,
-                    )
-                )
         if stages >= 3 and not f_errors[name][-1] <= f_errors[name][0]:
             raise ValueError(f"sequence {name}: data does not approach the measure")
-        if len(flux_dists[name]) >= 2 and flux_dists[name][-1] > flux_dists[name][0]:
-            raise ValueError(f"sequence {name}: flux does not approach modularly")
     l1_gaps = [
         float(np.sum(np.abs(ua.values - ub.values))) * base.cell_area
         for ua, ub in zip(sols["a"], sols["b"])
     ]
     gaps = [
-        _gap_integral(phi, ua, ub, gap_t, gap_l, base.h)
+        _gap_integral(phi, ua, ub, base.h)
         for ua, ub in zip(sols["a"], sols["b"])
     ]
-    report = SolveReport(
+    return SolveReport(
         l1_gaps=l1_gaps,
         gap_integrals=gaps,
         f_l1_errors=f_errors,
         stages=stages,
         solutions_a=sols["a"],
         solutions_b=sols["b"],
-        flux_modular_distances=flux_dists if any(flux_dists.values()) else None,
     )
-    if k_list is not None:
-        report.truncation = truncation_bounds_check(sols["a"], k_list, phi)
-    return report

@@ -74,25 +74,25 @@ def _log_area(logr):
     return s + np.log(np.pi / logr.size)
 
 
-def log_sublevel_area(phi, log_t, n_angles=2048, rtol=1e-10, adaptive=True):
+def log_sublevel_area(phi, log_t, n_angles=2048):
     """log of the sublevel-set area at level t, angular quadrature refined
-    until the relative change under angle doubling falls below 1e-6."""
-    area = _log_area(ray_radii_log(phi, log_t, n_angles, rtol=rtol))
-    if adaptive:
-        for _ in range(4):
-            n_angles *= 2
-            refined = _log_area(ray_radii_log(phi, log_t, n_angles, rtol=rtol))
-            if abs(refined - area) <= 1e-6:
-                return refined
-            area = refined
+    (up to four angle doublings) until the relative change under angle
+    doubling falls below 1e-6."""
+    area = _log_area(ray_radii_log(phi, log_t, n_angles))
+    for _ in range(4):
+        n_angles *= 2
+        refined = _log_area(ray_radii_log(phi, log_t, n_angles))
+        if abs(refined - area) <= 1e-6:
+            return refined
+        area = refined
     return area
 
 
-def sublevel_area(phi, t, n_angles=2048, rtol=1e-10, adaptive=True):
+def sublevel_area(phi, t, n_angles=2048):
     """|{Phi <= t}| as a float; RangeError past double range."""
     if t <= 0.0:
         raise ValueError("level must be positive")
-    la = log_sublevel_area(phi, float(np.log(t)), n_angles, rtol=rtol, adaptive=adaptive)
+    la = log_sublevel_area(phi, float(np.log(t)), n_angles)
     if la > 709.0:
         raise RangeError("area exceeds double range; use log_sublevel_area")
     return float(np.exp(la))

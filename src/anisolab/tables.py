@@ -7,7 +7,6 @@ the single protocol of :mod:`anisolab.young1d`: it writes ``log_value`` /
 ``log_derivative`` (both ``-inf`` at log x = -inf) and binds that module's
 shared ``value`` / ``derivative``, so x < 0 raises ValueError, x = 0 gives
 0, and tables slot into the same modulars, solvers and conjugation paths.
-``inverse`` follows the same rules on the y column.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import json
 
 import numpy as np
 
-from .young1d import _derivative_from_log, _from_log, _value_from_log
+from .young1d import _derivative_from_log, _value_from_log
 
 __all__ = ["MonotoneTable"]
 
@@ -27,6 +26,8 @@ class MonotoneTable:
         logy = np.asarray(logy, dtype=float)
         if logx.ndim != 1 or logx.shape != logy.shape or len(logx) < 2:
             raise ValueError("need matching 1-D arrays of length >= 2")
+        if not (np.all(np.isfinite(logx)) and np.all(np.isfinite(logy))):
+            raise ValueError("table entries must be finite and positive (their logs finite)")
         if np.any(np.diff(logx) <= 0.0) or np.any(np.diff(logy) <= 0.0):
             raise ValueError("table must be strictly increasing in both columns")
         self.logx = logx
@@ -35,21 +36,18 @@ class MonotoneTable:
 
     @classmethod
     def from_values(cls, x, y):
-        return cls(np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float)))
+        """Table of the pairs (x_j, y_j); an entry that is not finite and
+        positive raises ValueError."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return cls(np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float)))
 
     # -- interpolation -------------------------------------------------------
 
-    def _interp(self, q, knots, vals, slopes):
-        q = np.asarray(q, dtype=float)
-        idx = np.clip(np.searchsorted(knots, q) - 1, 0, len(knots) - 2)
-        out = vals[idx] + slopes[idx] * (q - knots[idx])
-        return out if out.ndim else float(out)
-
     def log_value(self, logx):
-        return self._interp(logx, self.logx, self.logy, self._slopes)
-
-    def log_inverse(self, logy):
-        return self._interp(logy, self.logy, self.logx, 1.0 / self._slopes)
+        q = np.asarray(logx, dtype=float)
+        idx = np.clip(np.searchsorted(self.logx, q) - 1, 0, len(self.logx) - 2)
+        out = self.logy[idx] + self._slopes[idx] * (q - self.logx[idx])
+        return out if out.ndim else float(out)
 
     def log_derivative(self, logx):
         # d/dx of the x^m-shaped segment: m * y / x
@@ -62,9 +60,6 @@ class MonotoneTable:
 
     value = _value_from_log
     derivative = _derivative_from_log
-
-    def inverse(self, y):
-        return _from_log(self.log_inverse, y)
 
     # -- structure checks ----------------------------------------------------
 

@@ -23,8 +23,8 @@ class dict.
 
 Breakpoints grow like exp(poly(k)) under the inductive gluing, far past
 double range, so every structural computation runs on (log t, log f(t))
-pairs; plain values are produced only on demand and overflow is reported
-via :class:`~anisolab.numerics.RangeError`.
+pairs; plain values are produced only on demand, and one that overflows
+a double is +inf.
 """
 
 from __future__ import annotations
@@ -34,14 +34,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import (
-    RangeError,
     bisect_increasing,
     expand_bracket_increasing,
-    log_diff_of_args,
-    log_of_tplus1,
+    log1p_exp,
     logsubexp,
     safe_exp,
-    value_from_log,
 )
 
 __all__ = [
@@ -51,16 +48,16 @@ __all__ = [
     "PowerExpFn",
     "Piece",
     "PiecewiseYoungFn1D",
-    "eval1d",
-    "derivative1d",
-    "inverse1d",
     "inverse1d_log",
     "check_convex",
     "doubling_indices",
     "is_doubling",
-    "nfunction_report",
     "ConvexityReport",
 ]
+
+DOUBLING_SAMPLES = 512  # log-spaced samples behind doubling_indices
+DOUBLING_TEST_RANGE = (1.0, 40.0)  # log t range of is_doubling
+DOUBLING_GROWTH_TOL = 1.10
 
 
 def _as_log_args(t):
@@ -98,8 +95,6 @@ def _derivative_from_log(self, t):
 class PowerFn:
     """coef * t**p, the lower reference curve of the construction."""
 
-    kind = "power"
-
     def __init__(self, p, coef=1.0):
         if p < 1.0:
             raise ValueError("power exponent must be >= 1")
@@ -129,8 +124,6 @@ class PowerFn:
 class PowerLogFn:
     """t**p * log(t+1)**alpha, the upper reference curve of the construction."""
 
-    kind = "powerlog"
-
     def __init__(self, p, alpha):
         if p < 1.0 or alpha <= 0.0:
             raise ValueError("need p >= 1 and alpha > 0")
@@ -139,7 +132,7 @@ class PowerLogFn:
 
     def log_value(self, logt):
         logt = np.asarray(logt, dtype=float)
-        lg = log_of_tplus1(logt)  # log(t+1)
+        lg = log1p_exp(logt)  # log(t+1)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = self.p * logt + self.alpha * np.log(lg)
         out = np.where(np.isneginf(logt), -np.inf, out)
@@ -148,7 +141,7 @@ class PowerLogFn:
     def log_derivative(self, logt):
         # d/dt [t^p L^a] = p t^{p-1} L^a + a t^p L^{a-1} / (t+1),  L = log(t+1)
         logt = np.asarray(logt, dtype=float)
-        lg = log_of_tplus1(logt)
+        lg = log1p_exp(logt)
         with np.errstate(divide="ignore", invalid="ignore"):
             loglg = np.log(lg)
             t1 = np.log(self.p) + (self.p - 1.0) * logt + self.alpha * loglg
@@ -163,8 +156,6 @@ class PowerLogFn:
 
 class PowerLogBaseFn:
     """t**p * log(base+t)**delta with base > 1 (Trudinger-style factor)."""
-
-    kind = "powerlogbase"
 
     def __init__(self, p, delta, base):
         if p < 1.0 or base <= 1.0:
@@ -210,8 +201,6 @@ class PowerLogBaseFn:
 class PowerExpFn:
     """coef * t**p * exp(t).  Not doubling; solvers reject it."""
 
-    kind = "powerexp"
-
     def __init__(self, p, coef=1.0):
         if p < 1.0 or coef <= 0.0:
             raise ValueError("need p >= 1 and coef > 0")
@@ -252,7 +241,7 @@ class _LinearSegment:
         logt = np.asarray(logt, dtype=float)
         at, af = self.anchor_logt, self.anchor_logf
         with np.errstate(invalid="ignore"):
-            out = np.logaddexp(af, self.log_slope + log_diff_of_args(logt, at))
+            out = np.logaddexp(af, self.log_slope + logsubexp(logt, at))
         out = np.where(logt <= at, af, out)
         return _scalarize(out)
 
@@ -411,44 +400,6 @@ class PiecewiseYoungFn1D:
 # operations
 
 
-def eval1d(f, t):
-    """Evaluate f at t >= 0 in the value domain.
-
-    Raises :class:`RangeError` when the value overflows a double; use
-    ``f.log_value`` past that range.
-    """
-    if np.ndim(t) == 0:
-        if t < 0.0:
-            raise ValueError("t must be >= 0")
-        if t == 0.0:
-            return 0.0
-        return value_from_log(f.log_value(float(np.log(t))))
-    v = f.value(t)
-    if np.any(np.isinf(v)):
-        raise RangeError("value overflow; evaluate through log_value")
-    return v
-
-
-def derivative1d(f, t):
-    """Right-derivative of the active piece at t >= 0."""
-    if np.ndim(t) == 0:
-        if t < 0.0:
-            raise ValueError("t must be >= 0")
-        if t == 0.0:
-            return 0.0
-        return value_from_log(f.log_derivative(float(np.log(t))))
-    return f.derivative(t)
-
-
-def inverse1d(f, y, rtol=1e-12):
-    """Monotone inverse by bracketed bisection on the log scale."""
-    if y < 0.0:
-        raise ValueError("Young functions are nonnegative; y must be >= 0")
-    if y == 0.0:
-        return 0.0
-    return float(np.exp(inverse1d_log(f, float(np.log(y)), rtol=rtol)))
-
-
 def inverse1d_log(f, logy, rtol=1e-12):
     """log t such that log f(t) = logy, by bisection in log t."""
 
@@ -516,29 +467,20 @@ def check_convex(f, samples_per_piece=64, rel_slack=1e-8):
     )
 
 
-def doubling_indices(f, log_lo, log_hi, n=512):
+def doubling_indices(f, log_lo, log_hi):
     """(i_est, s_est): min/max log-log difference quotients over the range."""
-    logts = np.linspace(float(log_lo), float(log_hi), int(n))
+    logts = np.linspace(float(log_lo), float(log_hi), DOUBLING_SAMPLES)
     logfs = f.log_value(logts)
     slopes = np.diff(logfs) / np.diff(logts)
     slopes = slopes[np.isfinite(slopes)]
     return float(np.min(slopes)), float(np.max(slopes))
 
 
-def is_doubling(f, log_lo=1.0, log_hi=40.0, growth_tol=1.10):
-    """Heuristic doubling test: s_est must not grow under range extension."""
+def is_doubling(f):
+    """Heuristic doubling test: the upper index s_est over log t in
+    ``DOUBLING_TEST_RANGE`` must not grow by more than the factor
+    ``DOUBLING_GROWTH_TOL`` when the range's upper end doubles."""
+    log_lo, log_hi = DOUBLING_TEST_RANGE
     _, s1 = doubling_indices(f, log_lo, log_hi)
     _, s2 = doubling_indices(f, log_lo, 2.0 * log_hi)
-    return bool(np.isfinite(s2) and s2 <= growth_tol * s1)
-
-
-def nfunction_report(f, log_lo=-10.0, log_hi=10.0, n=64):
-    """Sampled N-function ratios: f(t)/t at both ends of the range."""
-    logts = np.linspace(log_lo, log_hi, n)
-    ratio_log = f.log_value(logts) - logts
-    return {
-        "ratio_at_zero": float(safe_exp(ratio_log[0])),
-        "ratio_at_infinity": float(safe_exp(ratio_log[-1])),
-        "superlinear": bool(ratio_log[-1] > ratio_log[0] + 1.0),
-        "vanishing_slope_at_zero": bool(ratio_log[0] < ratio_log[-1] - 1.0),
-    }
+    return bool(np.isfinite(s2) and s2 <= DOUBLING_GROWTH_TOL * s1)

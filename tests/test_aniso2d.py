@@ -15,7 +15,6 @@ from anisolab.aniso2d import (
     conjugate2d,
     conjugate_of_samples,
     eval2d,
-    grad2d,
     intro_exp_fn,
     involution_error,
     power_sum_fn,
@@ -76,12 +75,12 @@ def test_eval_overflow_flagged():
 
 
 def test_grad_quadratic_identity():
-    assert np.allclose(grad2d(quadratic_fn(), (1.0, 2.0)), [1.0, 2.0])
-    assert np.allclose(grad2d(quadratic_fn(), (0.0, 0.0)), [0.0, 0.0])
+    assert np.allclose(quadratic_fn().grad(1.0, 2.0), [1.0, 2.0])
+    assert np.allclose(quadratic_fn().grad(0.0, 0.0), [0.0, 0.0])
 
 
 def test_grad_power_sum():
-    assert np.allclose(grad2d(power_sum_fn(4, 2), (1.0, 1.0)), [4.0, 2.0])
+    assert np.allclose(power_sum_fn(4, 2).grad(1.0, 1.0), [4.0, 2.0])
 
 
 def test_grad_is_subgradient(rng, build6):

@@ -63,6 +63,14 @@ def test_phicirc_and_sobconj(tmp_path):
     assert (tmp_path / "tab.csv").read_text().startswith("s,t\n")
 
 
+def test_table_rejects_entries_without_finite_logs(tmp_path):
+    (tmp_path / "bad.json").write_text(json.dumps({"s": [-1.0, 1.0, 2.0], "t": [1.0, 2.0, 3.0]}))
+    r = run_cli(["table", "--table", "bad.json", "--out", "tab.csv"], tmp_path)
+    assert r.returncode == 1
+    assert r.stderr.startswith("error:") and "finite" in r.stderr
+    assert not (tmp_path / "tab.csv").exists()
+
+
 def test_sublevel_bounds_csv(tmp_path):
     run_cli(["construct", "--cycles", "4", "--out", "triple.json"], tmp_path)
     r = run_cli(

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from anisolab.construction import (
     envelope_report,
     incomparability_certificate,
     next_breakpoint,
+    schedule_order_violation,
     tangent_point,
 )
 from anisolab.young1d import PowerFn, PowerLogFn, check_convex
@@ -111,6 +114,7 @@ def test_schedule_strictly_increasing(build6):
         assert rec.logt <= rec.logtau < rec.logh < rec.logs < rec.logt_next
     for a, b in zip(build6.schedule[:-1], build6.schedule[1:]):
         assert a.logt_next == b.logt
+    assert schedule_order_violation(build6.schedule) is None
 
 
 def test_heavy_rotation_covers_all_indices(build6):
@@ -119,7 +123,7 @@ def test_heavy_rotation_covers_all_indices(build6):
 
 
 def test_envelope_pointwise(build6):
-    rep = envelope_report(build6, n_samples=1000)
+    rep = envelope_report(build6)
     assert rep["min_matches_lower_envelope"]
     assert rep["max_matches_upper_envelope"]
     assert rep["all_between_envelopes"]
@@ -173,6 +177,44 @@ def test_build_json_roundtrip(tmp_path, build6):
     path2 = tmp_path / "triple2.json"
     back.save(path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _set(path, value):
+    def tamper(data):
+        *keys, last = path
+        for key in keys:
+            data = data[key]
+        data[last] = value
+
+    return tamper
+
+
+# each case breaks one requirement of the triple reader: (tampering, the
+# field the error must name)
+MALFORMED_TRIPLES = {
+    "logt_next_below_logs": (_set(("schedule", 2, "logt_next"), -5.0), "schedule[2].logt_next"),
+    "logt_next_not_next_logt": (_set(("schedule", 2, "logt_next"), 1e3), "schedule[3].logt"),
+    "logh_below_logtau": (_set(("schedule", 4, "logh"), 0.0), "schedule[4].logh"),
+    "more_cycles_than_records": (_set(("cycles",), 9), "cycles"),
+    "record_numbered_out_of_order": (_set(("schedule", 1, "k"), 5), "schedule[1].k"),
+    "heavy_index_out_of_range": (_set(("schedule", 3, "heavy_index"), 7), "schedule[3].heavy_index"),
+    "permutation_repeats_an_index": (
+        _set(("schedule", 0, "permutation"), [0, 0, 2]),
+        "schedule[0].permutation",
+    ),
+    "two_functions": (lambda data: data["phi"].pop(), "phi"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TRIPLES))
+def test_triple_json_rejects_malformed_input(case, build6):
+    tamper, field = MALFORMED_TRIPLES[case]
+    data = copy.deepcopy(build6.to_json_dict())
+    TripleBuild.from_json_dict(copy.deepcopy(data))  # the untouched build loads
+    tamper(data)
+    with pytest.raises(ValueError) as err:
+        TripleBuild.from_json_dict(data)
+    assert str(err.value).startswith(field + ":")
 
 
 def test_schedule_csv(tmp_path, build6):

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from anisolab.descent import IterationCapError, minimize_projected
-from anisolab.gridfield import (
-    GridField2D,
-    divergence_of,
-    forward_gradient,
-    mask_from_rle,
-    mask_to_rle,
-)
+from anisolab.gridfield import GridField2D, divergence_of, forward_gradient
 
 
 def test_gradient_divergence_adjoint(rng):
@@ -29,34 +23,6 @@ def test_binary_roundtrip(tmp_path, rng):
     back = GridField2D.from_binary(p)
     assert np.array_equal(back.values, f.values)
     assert back.h == f.h
-
-
-def test_mask_rle_roundtrip(rng):
-    mask = rng.uniform(size=(21, 21)) > 0.6
-    assert np.array_equal(mask_from_rle(mask_to_rle(mask)), mask)
-    empty = np.zeros((5, 5), dtype=bool)
-    assert mask_to_rle(empty)["runs"] == []
-    assert np.array_equal(mask_from_rle(mask_to_rle(empty)), empty)
-
-
-def test_mask_rle_rejects_runs_outside_grid(rng):
-    n = int(rng.integers(3, 12))
-    i, j0 = (int(k) for k in rng.integers(0, n, 2))
-    for run in (
-        [-1, j0, 1],  # would wrap to the last row
-        [n, j0, 1],
-        [i, -1, 2],
-        [i, j0, n - j0 + 1],  # would be clipped at the edge
-        [i, n, 1],
-        [i, j0, 0],
-        [i, j0, -1],
-    ):
-        with pytest.raises(ValueError):
-            mask_from_rle({"n": n, "runs": [[0, 0, 1], run]})
-    with pytest.raises(ValueError):
-        mask_from_rle({"n": -1, "runs": []})
-    full = mask_from_rle({"n": n, "runs": [[n - 1, 0, n]]})
-    assert full.sum() == n and full[n - 1].all()
 
 
 def test_descent_solves_quadratic(rng):

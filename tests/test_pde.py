@@ -8,7 +8,6 @@ from anisolab.pde import (
     ApproxSequence,
     DiscreteMeasure,
     euler_lagrange_residual,
-    modular_distance_scalar,
     mollify_measure,
     solve_weak,
     truncate,
@@ -16,7 +15,6 @@ from anisolab.pde import (
     uniqueness_experiment,
 )
 from anisolab.sobolev import modular_vector
-from anisolab.young1d import PowerFn
 
 POISSON_CENTER = 0.07367135138980674
 
@@ -72,17 +70,19 @@ def test_mollify_boundary_clip_warns():
     assert np.sum(h.values) * base.cell_area == pytest.approx(1.0, rel=1e-12)
 
 
-def test_mollify_density_passthrough_and_smoothing():
+def test_mollify_density_smoothing():
     base = GridField2D.unit_square(65)
     dens = GridField2D.unit_square(65)
     ax = dens.axis()
     X, Y = np.meshgrid(ax, ax, indexing="ij")
     dens.values = np.exp(-((X - 0.5) ** 2 + (Y - 0.5) ** 2) / 0.02)
     mu = DiscreteMeasure(atoms=[], density=dens)
-    passthrough = mollify_measure(mu, 0.1, "gaussian", base)
-    assert np.array_equal(passthrough.values, dens.values)
-    smoothed = mollify_measure(mu, 2 * base.h, "gaussian", base, smooth_density=True)
+    smoothed = mollify_measure(mu, 2 * base.h, "gaussian", base)
+    assert not np.array_equal(smoothed.values, dens.values)
     assert np.max(np.abs(smoothed.values - dens.values)) <= 0.05 * np.max(dens.values)
+    # the density's mass, well inside the box, is kept
+    mass = np.sum(dens.values) * base.cell_area
+    assert np.sum(smoothed.values) * base.cell_area == pytest.approx(mass, rel=1e-6)
 
 
 def test_measure_decomposition_action_consistency(rng):
@@ -183,19 +183,6 @@ def test_truncation_never_raises_gradient_energy():
         e_t = modular_vector(gx, gy, quadratic_fn(), u.cell_area)
         e_0 = modular_vector(gx0, gy0, quadratic_fn(), u.cell_area)
         assert e_t <= e_0 + 1e-12
-
-
-def test_modular_distance_examples():
-    n = 33
-    u = GridField2D.unit_square(n)
-    v = GridField2D.unit_square(n)
-    grid = [2.0**-12, 2.0**-8, 2.0**-4, 1.0, 16.0]
-    assert modular_distance_scalar(u, v, PowerFn(2), grid) == grid[0]
-    u.values[:] = 1.0
-    d1 = modular_distance_scalar(u, v, PowerFn(2), grid)
-    u.values[:] = 0.5  # closer in sup norm: modular distance cannot grow
-    d2 = modular_distance_scalar(u, v, PowerFn(2), grid)
-    assert d2 <= d1
 
 
 def test_truncation_bounds_quick():

@@ -1,0 +1,68 @@
+"""The package's public surface: every exported name resolves, and every
+public top-level function or class is used by the program itself (the
+package, its CLI or the benchmark), not only by tests."""
+
+import ast
+import importlib
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "anisolab"
+PROGRAM_FILES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+MODULES = sorted(f.stem for f in PACKAGE.glob("*.py") if f.stem != "__main__")
+
+# Public definitions no program code calls yet, each kept on purpose.
+ALLOWED_UNUSED = {
+    # the paper's capacitary characterization of diffuse measures; its
+    # verdict is to be gated on certified capacity brackets
+    "diffuse_singular_split",
+    # to become the weak solve's own stationarity residual
+    "euler_lagrange_residual",
+}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"anisolab.{name}" if name != "__init__" else "anisolab")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, missing
+
+
+def _references(tree, skip):
+    """Names and attribute names used in ``tree`` outside the nodes in ``skip``."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node in skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_public_definition_is_used_by_the_program():
+    trees = {f: ast.parse(f.read_text(encoding="utf-8")) for f in PROGRAM_FILES}
+    definitions = {
+        (f, node)
+        for f in PROGRAM_FILES
+        if f.parent == PACKAGE
+        for node in trees[f].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    everywhere = {f: _references(tree, set()) for f, tree in trees.items()}
+    unused = []
+    for f, node in sorted(definitions, key=lambda d: (d[0].name, d[1].lineno)):
+        used = node.name in _references(trees[f], {node}) or any(
+            node.name in refs for g, refs in everywhere.items() if g != f
+        )
+        if not used and node.name not in ALLOWED_UNUSED:
+            unused.append(f"{f.name}:{node.lineno} {node.name}")
+    assert not unused, unused

@@ -9,21 +9,29 @@ from anisolab.sobolev import (
     build_profile,
     classify_growth,
     luxemburg_norm_gradient,
-    luxemburg_norm_scalar,
     luxemburg_norm_vector,
     modular_vector,
-    poincare_sobolev_check,
     sobolev_conjugate,
-    standard_corpus,
-    tent_field,
 )
 from anisolab.tables import MonotoneTable
-from anisolab.young1d import PowerFn
 
 
 def _power_table(p, lo=-8, hi=8, n=300):
     x = np.logspace(lo, hi, n)
     return MonotoneTable.from_values(x, x**p)
+
+
+def _tent_field(n):
+    """Pyramid max(0, 1 - max(|x - 1/2|, |y - 1/2|) / 0.3) on the unit square."""
+    f = GridField2D.unit_square(n)
+    X, Y = np.meshgrid(f.axis(), f.axis(), indexing="ij")
+    f.values = np.maximum(0.0, 1.0 - np.maximum(np.abs(X - 0.5), np.abs(Y - 0.5)) / 0.3)
+    return f
+
+
+@pytest.fixture()
+def tent65():
+    return _tent_field(65)
 
 
 def test_H_linear_profile():
@@ -89,10 +97,13 @@ def test_classification_needs_wide_table():
         classify_growth(_power_table(1.5, lo=-2, hi=2))
 
 
-def test_luxemburg_matches_lp():
-    f = tent_field(65)
+def test_luxemburg_matches_lp(tent65):
+    # |xi|^p on (u, 0) is the scalar modular of |u|^p: the Luxemburg norm
+    # is the L^p norm
+    f = tent65
+    zero = np.zeros_like(f.values)
     for p in (1.5, 2.0, 3.0):
-        lux = luxemburg_norm_scalar(f.values, PowerFn(p), f.cell_area)
+        lux = luxemburg_norm_vector(f.values, zero, radial_power_fn(p), f.cell_area)
         lp = (np.sum(np.abs(f.values) ** p) * f.cell_area) ** (1.0 / p)
         assert lux == pytest.approx(lp, rel=1e-7)
     gx, gy = forward_gradient(f.values, f.h)
@@ -102,58 +113,26 @@ def test_luxemburg_matches_lp():
 
 
 def test_luxemburg_zero_and_scaling():
-    f = tent_field(33)
-    assert luxemburg_norm_scalar(np.zeros((33, 33)), PowerFn(2), f.cell_area) == 0.0
-    base = luxemburg_norm_scalar(f.values, PowerFn(2), f.cell_area)
-    scaled = luxemburg_norm_scalar(3.0 * f.values, PowerFn(2), f.cell_area)
+    f = _tent_field(33)
+    gx, gy = forward_gradient(f.values, f.h)
+    phi = radial_power_fn(2.0)
+    zero = np.zeros_like(gx)
+    assert luxemburg_norm_vector(zero, zero, phi, f.cell_area) == 0.0
+    base = luxemburg_norm_vector(gx, gy, phi, f.cell_area)
+    scaled = luxemburg_norm_vector(3.0 * gx, 3.0 * gy, phi, f.cell_area)
     assert scaled == pytest.approx(3.0 * base, rel=1e-7)
 
 
 def test_luxemburg_triangle_inequality(rng):
     area = (1.0 / 32) ** 2
-    fn = PowerFn(1.5)
-    for _ in range(25):
-        u = rng.normal(size=(33, 33))
-        v = rng.normal(size=(33, 33))
-        nu = luxemburg_norm_scalar(u, fn, area)
-        nv = luxemburg_norm_scalar(v, fn, area)
-        nuv = luxemburg_norm_scalar(u + v, fn, area)
-        assert nuv <= (nu + nv) * (1.0 + 1e-6)
-
-
-def test_poincare_certificate_quadratic():
-    corpus = standard_corpus(65)
-    rep = poincare_sobolev_check(quadratic_fn(), PowerFn(2, 0.5), corpus)
-    assert np.isfinite(rep["kappa_poincare"]) and rep["kappa_poincare"] > 0.0
-    assert rep["kappa_sobolev"] is None
-    # the certificate is the binding field's largest feasible constant
-    for row in rep["rows"]:
-        assert row["kappa_poincare"] >= rep["kappa_poincare"]
-
-
-def test_poincare_zero_field_harmless():
-    corpus = standard_corpus(33)
-    z = GridField2D.unit_square(33)
-    rep = poincare_sobolev_check(quadratic_fn(), PowerFn(2, 0.5), corpus + [z])
-    assert np.isfinite(rep["kappa_poincare"])
-
-
-def test_poincare_stability_under_refinement():
-    k = []
-    for n in (65, 129, 257):
-        rep = poincare_sobolev_check(quadratic_fn(), PowerFn(2, 0.5), standard_corpus(n))
-        k.append(rep["kappa_poincare"])
-    mid = k[1]
-    assert all(abs(v - mid) <= 0.2 * mid for v in k)
-
-
-def test_sobolev_constant_for_slow_growth():
-    prof = build_profile(_power_table(1.5))
-    corpus = standard_corpus(65)
     phi = radial_power_fn(1.5)
-    rep = poincare_sobolev_check(phi, PowerFn(1.5), corpus, phin=prof.phin)
-    assert rep["kappa_sobolev"] is not None
-    assert np.isfinite(rep["kappa_sobolev"]) and rep["kappa_sobolev"] > 0.0
+    for _ in range(25):
+        u = rng.normal(size=(2, 33, 33))
+        v = rng.normal(size=(2, 33, 33))
+        nu = luxemburg_norm_vector(*u, phi, area)
+        nv = luxemburg_norm_vector(*v, phi, area)
+        nuv = luxemburg_norm_vector(*(u + v), phi, area)
+        assert nuv <= (nu + nv) * (1.0 + 1e-6)
 
 
 def test_modular_vector_power_sum():
@@ -163,9 +142,8 @@ def test_modular_vector_power_sum():
     assert out == pytest.approx(16 * (4.0 + 1.0) * 0.25, rel=1e-12)
 
 
-def test_luxemburg_gradient_of_tent():
-    f = tent_field(65)
-    v = luxemburg_norm_gradient(f, quadratic_fn())
+def test_luxemburg_gradient_of_tent(tent65):
+    v = luxemburg_norm_gradient(tent65, quadratic_fn())
     assert v > 0.0 and np.isfinite(v)
 
 
