@@ -140,13 +140,17 @@ def criterion_conjugation(quick=False, seed=DEFAULT_SEED):
     for name, phi in (("quadratic", quadratic_fn()), ("power_sum_2_4", power_sum_fn(2, 4))):
         spec = GridSpec2D.square(4.0, n)
         err = involution_error(phi, spec)
-        star = conjugate2d(phi, spec)
+        # maximizers reach the dual box corner, so the primal box is set
+        # twice as wide at the same spacing; xi drawn from its nodes is a
+        # point the discrete maximum ran over, so the slack is rounding only
+        primal = GridSpec2D.square(8.0, 2 * n - 1)
+        star = conjugate2d(phi, spec, primal_spec=primal)
         k = min(10_000, n * n)
         ii = rng.integers(0, n, k)
         jj = rng.integers(0, n, k)
-        pi = rng.integers(0, n, k)
-        pj = rng.integers(0, n, k)
-        xi = np.stack([spec.x[pi], spec.x[pj]], axis=-1)
+        pi = rng.integers(0, primal.n, k)
+        pj = rng.integers(0, primal.n, k)
+        xi = np.stack([primal.x[pi], primal.x[pj]], axis=-1)
         slack = verify_young_inequality(phi, star, xi, (ii, jj))
         X, Y = np.meshgrid(spec.x, spec.y, indexing="ij")
         scale = float(np.max(phi.value(X, Y)))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import RangeError, logaddexp_many
-from .young1d import PowerExpFn, PowerFn, PowerLogBaseFn, doubling_indices, is_doubling
+from .young1d import PowerExpFn, PowerFn, PowerLogBaseFn, is_doubling
 
 __all__ = [
     "AnisoFn2D",
@@ -50,7 +50,6 @@ __all__ = [
 ]
 
 
-GROWTH_LOG_RANGE = (-12.0, 12.0)  # log t range of the growth indices
 INVOLUTION_INTERIOR = 0.5  # involution_error compares on this fraction of the box
 
 
@@ -115,15 +114,6 @@ class AnisoFn2D:
     def is_doubling(self):
         return all(is_doubling(fn) for _, _, fn in self.terms)
 
-    def growth_indices(self):
-        """Smallest lower and largest upper index of the terms over
-        ``GROWTH_LOG_RANGE``."""
-        lo, hi = np.inf, -np.inf
-        for _, _, fn in self.terms:
-            i, s = doubling_indices(fn, *GROWTH_LOG_RANGE)
-            lo, hi = min(lo, i), max(hi, s)
-        return lo, hi
-
 
 class RadialFn2D:
     """Phi(xi) = psi(|xi|) for a 1-D Young function psi."""
@@ -159,9 +149,6 @@ class RadialFn2D:
 
     def is_doubling(self):
         return is_doubling(self.fn)
-
-    def growth_indices(self):
-        return doubling_indices(self.fn, *GROWTH_LOG_RANGE)
 
 
 # -- built-ins ---------------------------------------------------------------

@@ -5,20 +5,25 @@ energy, built here once by :func:`minimize_grid_energy`:
 
     F[u] = sum_cells (Phi(grad u) + G . grad u) h^2 + sum_nodes psi(u) h^2
 
-under a caller-given projection.  A capacity has no flux G and, in full
+with nodes held fixed at their start values.  Every solve descends in
+one metric, the inverse 5-point Laplacian on the free nodes (a DST-I
+along each axis), so for growth p >= 2 the iteration counts stay nearly
+flat as the grid is refined.  A capacity has no flux G and, in full
 mode, psi(u) = phicirc(kappa |u|); it is taken over grid fields with
 u = 1 on the marked set, u = 0 on the outer constraint (the box edge for
 the whole-plane capacity, the complement of Omega for the relative one),
-and 0 <= u <= 1.  Clamping at 1 never increases the energy, so the box
-projection loses nothing against the test classes that merely exceed 1
-on the set.  An empty set has capacity zero without a solve.
+and 0 <= u <= 1 (the ``box`` constraint).  Clamping at 1 never increases
+the energy, so the box projection loses nothing against the test classes
+that merely exceed 1 on the set.  An empty set has capacity zero without
+a solve.
 
 Solves warm-start from related minimizers wherever the classical
 structure makes the answer comparable: the union/intersection solves
 start from the pointwise max/min of the pair's minimizers, which turns
 strong subadditivity into a property the descent preserves instead of a
 numerical coincidence.  Point capacities and the diffuse/singular split
-share one refinement ladder of nested grids, warm-started rung to rung.
+share one refinement ladder of nested grids: the coarsest rung starts
+cold, each finer one from the upsampled minimizer below it.
 """
 
 from __future__ import annotations
@@ -46,11 +51,9 @@ __all__ = [
 ]
 
 
-# the point-capacity ladder: box side, zero-order weight kappa, and the
-# radius (in cells of the coarsest grid) of its warm start's inner disk
+# the point-capacity ladder: box side and zero-order weight kappa
 LADDER_SIDE = 1.0
 LADDER_KAPPA = 1.0
-R0_CELLS = 1.0
 
 
 class NonDoublingError(ValueError):
@@ -81,46 +84,64 @@ def square_mask(n, x_lo, x_hi, y_lo, y_hi, side=1.0):
     return (X >= x_lo) & (X <= x_hi) & (Y >= y_lo) & (Y <= y_hi)
 
 
-def secant_preconditioner(phi, h):
-    """Diagonal curvature proxy from the secant slope |A(grad u)| / |grad u|.
+def _dst1(v):
+    """DST-I along the last axis, from the FFT of the odd extension."""
+    z = np.zeros(v.shape[:-1] + (1,))
+    odd = np.concatenate([z, v, z, -v[..., ::-1]], axis=-1)
+    return -0.5 * np.fft.rfft(odd, axis=-1).imag[..., 1 : v.shape[-1] + 1]
 
-    Power growth below 2 has curvature blowing up where the gradient
-    vanishes; damping those nodes keeps the descent steps useful on the
-    rest of the grid.
+
+def _poisson_inverse(fixed):
+    """The descent metric v -> Z L^-1 Z v on an n x n grid.
+
+    L is the 5-point stencil (4, -1) on the interior nodes with a zero
+    box edge, inverted by a DST-I along each axis; Z zeroes the ``fixed``
+    nodes, which must include the edge.  The map is symmetric positive
+    definite on the free nodes, so -P g stays a descent direction.
     """
+    m = fixed.shape[0] - 2
+    lam = 4.0 * np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1)) ** 2
+    # the DST-I is its own inverse up to the factor 2 / (m + 1) per axis
+    weight = (2.0 / (m + 1)) ** 2 / (lam[:, None] + lam[None, :])
 
-    def precond(u):
-        gx, gy = forward_gradient(u, h)
-        ax, ay = phi.grad(gx, gy)
-        mag = np.maximum(np.abs(gx), np.abs(gy))
-        floor = 1e-8 * max(float(np.max(mag)), 1.0)
-        w = np.maximum(np.abs(ax), np.abs(ay)) / np.maximum(mag, floor)
-        wpos = w[w > 0.0]
-        base = float(np.mean(wpos)) if wpos.size else 1.0
-        n = u.shape[0]
-        d = np.zeros((n, n))
-        d[:-1, :-1] += w
-        d[1:, :-1] += w
-        d[:-1, 1:] += w
-        return np.maximum(d, 0.05 * base)
+    def dst2(a):
+        return _dst1(_dst1(a).T).T
 
-    return precond
+    def apply(v):
+        out = np.zeros_like(v)
+        out[1:-1, 1:-1] = dst2(weight * dst2(np.where(fixed, 0.0, v)[1:-1, 1:-1]))
+        out[fixed] = 0.0
+        return out
+
+    return apply
 
 
-def minimize_grid_energy(phi, u0, project, h, psi=None, flux=None, rel_tol=1e-8, max_iter=60_000):
+def minimize_grid_energy(
+    phi, u0, fixed, h, psi=None, flux=None, box=False, rel_tol=1e-8, max_iter=60_000
+):
     """Minimize sum_cells (Phi(grad u) + G . grad u) h^2 + sum_nodes psi(u) h^2.
 
-    ``psi`` is a pair of nodewise callables (value, derivative) or None,
-    ``flux`` a pair of cell arrays (Gx, Gy) or None, and ``project`` the
-    feasible set's projection.  Rejects non-doubling ``phi`` with
-    :class:`NonDoublingError` and returns the descent result.  Growth
-    below quadratic flattens the curvature at zero gradient, so those
-    energies get the secant preconditioner's diagonal damping; the others
-    run plain BB steps.
+    ``psi`` is a pair of nodewise callables (value, derivative) or None
+    and ``flux`` a pair of cell arrays (Gx, Gy) or None.  The boolean node
+    mask ``fixed`` holds its nodes at their ``u0`` values and must cover
+    the box edge; ``box`` confines the other nodes to 0 <= u <= 1.  The
+    descent runs in the metric of :func:`_poisson_inverse`.  Rejects
+    non-doubling ``phi`` with :class:`NonDoublingError` and returns the
+    descent result.
     """
     if not phi.is_doubling():
         raise NonDoublingError("the grid-energy solve requires doubling growth")
+    fixed = np.asarray(fixed, dtype=bool)
+    if not (fixed[[0, -1]].all() and fixed[:, [0, -1]].all()):
+        raise ValueError("the fixed nodes must cover the box edge")
+    held = np.asarray(u0, dtype=float)[fixed]
     area = h * h
+
+    def project(u):
+        if box:
+            u = np.clip(u, 0.0, 1.0)
+        u[fixed] = held
+        return u
 
     def energy(u):
         gx, gy = forward_gradient(u, h)
@@ -148,7 +169,7 @@ def minimize_grid_energy(phi, u0, project, h, psi=None, flux=None, rel_tol=1e-8,
         u0,
         rel_tol=rel_tol,
         max_iter=max_iter,
-        precond=secant_preconditioner(phi, h) if phi.growth_indices()[0] < 1.99 else None,
+        precond=_poisson_inverse(fixed),
     )
 
 
@@ -165,16 +186,12 @@ def _solve_condenser(
             lambda u: phicirc.value(kappa * np.abs(u)),
             lambda u: kappa * np.sign(u) * phicirc.derivative(kappa * np.abs(u)),
         )
-
-    def project(u):
-        u = np.clip(u, 0.0, 1.0)
-        u[one_mask] = 1.0
-        u[zero_mask] = 0.0
-        return u
-
-    if u0 is None:
-        u0 = np.where(one_mask, 1.0, 0.0)
-    res = minimize_grid_energy(phi, u0, project, h, psi=psi, rel_tol=rel_tol, max_iter=max_iter)
+    u0 = np.zeros((n, n)) if u0 is None else np.array(u0, dtype=float)
+    u0[one_mask] = 1.0
+    u0[zero_mask] = 0.0
+    res = minimize_grid_energy(
+        phi, u0, one_mask | zero_mask, h, psi=psi, box=True, rel_tol=rel_tol, max_iter=max_iter
+    )
     return CapacityResult(
         value=res.objective,
         minimizer=GridField2D(res.u, h),
@@ -265,25 +282,6 @@ def capacity_property_suite(phi, phicirc, kappa, pairs, n, rel_tol_check=1e-3, *
     return {"ok": ok, "rows": rows}
 
 
-def radial_condenser_profile(n, p, centre):
-    """Continuum minimizer shape of the p-condenser (disk of ``R0_CELLS``
-    cells, disk of radius ``LADDER_SIDE`` / 2) around ``centre``, on the
-    ladder's box and clipped to [0, 1]: the warm start that spares the
-    descent the long radial transient."""
-    ax = np.linspace(0.0, LADDER_SIDE, n)
-    X, Y = np.meshgrid(ax, ax, indexing="ij")
-    cx, cy = centre
-    h = LADDER_SIDE / (n - 1)
-    r = np.hypot(X - cx, Y - cy)
-    r0, big_r = R0_CELLS * h, LADDER_SIDE / 2.0
-    if abs(p - 2.0) < 1e-9:
-        prof = np.log(big_r / np.maximum(r, r0)) / np.log(big_r / r0)
-    else:
-        b = (p - 2.0) / (p - 1.0)
-        prof = (big_r**b - np.maximum(r, r0) ** b) / (big_r**b - r0**b)
-    return np.clip(prof, 0.0, 1.0)
-
-
 def upsample_nested(values):
     """Bilinear upsample from n to 2n-1 nodes (nested refinement grids)."""
     n = values.shape[0]
@@ -304,18 +302,16 @@ def _cell_capacity_ladder(p, x, y, n_values):
 
     The node is snapped to the coarsest grid (kept off the edge) and
     followed as (2i, 2j) down the grids, so every rung marks the same
-    point.  The first rung starts from the radial condenser profile
-    around it, each later one from the upsampled minimizer below it.
+    point.  The first rung starts cold, each later one from the
+    upsampled minimizer below it.
     """
     if any(m != 2 * n - 1 for n, m in zip(n_values, n_values[1:])):
         raise ValueError(f"grid sizes {tuple(n_values)} are not nested (each next n is 2n - 1)")
     phi, phicirc = radial_power_fn(p), PowerFn(p)
     n = n_values[0]
-    h = LADDER_SIDE / (n - 1)
     i = min(max(int(round(x / LADDER_SIDE * (n - 1))), 1), n - 2)
     j = min(max(int(round(y / LADDER_SIDE * (n - 1))), 1), n - 2)
-    u0 = radial_condenser_profile(n, p, (i * h, j * h))
-    values = []
+    u0, values = None, []
     for n in n_values:
         k_mask = np.zeros((n, n), dtype=bool)
         k_mask[i, j] = True

@@ -41,7 +41,7 @@ from .numerics import (
     expand_bracket_increasing,
     logsubexp,
 )
-from .young1d import Piece, PiecewiseYoungFn1D, PowerFn, PowerLogFn
+from .young1d import Piece, PiecewiseYoungFn1D, PowerFn, PowerLogFn, _field
 
 __all__ = [
     "ConstructionError",
@@ -134,28 +134,28 @@ class TripleBuild:
 
     @classmethod
     def from_json_dict(cls, data):
-        """Inverse of :meth:`to_json_dict`.  Malformed input (not three
-        functions, a schedule that does not match ``cycles``, an index out
-        of range or out of order) raises ValueError naming the field."""
-        if len(data["phi"]) != 3:
-            raise ValueError(f"phi: a triple has 3 functions, not {len(data['phi'])}")
-        phi = tuple(PiecewiseYoungFn1D.from_json_dict(d) for d in data["phi"])
-        schedule = [
-            CycleRecord(
-                k=r["k"],
-                logt=r["logt"],
-                logtau=r["logtau"],
-                logh=r["logh"],
-                logs=r["logs"],
-                logt_next=r["logt_next"],
-                heavy_index=r["heavy_index"],
-                permutation=tuple(r["permutation"]),
-                log_margin=r.get("log_margin", np.nan),
-            )
-            for r in data["schedule"]
-        ]
-        if len(schedule) != data["cycles"]:
-            raise ValueError(f"cycles: {data['cycles']!r}, but the schedule has {len(schedule)} records")
+        """Inverse of :meth:`to_json_dict`.  Malformed input (a missing
+        field, not three functions, a schedule that does not match
+        ``cycles``, an index out of range or out of order) raises
+        ValueError naming the field."""
+        phi_data = _field(data, "phi")
+        if len(phi_data) != 3:
+            raise ValueError(f"phi: a triple has 3 functions, not {len(phi_data)}")
+        phi = []
+        for i, d in enumerate(phi_data):
+            try:
+                phi.append(PiecewiseYoungFn1D.from_json_dict(d))
+            except ValueError as exc:
+                raise ValueError(f"phi[{i}].{exc}") from None
+        records = ("k", "logt", "logtau", "logh", "logs", "logt_next", "heavy_index", "permutation")
+        schedule = []
+        for i, r in enumerate(_field(data, "schedule")):
+            rec = {key: _field(r, key, f"schedule[{i}].") for key in records}
+            rec["permutation"] = tuple(rec["permutation"])
+            schedule.append(CycleRecord(**rec, log_margin=r.get("log_margin", np.nan)))
+        cycles = _field(data, "cycles")
+        if len(schedule) != cycles:
+            raise ValueError(f"cycles: {cycles!r}, but the schedule has {len(schedule)} records")
         for i, r in enumerate(schedule):
             if r.k != i:
                 raise ValueError(f"schedule[{i}].k: {r.k!r}, expected {i}")
@@ -169,10 +169,10 @@ class TripleBuild:
         if violation is not None:
             raise ValueError(violation)
         build = cls(
-            p=data["p"],
-            alpha=data["alpha"],
-            cycles=data["cycles"],
-            phi=phi,
+            p=_field(data, "p"),
+            alpha=_field(data, "alpha"),
+            cycles=cycles,
+            phi=tuple(phi),
             schedule=schedule,
         )
         build.lower = PowerFn(build.p)

@@ -7,10 +7,12 @@ constraints after every trial step, and a stopping rule on the relative
 objective decrease over a trailing window.  Nonsmooth kinks are handled
 by the subgradient selection built into the energy's gradient callback.
 
-Energies with degenerate curvature (power growth below 2 flattens out at
-zero gradient) accept a diagonal preconditioner callback; the direction
-becomes g / D, which is still a descent direction for positive D, and
-the step proposal is the BB quotient in the D-metric.
+A fixed linear metric P (symmetric positive definite on the variables
+the projection leaves free) may replace the identity: the direction is
+P g, still a descent direction, and the step proposal is the BB quotient
+<s, y> / <y, P y> in that metric.  The grid energies descend in the
+inverse 5-point Laplacian (:mod:`anisolab.capacity`), which keeps their
+iteration counts nearly flat under refinement for growth p >= 2.
 
 Every result says why the descent stopped: ``rel_decrease`` (the window
 rule), ``stationary`` (a projected trial step brings no first-order
@@ -30,7 +32,6 @@ __all__ = ["DescentResult", "IterationCapError", "minimize_projected"]
 
 ARMIJO = 1e-4
 MAX_BACKTRACKS = 60
-PRECOND_EVERY = 25  # accepted steps between preconditioner refreshes
 
 
 class IterationCapError(RuntimeError):
@@ -62,18 +63,17 @@ def minimize_projected(
     """Minimize a convex energy over the projected feasible set.
 
     ``project`` must be idempotent and is applied to the start point and
-    every trial point.  ``precond``, when given, maps the current iterate
-    to a positive node array D; it is refreshed every ``PRECOND_EVERY``
-    accepted steps.  Convergence is declared when the objective drops by
-    less than ``rel_tol`` (relative) over ``window`` iterations; running
-    past ``max_iter`` raises :class:`IterationCapError` with the partial
-    result attached.
+    every trial point.  ``precond``, when given, is the fixed linear map
+    v -> P v of the descent metric; None means the identity.  Convergence
+    is declared when the objective drops by less than ``rel_tol``
+    (relative) over ``window`` iterations; running past ``max_iter``
+    raises :class:`IterationCapError` with the partial result attached.
     """
+    metric = precond if precond is not None else (lambda v: v)
     u = project(np.array(u0, dtype=float, copy=True))
     e = energy(u)
     g = gradient(u)
-    diag = precond(u) if precond is not None else None
-    direction = g / diag if diag is not None else g
+    direction = metric(g)
     step = 1.0 / max(float(np.sqrt(np.vdot(direction, direction).real)), 1.0)
     history = [e]
     for it in range(1, max_iter + 1):
@@ -94,17 +94,14 @@ def minimize_projected(
         y = g_cand - g
         sy = float(np.vdot(s, y).real)
         if sy > 0.0:
-            metric = diag if diag is not None else 1.0
-            step = float(np.vdot(s, metric * s).real) / sy
+            step = sy / float(np.vdot(y, metric(y)).real)
         else:
             step = alpha * 2.0
         # cap growth relative to the accepted step: unbounded BB proposals on
         # degenerate energies would burn the whole backtracking budget
         step = float(np.clip(step, 1e-14, max(1e6 * alpha, 1e-14)))
         u, e, g = cand, e_cand, g_cand
-        if precond is not None and it % PRECOND_EVERY == 0:
-            diag = precond(u)
-        direction = g / diag if diag is not None else g
+        direction = metric(g)
         history.append(e)
         if len(history) > window:
             prev = history[-window - 1]

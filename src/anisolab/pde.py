@@ -4,9 +4,9 @@ The operator is the variational one, A = grad Phi, so each approximate
 problem -div A(grad u) = h_s with zero boundary is the Euler-Lagrange
 equation of a convex energy.  :func:`solve_weak` minimizes it through
 the grid-energy solve the capacities use
-(:func:`anisolab.capacity.minimize_grid_energy`, with psi(u) = -f u and
-an optional flux G), so it shares their doubling check, preconditioner
-choice and descent engine.
+(:func:`anisolab.capacity.minimize_grid_energy`, with psi(u) = -f u,
+an optional flux G and the box edge as the only fixed nodes), so it
+shares their doubling check, Poisson metric and descent engine.
 A measure is atoms plus a density, optionally with an explicit
 (f, G) decomposition whose action f - div G is discretely exact against
 the forward-difference pairing.
@@ -181,15 +181,13 @@ def solve_weak(phi, f_field, flux=None, rel_tol=1e-9, u0=None):
     ``phi`` raises :class:`anisolab.capacity.NonDoublingError`.
     """
     f_vals = f_field.values
-
-    def project(u):
-        u[0, :] = u[-1, :] = u[:, 0] = u[:, -1] = 0.0
-        return u
-
+    edge = np.ones(f_vals.shape, dtype=bool)
+    edge[1:-1, 1:-1] = False
+    start = np.zeros_like(f_vals) if u0 is None else np.where(edge, 0.0, u0)
     res = minimize_grid_energy(
         phi,
-        np.zeros_like(f_vals) if u0 is None else u0,
-        project,
+        start,
+        edge,
         f_field.h,
         psi=(lambda u: -f_vals * u, lambda u: -f_vals),
         flux=flux,

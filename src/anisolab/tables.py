@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from .young1d import _derivative_from_log, _value_from_log
+from .young1d import _derivative_from_log, _field, _value_from_log
 
 __all__ = ["MonotoneTable"]
 
@@ -88,7 +88,7 @@ class MonotoneTable:
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls.from_values(data["s"], data["t"])
+        return cls.from_values(_field(data, "s"), _field(data, "t"))
 
     @classmethod
     def load(cls, path):

@@ -249,6 +249,15 @@ class _LinearSegment:
         return _scalarize(np.full_like(np.asarray(logt, dtype=float), self.log_slope))
 
 
+def _field(data, key, path=""):
+    """``data[key]`` from a parsed JSON object; a missing key raises
+    ValueError naming it after the ``path`` prefix (``"schedule[1]."``)."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"{path}{key}: missing") from None
+
+
 # kind -> (log-domain form, its parameter names): Piece builds its form from
 # this table and PiecewiseYoungFn1D.from_json_dict reads parameters by name
 _PIECE_FORMS = {
@@ -386,13 +395,17 @@ class PiecewiseYoungFn1D:
 
     @classmethod
     def from_json_dict(cls, data):
+        """Inverse of :meth:`to_json_dict`; a missing field raises
+        ValueError naming its path (``pieces[3].anchor_logf: missing``)."""
         pieces, breaks = [], []
-        for i, pd in enumerate(data["pieces"]):
+        for i, pd in enumerate(_field(data, "pieces")):
+            at = f"pieces[{i}]."
+            kind = _field(pd, "kind", at)
             # Piece rejects an unknown kind
-            _, names = _PIECE_FORMS.get(pd["kind"], (None, ()))
-            pieces.append(Piece(pd["kind"], {n: float(pd[n]) for n in names if n in pd}))
+            _, names = _PIECE_FORMS.get(kind, (None, ()))
+            pieces.append(Piece(kind, {n: float(_field(pd, n, at)) for n in names}))
             if i > 0:
-                breaks.append(pd["from_logt"])
+                breaks.append(_field(pd, "from_logt", at))
         return cls(pieces, breaks, trace=data.get("trace"))
 
 

@@ -21,6 +21,52 @@ PHI = quadratic_fn(1.0)  # |xi|^2
 PC = PowerFn(2.0)
 
 
+def _five_point(m):
+    """Dense 5-point stencil (4, -1) on an m x m block with a zero edge."""
+    t = 2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
+    return np.kron(t, np.eye(m)) + np.kron(np.eye(m), t)
+
+
+def test_poisson_metric_inverts_the_stencil(rng):
+    n = 14
+    v = rng.normal(size=(n, n))
+    edge = capacity._boundary_mask(n)
+    lap = _five_point(n - 2)
+    for fixed in (edge, edge | (rng.random((n, n)) < 0.3)):
+        out = capacity._poisson_inverse(fixed)(v)
+        assert np.all(out[fixed] == 0.0)
+        # Z L^-1 Z v: the stencil gives back v on the free nodes before the
+        # fixed ones are zeroed
+        free_v = np.where(fixed, 0.0, v)[1:-1, 1:-1].ravel()
+        ref = np.linalg.solve(lap, free_v).reshape(n - 2, n - 2)
+        assert np.allclose(out[1:-1, 1:-1], np.where(fixed[1:-1, 1:-1], 0.0, ref), rtol=0, atol=1e-12)
+    # with only the edge fixed, the stencil applied to the output is v itself
+    out = capacity._poisson_inverse(edge)(v)
+    back = (lap @ out[1:-1, 1:-1].ravel()).reshape(n - 2, n - 2)
+    assert np.max(np.abs(back - v[1:-1, 1:-1])) <= 1e-12 * np.max(np.abs(v))
+
+
+def test_grid_energy_needs_the_box_edge_fixed():
+    n = 9
+    fixed = np.zeros((n, n), dtype=bool)
+    fixed[0, :] = fixed[:, 0] = True
+    with pytest.raises(ValueError, match="edge"):
+        capacity.minimize_grid_energy(PHI, np.zeros((n, n)), fixed, 0.125)
+
+
+def test_point_capacity_iterations_do_not_grow_with_the_grid():
+    # cold p = 3 solves on a single centre node: the Poisson metric keeps
+    # the iteration count flat under refinement
+    iterations = []
+    for n in (33, 129):
+        k = np.zeros((n, n), dtype=bool)
+        k[n // 2, n // 2] = True
+        omega = ~capacity._boundary_mask(n)
+        res = relative_capacity(radial_power_fn(3.0), PowerFn(3.0), 1.0, k, omega, n)
+        iterations.append(res.iterations)
+    assert iterations[1] <= 2 * iterations[0], iterations
+
+
 def test_empty_set_zero():
     n = 33
     empty = np.zeros((n, n), dtype=bool)

@@ -71,6 +71,13 @@ def test_table_rejects_entries_without_finite_logs(tmp_path):
     assert not (tmp_path / "tab.csv").exists()
 
 
+def test_table_names_a_missing_field(tmp_path):
+    (tmp_path / "bad.json").write_text(json.dumps({"s": [1.0, 2.0, 3.0]}))
+    r = run_cli(["table", "--table", "bad.json", "--out", "tab.csv"], tmp_path)
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: t: missing")
+
+
 def test_sublevel_bounds_csv(tmp_path):
     run_cli(["construct", "--cycles", "4", "--out", "triple.json"], tmp_path)
     r = run_cli(

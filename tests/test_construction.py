@@ -203,6 +203,12 @@ MALFORMED_TRIPLES = {
         "schedule[0].permutation",
     ),
     "two_functions": (lambda data: data["phi"].pop(), "phi"),
+    "record_without_logs": (lambda data: data["schedule"][1].pop("logs"), "schedule[1].logs"),
+    "linear_piece_without_anchor": (
+        lambda data: data["phi"][0]["pieces"][3].pop("anchor_logf"),
+        "phi[0].pieces[3].anchor_logf",
+    ),
+    "no_cycles": (lambda data: data.pop("cycles"), "cycles"),
 }
 
 

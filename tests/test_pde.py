@@ -173,6 +173,20 @@ def test_poisson_center_value():
     assert np.max(np.abs(res)) <= 1e-3
 
 
+def test_torsion_matches_the_dense_five_point_solve():
+    # quadratic growth: the Poisson metric is the exact inverse Hessian, so
+    # the descent ends at the discrete minimizer, not near it
+    n = 33
+    f = _unit_source(n)
+    u = solve_weak(quadratic_fn(), f)
+    m = n - 2
+    t = 2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
+    lap = (np.kron(t, np.eye(m)) + np.kron(np.eye(m), t)) / f.h**2
+    ref = np.linalg.solve(lap, np.ones(m * m)).reshape(m, m)
+    err = np.max(np.abs(u.values[1:-1, 1:-1] - ref)) / np.max(ref)
+    assert err <= 1e-12, err
+
+
 def test_truncation_never_raises_gradient_energy():
     n = 65
     u = solve_weak(quadratic_fn(), _unit_source(n))

@@ -1,6 +1,7 @@
 """The package's public surface: every exported name resolves, and every
-public top-level function or class is used by the program itself (the
-package, its CLI or the benchmark), not only by tests."""
+public top-level function or class, and every public method of a public
+class, is used by the program itself (the package, its CLI or the
+benchmark), not only by tests."""
 
 import ast
 import importlib
@@ -22,6 +23,19 @@ ALLOWED_UNUSED = {
     "euler_lagrange_residual",
 }
 
+# Public methods no program code calls, each kept on purpose.
+ALLOWED_UNUSED_METHODS = {
+    # reads the grid files `to_binary` writes (the CLI's `--field` output),
+    # with the malformed-file checks every reader keeps
+    "GridField2D.from_binary",
+    # the pairing sum(mu phi) h^2 and its (f, G) form: together they check
+    # that a measure's explicit decomposition is discretely exact
+    "DiscreteMeasure.action",
+    "DiscreteMeasure.decomposition_action",
+    # convexity of a tabulated Young function (phi_circ, phi_n) on its nodes
+    "MonotoneTable.convex_on_nodes",
+}
+
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_resolves(name):
@@ -30,8 +44,10 @@ def test_every_exported_name_resolves(name):
     assert not missing, missing
 
 
-def _references(tree, skip):
-    """Names and attribute names used in ``tree`` outside the nodes in ``skip``."""
+def _references(tree, skip, strings=False):
+    """Names and attribute names used in ``tree`` outside the nodes in
+    ``skip``; with ``strings``, also every string constant (methods called
+    by name, as ``getattr(obj, "log_value")``)."""
     found = set()
     stack = [tree]
     while stack:
@@ -44,6 +60,8 @@ def _references(tree, skip):
             found.add(node.attr)
         elif isinstance(node, ast.alias):
             found.add(node.name.rsplit(".", 1)[-1])
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
         stack.extend(ast.iter_child_nodes(node))
     return found
 
@@ -65,4 +83,26 @@ def test_every_public_definition_is_used_by_the_program():
         )
         if not used and node.name not in ALLOWED_UNUSED:
             unused.append(f"{f.name}:{node.lineno} {node.name}")
+    assert not unused, unused
+
+
+def test_every_public_method_is_used_by_the_program():
+    trees = {f: ast.parse(f.read_text(encoding="utf-8")) for f in PROGRAM_FILES}
+    methods = [
+        (f, cls, node)
+        for f in PROGRAM_FILES
+        if f.parent == PACKAGE
+        for cls in trees[f].body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    everywhere = {f: _references(tree, set(), strings=True) for f, tree in trees.items()}
+    unused = []
+    for f, cls, node in methods:
+        used = node.name in _references(trees[f], {node}, strings=True) or any(
+            node.name in refs for g, refs in everywhere.items() if g != f
+        )
+        if not used and f"{cls.name}.{node.name}" not in ALLOWED_UNUSED_METHODS:
+            unused.append(f"{f.name}:{node.lineno} {cls.name}.{node.name}")
     assert not unused, unused

@@ -183,6 +183,11 @@ def test_monotone_table_json_roundtrip(tmp_path):
     assert p.read_bytes() == p2.read_bytes()
 
 
+def test_monotone_table_json_names_a_missing_field():
+    with pytest.raises(ValueError, match=r"^t: missing"):
+        MonotoneTable.from_json_dict({"s": [1.0, 2.0, 3.0]})
+
+
 @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
 def test_monotone_table_rejects_entries_without_finite_logs(bad, tmp_path):
     # a negative x used to load as log x = nan and interpolate silently
