@@ -9,11 +9,13 @@ for smoke runs; the full settings are the acceptance configuration.
 
 from __future__ import annotations
 
+import json
 import time
 
 import numpy as np
 
 from .aniso2d import (
+    AnisoFn2D,
     GridSpec2D,
     conjugate2d,
     constructed_triple_fn,
@@ -37,6 +39,7 @@ from .capacity import (
 from .comparability import (
     axis_decomposition_test,
     canonical_shear,
+    composed_forms,
     default_probe_family,
     essential_anisotropy_probe,
     power_sum_envelope_check,
@@ -197,13 +200,8 @@ def criterion_probe(quick=False, seed=DEFAULT_SEED):
     probe = essential_anisotropy_probe(triple, mats)
     # Trudinger straightens under the canonical shear
     tr = trudinger_fn()
-    shear = canonical_shear().as_array()
-    from .aniso2d import AnisoFn2D
-
-    terms = []
-    for dx, dy, fn in tr.terms:
-        f = shear.T @ np.array([dx, dy])
-        terms.append((f[0], f[1], fn))
+    forms = composed_forms(tr, canonical_shear().as_array()[None])[0]
+    terms = [(fx, fy, fn) for (fx, fy), (_, _, fn) in zip(forms, tr.terms)]
     tr_sheared = axis_decomposition_test(AnisoFn2D(terms, name="trudinger@shear"))
     ps_identity = axis_decomposition_test(power_sum_fn(2, 3))
     env = power_sum_envelope_check(1, 2, 3, n_samples=20_000 if quick else 100_000, seed=seed)
@@ -373,7 +371,6 @@ def criterion_pde(quick=False, seed=DEFAULT_SEED):
 @_timed
 def criterion_determinism(seed=DEFAULT_SEED):
     """Two runs of the seeded deterministic core must serialize identically."""
-    import json
 
     def run_once():
         build = build_triple(2.0, 1.0, 6)

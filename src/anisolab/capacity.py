@@ -3,13 +3,13 @@
 Capacities and the weak solves of :mod:`anisolab.pde` minimize one grid
 energy, built here once by :func:`minimize_grid_energy`:
 
-    F[u] = sum_cells (Phi(grad u) + G . grad u) h^2 + sum_nodes psi(u) h^2
+    F[u] = sum_cells Phi(grad u) h^2 + sum_nodes psi(u) h^2
 
 with nodes held fixed at their start values.  Every solve descends in
 one metric, the inverse 5-point Laplacian on the free nodes (a DST-I
 along each axis), so for growth p >= 2 the iteration counts stay nearly
-flat as the grid is refined.  A capacity has no flux G and, in full
-mode, psi(u) = phicirc(kappa |u|); it is taken over grid fields with
+flat as the grid is refined.  A capacity has, in full mode,
+psi(u) = phicirc(kappa |u|); it is taken over grid fields with
 u = 1 on the marked set, u = 0 on the outer constraint (the box edge for
 the whole-plane capacity, the complement of Omega for the relative one),
 and 0 <= u <= 1 (the ``box`` constraint).  Clamping at 1 never increases
@@ -116,18 +116,15 @@ def _poisson_inverse(fixed):
     return apply
 
 
-def minimize_grid_energy(
-    phi, u0, fixed, h, psi=None, flux=None, box=False, rel_tol=1e-8, max_iter=60_000
-):
-    """Minimize sum_cells (Phi(grad u) + G . grad u) h^2 + sum_nodes psi(u) h^2.
+def minimize_grid_energy(phi, u0, fixed, h, psi=None, box=False, rel_tol=1e-8, max_iter=60_000):
+    """Minimize sum_cells Phi(grad u) h^2 + sum_nodes psi(u) h^2.
 
-    ``psi`` is a pair of nodewise callables (value, derivative) or None
-    and ``flux`` a pair of cell arrays (Gx, Gy) or None.  The boolean node
-    mask ``fixed`` holds its nodes at their ``u0`` values and must cover
-    the box edge; ``box`` confines the other nodes to 0 <= u <= 1.  The
-    descent runs in the metric of :func:`_poisson_inverse`.  Rejects
-    non-doubling ``phi`` with :class:`NonDoublingError` and returns the
-    descent result.
+    ``psi`` is a pair of nodewise callables (value, derivative) or None.
+    The boolean node mask ``fixed`` holds its nodes at their ``u0``
+    values and must cover the box edge; ``box`` confines the other nodes
+    to 0 <= u <= 1.  The descent runs in the metric of
+    :func:`_poisson_inverse`.  Rejects non-doubling ``phi`` with
+    :class:`NonDoublingError` and returns the descent result.
     """
     if not phi.is_doubling():
         raise NonDoublingError("the grid-energy solve requires doubling growth")
@@ -148,16 +145,11 @@ def minimize_grid_energy(
         e = float(np.sum(phi.value(gx, gy)))
         if psi is not None:
             e += float(np.sum(psi[0](u)))
-        if flux is not None:
-            e += float(np.sum(flux[0] * gx + flux[1] * gy))
         return e * area
 
     def grad(u):
         gx, gy = forward_gradient(u, h)
-        ax, ay = phi.grad(gx, gy)
-        if flux is not None:
-            ax, ay = ax + flux[0], ay + flux[1]
-        g = -divergence_of(ax, ay, h, u.shape[0])
+        g = -divergence_of(*phi.grad(gx, gy), h, u.shape[0])
         if psi is not None:
             g = g + psi[1](u)
         return g * area
@@ -295,22 +287,31 @@ def upsample_nested(values):
     return out
 
 
+def _ladder_node(x, y, n):
+    """Interior node (i, j) of the n-node ladder grid nearest to (x, y);
+    ValueError names a point that snaps to the edge or beyond it."""
+    i = int(round(x / LADDER_SIDE * (n - 1)))
+    j = int(round(y / LADDER_SIDE * (n - 1)))
+    if not (1 <= i <= n - 2 and 1 <= j <= n - 2):
+        raise ValueError(
+            f"point ({x}, {y}) is not inside the open box of side {LADDER_SIDE} on the {n}-node grid"
+        )
+    return i, j
+
+
 def _cell_capacity_ladder(p, x, y, n_values):
     """Full-mode capacity (kappa = ``LADDER_KAPPA``) of the one-node set at
     (x, y) relative to the open box of side ``LADDER_SIDE``, for |xi|^p
     growth, on each of the nested grids ``n_values``.
 
-    The node is snapped to the coarsest grid (kept off the edge) and
-    followed as (2i, 2j) down the grids, so every rung marks the same
-    point.  The first rung starts cold, each later one from the
-    upsampled minimizer below it.
+    The node is snapped to the coarsest grid and followed as (2i, 2j)
+    down the grids, so every rung marks the same point.  The first rung
+    starts cold, each later one from the upsampled minimizer below it.
     """
     if any(m != 2 * n - 1 for n, m in zip(n_values, n_values[1:])):
         raise ValueError(f"grid sizes {tuple(n_values)} are not nested (each next n is 2n - 1)")
+    i, j = _ladder_node(x, y, n_values[0])
     phi, phicirc = radial_power_fn(p), PowerFn(p)
-    n = n_values[0]
-    i = min(max(int(round(x / LADDER_SIDE * (n - 1))), 1), n - 2)
-    j = min(max(int(round(y / LADDER_SIDE * (n - 1))), 1), n - 2)
     u0, values = None, []
     for n in n_values:
         k_mask = np.zeros((n, n), dtype=bool)
@@ -355,6 +356,8 @@ def diffuse_singular_split(measure, p, n_values=(33, 65, 129)):
     collapsing trend means the atom charges a capacity-null point and goes
     to the singular part.  The density always belongs to the diffuse part.
     """
+    for x, y, _ in measure.atoms:
+        _ladder_node(x, y, n_values[0])  # every atom is checked before the first solve
     diffuse_atoms, singular_atoms, details = [], [], []
     for atom in measure.atoms:
         x, y, _ = atom

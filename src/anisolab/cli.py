@@ -57,12 +57,13 @@ def _write_csv(path, header, rows):
 
 
 def parse_phi(spec):
-    """Parse a 2-D function spec: a triple.json path or a builtin tag.
+    """Parse a 2-D function spec: a path ending in .json (a saved triple)
+    or a builtin tag.
 
     Builtins: quadratic, introexp, powersum:p1,p2, trudinger[:a,b,d,c],
     radial:p.
     """
-    if spec.endswith(".json") and os.path.exists(spec):
+    if spec.endswith(".json"):
         return constructed_triple_fn(TripleBuild.load(spec))
     tag, _, args = spec.partition(":")
     vals = [float(v) for v in args.split(",")] if args else []

@@ -19,6 +19,7 @@ definite per-map verdict possible at a finite cycle count.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
@@ -26,6 +27,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .aniso2d import AnisoFn2D
 from .numerics import logaddexp_many
 
 __all__ = [
@@ -37,18 +39,19 @@ __all__ = [
     "axis_decomposition_test",
     "default_probe_family",
     "canonical_shear",
+    "composed_forms",
     "essential_anisotropy_probe",
     "power_sum_envelope_check",
 ]
 
 DEFAULT_D_GRID = np.exp(np.linspace(-20.0, 20.0, 41) * np.log(2.0))
+DROP_MIN = 1.0  # the least per-decade trend drop (nats) that refutes a domination
 LOG_C_MIN = -20.0 * np.log(2.0)
 LOG_C_MAX = 20.0 * np.log(2.0)
 # axis_decomposition_test's generic cloud: the log10 range of the ray
-# radii, samples per decade, and the least trend drop (nats) that refutes
+# radii and samples per decade
 AXIS_DECADES = (-6.0, 8.0)
 AXIS_PER_DECADE = 3
-AXIS_DROP_MIN = 1.0
 # cycle-witness refutation: the least total gap drop (nats) that counts
 # as divergence, and the margin (nats) kept from each zone's ends
 WITNESS_DROP_MIN = 0.5
@@ -83,7 +86,7 @@ class DominationVerdict:
     witnesses: list = field(default_factory=list)  # per-d failure records
 
 
-def _trend_diverges(mins, drop_min, tail=3):
+def _trend_diverges(mins, tail=3):
     """True if the per-bucket minima run away at either end of the scan."""
     mins = np.asarray(mins, dtype=float)
     mins = mins[np.isfinite(mins)]
@@ -97,7 +100,7 @@ def _trend_diverges(mins, drop_min, tail=3):
     else:
         return False
     strictly = bool(np.all(np.diff(seq) < 0.0))
-    return strictly and (float(np.max(mins) - mins[-1 if k else 0]) >= drop_min)
+    return strictly and (float(np.max(mins) - mins[-1 if k else 0]) >= DROP_MIN)
 
 
 def _decade_minima(log_samples, gaps, per_decade=np.log(10.0)):
@@ -108,26 +111,25 @@ def _decade_minima(log_samples, gaps, per_decade=np.log(10.0)):
     return mins
 
 
-def dominates(F, G, log_samples, d_grid=None, drop_min=1.0):
+def dominates(F, G, log_samples):
     """Does F dominate G (c G(d x) <= F(x)) on the sampled log-argument grid?
 
     ``F``/``G`` expose ``log_value``, which may return one row of values
     per ray of a 2-D cloud, shape (rows, n); a trend diverging along any
     row refutes the domination.  Samples must be ordered and span a wide
-    range (a dozen decades is the working default).  Returns a verdict
-    with certificate constants, or witness trends per tested d.
+    range (a dozen decades is the working default).  The scalings d run
+    over ``DEFAULT_D_GRID``.  Returns a verdict with certificate
+    constants, or witness trends per tested d.
     """
-    if d_grid is None:
-        d_grid = DEFAULT_D_GRID
     log_samples = np.asarray(log_samples, dtype=float)
     logF = F.log_value(log_samples)
     best = None
     witnesses = []
-    for d in d_grid:
+    for d in DEFAULT_D_GRID:
         gaps = logF - G.log_value(log_samples + np.log(d))
         mins = _decade_minima(log_samples, gaps)
         min_gap = float(np.min(gaps))
-        diverging = any(_trend_diverges(row, drop_min) for row in np.atleast_2d(mins))
+        diverging = any(_trend_diverges(row) for row in np.atleast_2d(mins))
         feasible = min_gap >= LOG_C_MIN
         if not diverging and feasible:
             # prefer the certificate with scaling closest to 1
@@ -151,9 +153,9 @@ def dominates(F, G, log_samples, d_grid=None, drop_min=1.0):
     return DominationVerdict(dominates=False, witnesses=witnesses)
 
 
-def equivalent(F, G, log_samples, d_grid=None, drop_min=1.0):
-    fwd = dominates(F, G, log_samples, d_grid, drop_min)
-    bwd = dominates(G, F, log_samples, d_grid, drop_min)
+def equivalent(F, G, log_samples):
+    fwd = dominates(F, G, log_samples)
+    bwd = dominates(G, F, log_samples)
     return {"equivalent": fwd.dominates and bwd.dominates, "forward": fwd, "backward": bwd}
 
 
@@ -161,7 +163,7 @@ def equivalent(F, G, log_samples, d_grid=None, drop_min=1.0):
 # 2-D clouds
 
 
-def equivalent_on_rays(log_f, log_g, dirs, log_r, d_grid=None, drop_min=1.0):
+def equivalent_on_rays(log_f, log_g, dirs, log_r):
     """Two-sided domination of 2-D functions F, G on the rays r u, u in dirs.
 
     ``log_f(ux, uy, log_r)`` is log F(r u), broadcast over its arguments
@@ -171,7 +173,7 @@ def equivalent_on_rays(log_f, log_g, dirs, log_r, d_grid=None, drop_min=1.0):
     ux, uy = np.asarray(dirs, dtype=float).T[:, :, None]
     F = SimpleNamespace(log_value=partial(log_f, ux, uy))
     G = SimpleNamespace(log_value=partial(log_g, ux, uy))
-    return equivalent(F, G, log_r, d_grid, drop_min)
+    return equivalent(F, G, log_r)
 
 
 def _standard_directions(phi):
@@ -212,7 +214,7 @@ def axis_decomposition_test(phi):
                 phi.log_value_dir(ux, 0.0 * uy, lr), phi.log_value_dir(0.0 * ux, uy, lr)
             )
 
-    rep = equivalent_on_rays(phi.log_value_dir, axis_sum, dirs, logr, DEFAULT_D_GRID, AXIS_DROP_MIN)
+    rep = equivalent_on_rays(phi.log_value_dir, axis_sum, dirs, logr)
     return {"method": "cloud", **rep}
 
 
@@ -344,29 +346,31 @@ def composed_forms(phi, mats):
 
 
 def _worker_count():
-    import os
-
     try:
         return max(1, int(os.environ.get("ANISOLAB_THREADS", "1")))
     except ValueError:
         return 1
 
 
-def essential_anisotropy_probe(phi, mats, n_workers=None):
+def essential_anisotropy_probe(phi, mats):
     """Axis-decomposition verdicts for Phi o T over the maps ``mats``
     (an (M, 2, 2) array, such as :func:`default_probe_family` gives).
 
     For the constructed triple the batched cycle-witness path scans the
     maps in chunks of ``PROBE_CHUNK``; for other functions each map goes
-    through the generic cloud test.  Chunks are independent;
-    ANISOLAB_THREADS (or ``n_workers``) caps the pool, and the reduction
-    is indexed, so scheduling cannot change the result.
+    through the generic cloud test; ``phi`` must be a sum of directional
+    terms (a ``terms`` list).  Chunks are independent; ANISOLAB_THREADS
+    caps the pool, and the reduction is indexed, so scheduling cannot
+    change the result.
     """
-    log_d = np.log(DEFAULT_D_GRID)
-    if n_workers is None:
-        n_workers = _worker_count()
+    if not hasattr(phi, "terms"):
+        raise ValueError(
+            f"the probe needs a sum of directional terms; {type(phi).__name__} has none"
+        )
+    forms = composed_forms(phi, mats)
     if hasattr(phi, "build"):
-        forms = composed_forms(phi, mats)
+        log_d = np.log(DEFAULT_D_GRID)
+        n_workers = _worker_count()
         fails = np.zeros(len(mats), dtype=bool)
         drops = np.zeros(len(mats))
         spans = [(a, min(a + PROBE_CHUNK, len(mats))) for a in range(0, len(mats), PROBE_CHUNK)]
@@ -376,6 +380,8 @@ def essential_anisotropy_probe(phi, mats, n_workers=None):
             return span, _triple_axis_fails(phi.build, forms[a:b], log_d)
 
         if n_workers > 1 and len(spans) > 1:
+            # imported here: concurrent.futures also loads logging, start-up
+            # work that the one-worker default never needs
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=n_workers) as pool:
@@ -393,16 +399,13 @@ def essential_anisotropy_probe(phi, mats, n_workers=None):
             "fails": fails,
             "worst_drops": drops,
         }
-    results = []
-    from .aniso2d import AnisoFn2D
-
-    for mat in mats:
-        terms = []
-        for dx, dy, fn in phi.terms:
-            f = mat.T @ np.array([dx, dy])
-            terms.append((f[0], f[1], fn))
-        composed = AnisoFn2D(terms, name=phi.name + "@T")
-        results.append(axis_decomposition_test(composed))
+    fns = [fn for _, _, fn in phi.terms]
+    results = [
+        axis_decomposition_test(
+            AnisoFn2D([(fx, fy, fn) for (fx, fy), fn in zip(f, fns)], name=phi.name + "@T")
+        )
+        for f in forms
+    ]
     return {
         "method": "cloud",
         "n_maps": len(mats),

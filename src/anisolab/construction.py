@@ -241,7 +241,7 @@ def schedule_order_violation(schedule):
     return None
 
 
-def tangent_point(logt_k, p, alpha, rtol=1e-12):
+def tangent_point(logt_k, p, alpha):
     """Tangency point h and the tangent-line piece launched from (t_k, lo(t_k)).
 
     Solves hi(h) - hi'(h) (h - t_k) = lo(t_k) for h > t_k, a strictly
@@ -269,7 +269,7 @@ def tangent_point(logt_k, p, alpha, rtol=1e-12):
 
     try:
         lo, hi = expand_bracket_increasing(gap, logt_k + 1e-9, step=0.5)
-        logh = bisect_increasing(gap, lo, hi, rtol=rtol)
+        logh = bisect_increasing(gap, lo, hi)
     except BracketError as exc:
         raise ConstructionError(f"tangent bracket not found: {exc}") from exc
     line = Piece.linear(
@@ -280,7 +280,7 @@ def tangent_point(logt_k, p, alpha, rtol=1e-12):
     return logh, line
 
 
-def _line_meets_lower(line, p, logh, rtol=1e-12):
+def _line_meets_lower(line, p, logh):
     """First s > h with line(s) = lo(s); the line sits above lo on (t_k, s)."""
     lower = PowerFn(p)
 
@@ -289,7 +289,7 @@ def _line_meets_lower(line, p, logh, rtol=1e-12):
 
     try:
         lo, hi = expand_bracket_increasing(gap, logh + 1e-9, step=0.5)
-        return bisect_increasing(gap, lo, hi, rtol=rtol)
+        return bisect_increasing(gap, lo, hi)
     except BracketError as exc:
         raise ConstructionError(
             f"descent line never re-meets the lower curve (p == 1?): {exc}"
@@ -369,7 +369,7 @@ def build_triple(p, alpha, cycles):
         append_piece(r3, logh, line)
         append_piece(r3, logs, Piece.power(p))
         # role1 stays on the lower curve: no new pieces
-        margin = certificate_margin(upper, lower, lower, k, logt_next, p)
+        margin = certificate_margin(upper, lower, lower, k, logt_next)
         schedule.append(
             CycleRecord(
                 k=k,
@@ -403,7 +403,7 @@ def build_triple(p, alpha, cycles):
 # certificates
 
 
-def certificate_margin(heavy_fn, light_a, light_b, k, logt_next, p=None):
+def certificate_margin(heavy_fn, light_a, light_b, k, logt_next):
     """Log margin of  heavy(t_{k+1}) >= k [light_a + light_b](k t_{k+1}).
 
     The lights are evaluated as the cycle leaves them: on the lower curve,

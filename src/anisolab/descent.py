@@ -4,8 +4,9 @@ One engine serves every minimization in the package: monotone descent
 with Barzilai-Borwein step proposals safeguarded by Armijo backtracking
 (so the objective never increases), projection onto box/equality
 constraints after every trial step, and a stopping rule on the relative
-objective decrease over a trailing window.  Nonsmooth kinks are handled
-by the subgradient selection built into the energy's gradient callback.
+objective decrease over a trailing window of ``WINDOW`` iterations.
+Nonsmooth kinks are handled by the subgradient selection built into the
+energy's gradient callback.
 
 A fixed linear metric P (symmetric positive definite on the variables
 the projection leaves free) may replace the identity: the direction is
@@ -32,6 +33,7 @@ __all__ = ["DescentResult", "IterationCapError", "minimize_projected"]
 
 ARMIJO = 1e-4
 MAX_BACKTRACKS = 60
+WINDOW = 50  # iterations of the relative-decrease stopping rule
 
 
 class IterationCapError(RuntimeError):
@@ -56,7 +58,6 @@ def minimize_projected(
     project,
     u0,
     rel_tol=1e-8,
-    window=50,
     max_iter=100_000,
     precond=None,
 ):
@@ -66,7 +67,7 @@ def minimize_projected(
     every trial point.  ``precond``, when given, is the fixed linear map
     v -> P v of the descent metric; None means the identity.  Convergence
     is declared when the objective drops by less than ``rel_tol``
-    (relative) over ``window`` iterations; running past ``max_iter``
+    (relative) over ``WINDOW`` iterations; running past ``max_iter``
     raises :class:`IterationCapError` with the partial result attached.
     """
     metric = precond if precond is not None else (lambda v: v)
@@ -103,8 +104,8 @@ def minimize_projected(
         u, e, g = cand, e_cand, g_cand
         direction = metric(g)
         history.append(e)
-        if len(history) > window:
-            prev = history[-window - 1]
+        if len(history) > WINDOW:
+            prev = history[-WINDOW - 1]
             rel = (prev - e) / max(abs(e), 1e-300)
             if rel < rel_tol:
                 return DescentResult(u, e, it, True, float(rel), "rel_decrease")
@@ -113,8 +114,8 @@ def minimize_projected(
         objective=e,
         iterations=max_iter,
         converged=False,
-        rel_decrease=float((history[-window - 1] - e) / max(abs(e), 1e-300))
-        if len(history) > window
+        rel_decrease=float((history[-WINDOW - 1] - e) / max(abs(e), 1e-300))
+        if len(history) > WINDOW
         else np.inf,
         stop_reason="cap",
     )

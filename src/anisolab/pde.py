@@ -4,12 +4,13 @@ The operator is the variational one, A = grad Phi, so each approximate
 problem -div A(grad u) = h_s with zero boundary is the Euler-Lagrange
 equation of a convex energy.  :func:`solve_weak` minimizes it through
 the grid-energy solve the capacities use
-(:func:`anisolab.capacity.minimize_grid_energy`, with psi(u) = -f u,
-an optional flux G and the box edge as the only fixed nodes), so it
-shares their doubling check, Poisson metric and descent engine.
-A measure is atoms plus a density, optionally with an explicit
-(f, G) decomposition whose action f - div G is discretely exact against
-the forward-difference pairing.
+(:func:`anisolab.capacity.minimize_grid_energy`, with psi(u) = -f u and
+the box edge as the only fixed nodes), so it shares their doubling
+check, Poisson metric and descent engine.  A measure is atoms plus a
+density; data split as f - div G go in as the single node density
+``f - divergence_of(Gx, Gy, h, n)``, which gives the energy of the flux
+term -G . grad u exactly, since sum(G . grad u) = -sum(u div G) in the
+forward-difference pairing.
 
 The uniqueness experiment drives two approximation sequences, each a
 mollifier kernel at geometric scales, toward the same measure and
@@ -51,16 +52,10 @@ GAP_T, GAP_L = 0.05, 1.0  # t and l of the monotonicity-gap integral
 
 @dataclass
 class DiscreteMeasure:
-    """Atoms (x, y, weight) plus an optional density and (f, G) split.
-
-    ``flux`` is a pair of cell arrays (Gx, Gy) matched to the forward
-    gradient, so mu = f + div G holds exactly in the discrete pairing
-    sum(mu phi) = sum(f phi) - sum(G . grad phi).
-    """
+    """Atoms (x, y, weight) plus an optional density."""
 
     atoms: list = field(default_factory=list)
     density: GridField2D | None = None
-    flux: tuple | None = None
 
     def _atom_nodes(self, g):
         """(i, j, weight) per atom, binned to the nearest node of g; an atom
@@ -88,24 +83,6 @@ class DiscreteMeasure:
         if self.density is not None:
             tv += float(np.sum(np.abs(self.density.values))) * g.cell_area
         return tv
-
-    def action(self, test):
-        """sum(mu * phi) h^2 against a test GridField2D."""
-        vals = self.node_values(test)
-        return float(np.sum(vals * test.values)) * test.cell_area
-
-    def decomposition_action(self, test):
-        """sum(f phi) h^2 - sum(G . grad phi) h^2 from the explicit split."""
-        if self.flux is None:
-            raise ValueError("measure has no (f, G) decomposition")
-        f_vals = self.density.values if self.density is not None else 0.0
-        out = float(np.sum(f_vals * test.values)) * test.cell_area
-        gx, gy = forward_gradient(test.values, test.h)
-        out -= float(np.sum(self.flux[0] * gx + self.flux[1] * gy)) * test.cell_area
-        # atoms sit outside (f, G); add their direct action
-        for i, j, w in self._atom_nodes(test):
-            out += w * test.values[i, j]
-        return out
 
 
 def truncate(f, k):
@@ -173,8 +150,8 @@ def mollify_measure(measure, eps, kernel, base):
 # weak solves
 
 
-def solve_weak(phi, f_field, flux=None, rel_tol=1e-9, u0=None):
-    """Minimizer of sum(Phi(grad u) - f u + G . grad u) h^2, zero boundary.
+def solve_weak(phi, f_field, rel_tol=1e-9, u0=None):
+    """Minimizer of sum(Phi(grad u) - f u) h^2, zero boundary.
 
     Returns the minimizer as a field carrying the descent's
     ``iterations``, ``objective`` and ``stop_reason``; non-doubling
@@ -190,7 +167,6 @@ def solve_weak(phi, f_field, flux=None, rel_tol=1e-9, u0=None):
         edge,
         f_field.h,
         psi=(lambda u: -f_vals * u, lambda u: -f_vals),
-        flux=flux,
         rel_tol=rel_tol,
         max_iter=120_000,
     )
@@ -201,12 +177,10 @@ def solve_weak(phi, f_field, flux=None, rel_tol=1e-9, u0=None):
     return out
 
 
-def euler_lagrange_residual(phi, u, f_field, flux=None):
+def euler_lagrange_residual(phi, u, f_field):
     """Nodewise div A(grad u) + f on interior nodes (zero at the solution)."""
     gx, gy = forward_gradient(u.values, u.h)
     ax, ay = phi.grad(gx, gy)
-    if flux is not None:
-        ax, ay = ax + flux[0], ay + flux[1]
     r = divergence_of(ax, ay, u.h, u.n) + f_field.values
     return r[1:-1, 1:-1]
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .aniso2d import constructed_triple_fn
 from .numerics import RangeError, bisect_increasing_arrays
 from .tables import MonotoneTable
 from .young1d import inverse1d_log
@@ -35,9 +36,10 @@ __all__ = [
 ]
 
 LOG_PI = float(np.log(np.pi))
+RAY_RTOL = 1e-10  # relative bracket width at which ray_radii_log stops bisecting
 
 
-def ray_radii_log(phi, log_t, n_angles, rtol=1e-10):
+def ray_radii_log(phi, log_t, n_angles):
     """log rho(theta_i) with Phi(rho * omega) = t, per uniform angle.
 
     ``log_t`` is one level or a 1-D array of levels; an array gives one row
@@ -62,7 +64,7 @@ def ray_radii_log(phi, log_t, n_angles, rtol=1e-10):
         raise ValueError("ray not bracketed; Phi not coercive along some direction")
     if np.any(f(lo) > 0.0):
         raise ValueError("level too small to bracket above rho = exp(-700)")
-    logr = bisect_increasing_arrays(f, lo, hi, rtol=rtol)
+    logr = bisect_increasing_arrays(f, lo, hi, rtol=RAY_RTOL)
     return logr[0] if log_t.ndim == 0 else logr
 
 
@@ -130,8 +132,6 @@ def verify_levelset_bounds(build, t_list, n_angles=2048):
     Everything is compared in logs; the report records both bounds, the
     area, and the tightness ratios.
     """
-    from .aniso2d import constructed_triple_fn
-
     phi2d = constructed_triple_fn(build)
     hi = build.upper
     p = build.p
@@ -176,8 +176,6 @@ def _envelope_constant(build, log_t_grid, profile):
 def verify_growth_envelope(build, t_list, n_angles=2048):
     """Smallest C with  model_low/C <= A(t) <= C * model_up  over the list,
     plus the same fit on a doubled log-range for the stability check."""
-    from .aniso2d import constructed_triple_fn
-
     phi2d = constructed_triple_fn(build)
     log_t = np.log(np.asarray(t_list, dtype=float))
     prof = level_profile(phi2d, log_t, n_angles=n_angles)

@@ -50,6 +50,7 @@ H_MAX_DOUBLINGS = 4
 # slope within GROWTH_MARGIN of -1 is inconclusive
 TAIL_FRACTION = 0.3
 GROWTH_MARGIN = 0.05
+LUXEMBURG_RTOL = 1e-8  # relative bracket width of the Luxemburg-norm bisection
 
 
 class ClassificationError(RuntimeError):
@@ -169,7 +170,7 @@ def modular_vector(gx, gy, phi, cell_area):
     return float(np.sum(phi.value(gx, gy)) * cell_area)
 
 
-def _luxemburg(modular_of_lambda, scale_hint, rtol=1e-8):
+def _luxemburg(modular_of_lambda, scale_hint):
     """inf{lambda > 0 : modular(U / lambda) <= 1} by bisection."""
     lam = max(scale_hint, np.finfo(float).tiny)
     for _ in range(200):
@@ -186,7 +187,7 @@ def _luxemburg(modular_of_lambda, scale_hint, rtol=1e-8):
             lo = candidate
             break
         lo = candidate
-    while hi - lo > rtol * hi:
+    while hi - lo > LUXEMBURG_RTOL * hi:
         mid = 0.5 * (lo + hi)
         if modular_of_lambda(mid) <= 1.0:
             hi = mid
@@ -195,17 +196,15 @@ def _luxemburg(modular_of_lambda, scale_hint, rtol=1e-8):
     return float(hi)
 
 
-def luxemburg_norm_vector(gx, gy, phi, cell_area, rtol=1e-8):
+def luxemburg_norm_vector(gx, gy, phi, cell_area):
     gx = np.asarray(gx, dtype=float)
     gy = np.asarray(gy, dtype=float)
     amax = float(max(np.max(np.abs(gx), initial=0.0), np.max(np.abs(gy), initial=0.0)))
     if amax == 0.0:
         return 0.0
-    return _luxemburg(
-        lambda lam: modular_vector(gx / lam, gy / lam, phi, cell_area), amax, rtol=rtol
-    )
+    return _luxemburg(lambda lam: modular_vector(gx / lam, gy / lam, phi, cell_area), amax)
 
 
-def luxemburg_norm_gradient(field, phi, rtol=1e-8):
+def luxemburg_norm_gradient(field, phi):
     gx, gy = forward_gradient(field.values, field.h)
-    return luxemburg_norm_vector(gx, gy, phi, field.cell_area, rtol=rtol)
+    return luxemburg_norm_vector(gx, gy, phi, field.cell_area)

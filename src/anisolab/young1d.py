@@ -413,14 +413,14 @@ class PiecewiseYoungFn1D:
 # operations
 
 
-def inverse1d_log(f, logy, rtol=1e-12):
+def inverse1d_log(f, logy):
     """log t such that log f(t) = logy, by bisection in log t."""
 
     def g(logt):
         return f.log_value(logt) - logy
 
     lo, hi = expand_bracket_increasing(g, 0.0, step=4.0)
-    return bisect_increasing(g, lo, hi, rtol=rtol)
+    return bisect_increasing(g, lo, hi)
 
 
 @dataclass

@@ -238,6 +238,17 @@ def test_off_centre_atom_keeps_one_point(monkeypatch):
     assert {(x, y) for _, x, y in cells} == {(0.3125, 0.6875)}
 
 
+def test_ladder_rejects_points_outside_its_box(monkeypatch):
+    cells = _recorded_cells(monkeypatch)
+    inside = (0.5, 0.5, 1.0)
+    for x, y in ((-0.2, 0.5), (0.5, -0.2), (1.5, 0.5), (0.5, 1.5), (1.7, 0.5)):
+        # the point sits after a valid atom: nothing is solved before the check
+        mu = DiscreteMeasure(atoms=[inside, (x, y, 1.0)])
+        with pytest.raises(ValueError, match=rf"point \({x}, {y}\)"):
+            diffuse_singular_split(mu, 3.0, n_values=(17, 33))
+    assert cells == []
+
+
 def test_ladder_rejects_grids_that_are_not_nested(monkeypatch):
     cells = _recorded_cells(monkeypatch)
     with pytest.raises(ValueError):

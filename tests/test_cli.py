@@ -46,6 +46,18 @@ def test_unknown_phi_spec_fails(tmp_path):
     assert r.returncode != 0
 
 
+def test_missing_triple_file_is_named(tmp_path):
+    r = run_cli(["probe", "--phi", "missing.json", "--out", "p.csv"], tmp_path)
+    assert r.returncode == 1
+    assert "No such file or directory: 'missing.json'" in r.stderr
+
+
+def test_probe_of_a_function_without_terms_says_why(tmp_path):
+    r = run_cli(["probe", "--phi", "radial:2", "--out", "p.csv"], tmp_path)
+    assert r.returncode == 1
+    assert "the probe needs a sum of directional terms" in r.stderr
+
+
 def test_phicirc_and_sobconj(tmp_path):
     r = run_cli(
         ["phicirc", "--phi", "radial:1.5", "--t-lo", "1e-8", "--t-hi", "1e8",

@@ -1,6 +1,9 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
+from anisolab import comparability
 from anisolab.aniso2d import (
     AnisoFn2D,
     constructed_triple_fn,
@@ -123,8 +126,8 @@ def test_ray_rows_match_per_direction_loop():
 
 
 def test_constructed_light_sum_fails_to_dominate_leader(build6):
-    # witnesses live at the cycle breakpoints; a moderate d-grid keeps the
-    # finite construction's divergence budget decisive
+    # witnesses live at the cycle breakpoints; the finite construction's
+    # divergence budget stays decisive over the whole 41-point d-grid
     phi = build6.phi
     heavy_cycles = [r for r in build6.schedule if r.k >= 1]
     samples = np.sort(
@@ -136,12 +139,11 @@ def test_constructed_light_sum_fails_to_dominate_leader(build6):
             ]
         )
     )
-    d_grid = np.exp(np.linspace(-4, 4, 9) * np.log(2.0))
     # each stored index leads somewhere, so the sum of the other two cannot
     # dominate it; spot-check the index leading at the last cycle
     lead = build6.schedule[-1].heavy_index
     others = [i for i in range(3) if i != lead]
-    v = dominates(_Sum(phi[others[0]], phi[others[1]]), phi[lead], samples, d_grid=d_grid)
+    v = dominates(_Sum(phi[others[0]], phi[others[1]]), phi[lead], samples)
     assert not v.dominates
 
 
@@ -199,6 +201,28 @@ def test_probe_triple_small_family(build9):
     rep = essential_anisotropy_probe(phi, mats)
     assert rep["all_fail"]
     assert rep["n_failing"] == rep["n_maps"] == 24 * 5 * 5
+
+
+def test_probe_thread_pool_matches_serial(build9, monkeypatch):
+    # 8,820 maps: three chunks of PROBE_CHUNK, so two workers really split them
+    phi = constructed_triple_fn(build9)
+    mats, _ = default_probe_family(20, 21, 21)
+    assert len(mats) > 2 * comparability.PROBE_CHUNK
+    pools = []
+
+    class _Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _Pool)
+    reps = {}
+    for threads in ("2", "1"):
+        monkeypatch.setenv("ANISOLAB_THREADS", threads)
+        reps[threads] = essential_anisotropy_probe(phi, mats)
+    assert pools == [2]
+    assert reps["2"]["fails"].tobytes() == reps["1"]["fails"].tobytes()
+    assert reps["2"]["worst_drops"].tobytes() == reps["1"]["worst_drops"].tobytes()
 
 
 def test_probe_power_sum_identity_passes():

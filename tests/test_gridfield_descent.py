@@ -36,7 +36,6 @@ def test_descent_solves_quadratic(rng):
         lambda x: x,
         np.zeros(12),
         rel_tol=1e-14,
-        window=20,
     )
     assert res.converged
     assert res.stop_reason in ("rel_decrease", "stationary")
@@ -53,7 +52,6 @@ def test_descent_stops_on_relative_decrease():
         lambda x: x,
         np.zeros(20),
         rel_tol=1e-3,
-        window=5,
     )
     assert res.stop_reason == "rel_decrease"
     assert res.converged and 0.0 < res.rel_decrease < 1e-3
@@ -95,7 +93,7 @@ def test_descent_objective_monotone(rng):
         trace.append(energy(x))
         return A @ x
 
-    minimize_projected(energy, grad, lambda x: x, rng.normal(size=8), rel_tol=1e-12, window=10)
+    minimize_projected(energy, grad, lambda x: x, rng.normal(size=8), rel_tol=1e-12)
     # gradient is evaluated once per accepted iterate: objective nonincreasing
     assert np.all(np.diff(trace) <= 1e-12)
 
@@ -113,7 +111,6 @@ def test_descent_respects_projection(rng):
         project,
         np.zeros(3),
         rel_tol=1e-14,
-        window=10,
     )
     assert np.allclose(res.u, [1.0, 0.0, 0.5], atol=1e-6)
 
@@ -127,7 +124,6 @@ def test_descent_iteration_cap():
             lambda x: x,
             np.array([0.0]),
             rel_tol=1e-30,
-            window=5,
             max_iter=50,
         )
     assert info.value.result.iterations == 50

@@ -28,10 +28,6 @@ ALLOWED_UNUSED_METHODS = {
     # reads the grid files `to_binary` writes (the CLI's `--field` output),
     # with the malformed-file checks every reader keeps
     "GridField2D.from_binary",
-    # the pairing sum(mu phi) h^2 and its (f, G) form: together they check
-    # that a measure's explicit decomposition is discretely exact
-    "DiscreteMeasure.action",
-    "DiscreteMeasure.decomposition_action",
     # convexity of a tabulated Young function (phi_circ, phi_n) on its nodes
     "MonotoneTable.convex_on_nodes",
 }
