@@ -87,13 +87,24 @@ def test_mollify_density_smoothing():
 
 def test_atom_outside_grid_rejected():
     base = GridField2D.unit_square(17)
+    mu = DiscreteMeasure(atoms=[(1.5, 0.5, 1.0)])
+    with pytest.raises(ValueError):
+        mu.node_values(base)
+
+
+def test_decomposition_action_rejects_atoms_off_the_grid():
+    # the measure acts on a test function through its node density, atoms as w/h^2
+    n = 17
+    test = GridField2D.unit_square(n)
     for atom in ((-0.2, 0.5, 1.0), (0.5, -0.2, 1.0), (1.5, 0.5, 1.0), (0.5, 1.5, 1.0)):
         with pytest.raises(ValueError, match="outside the grid"):
-            DiscreteMeasure(atoms=[atom]).node_values(base)
-    vals = DiscreteMeasure(atoms=[(0.5, 0.5, 1.5)]).node_values(base)
-    expected = np.zeros((17, 17))
-    expected[8, 8] = 1.5 / base.h**2
+            DiscreteMeasure(atoms=[atom]).node_values(test)
+    vals = DiscreteMeasure(atoms=[(0.5, 0.5, 1.5)]).node_values(test)
+    expected = np.zeros((n, n))
+    expected[8, 8] = 1.5 / test.h**2
     assert np.array_equal(vals, expected)
+    test.values[:] = 2.0
+    assert np.sum(vals * test.values) * test.cell_area == 3.0
 
 
 def test_solve_weak_rejects_non_doubling():
