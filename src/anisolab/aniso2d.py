@@ -51,6 +51,8 @@ __all__ = [
 
 
 INVOLUTION_INTERIOR = 0.5  # involution_error compares on this fraction of the box
+MONOTONICITY_RTOL = 1e-12  # relative slack of check_monotonicity_property
+MAX_EXPAND = 4  # primal box doublings conjugate2d tries before BoxTooSmallError
 
 
 class BoxTooSmallError(RuntimeError):
@@ -217,7 +219,7 @@ def eval2d(phi, xi):
     return float(v)
 
 
-def check_monotonicity_property(phi, pairs, rtol=1e-12):
+def check_monotonicity_property(phi, pairs):
     """Pairs (xi, eta) with |xi_i| <= |eta_i| where Phi(xi) > Phi(eta).
 
     A componentwise-monotone function has no violations; returns the list
@@ -229,7 +231,7 @@ def check_monotonicity_property(phi, pairs, rtol=1e-12):
             raise ValueError(f"pair {xi}, {eta} not componentwise ordered")
         a = phi.value(xi[0], xi[1])
         b = phi.value(eta[0], eta[1])
-        if a > b * (1.0 + rtol):
+        if a > b * (1.0 + MONOTONICITY_RTOL):
             violations.append((tuple(xi), tuple(eta), float(a), float(b)))
     return violations
 
@@ -507,19 +509,19 @@ def conjugate_of_samples(primal, dual_spec):
     return SampledFn2D.from_spec(dual_spec, star), hit
 
 
-def conjugate2d(phi, dual_spec, primal_spec=None, max_expand=4):
+def conjugate2d(phi, dual_spec, primal_spec=None):
     """Young conjugate of phi sampled on the dual grid.
 
     Each attempt samples phi on the primal grid (non-finite values become
     +inf) and takes one exact discrete Legendre transform of the samples
     with :func:`conjugate_of_samples`, in O(n^2) time on n x n grids.  The
     primal box starts at ``primal_spec`` (default: the dual box) and
-    doubles while any maximizer touches its edge, up to ``max_expand``
+    doubles while any maximizer touches its edge, up to ``MAX_EXPAND``
     doublings; persistent boundary maximizers raise
     :class:`BoxTooSmallError`.
     """
     spec = primal_spec or GridSpec2D(dual_spec.extent_x, dual_spec.extent_y, dual_spec.n)
-    for _ in range(max_expand + 1):
+    for _ in range(MAX_EXPAND + 1):
         vals = phi.value(*np.meshgrid(spec.x, spec.y, indexing="ij"))
         vals = np.where(np.isfinite(vals), vals, np.inf)
         out, hit = conjugate_of_samples(
@@ -529,7 +531,7 @@ def conjugate2d(phi, dual_spec, primal_spec=None, max_expand=4):
             return out
         spec = GridSpec2D(2.0 * spec.extent_x, 2.0 * spec.extent_y, spec.n)
     raise BoxTooSmallError(
-        f"argmax still on the primal boundary after {max_expand} doublings"
+        f"argmax still on the primal boundary after {MAX_EXPAND} doublings"
     )
 
 

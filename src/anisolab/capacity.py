@@ -8,14 +8,15 @@ energy, built here once by :func:`minimize_grid_energy`:
 with nodes held fixed at their start values.  Every solve descends in
 one metric, the inverse 5-point Laplacian on the free nodes (a DST-I
 along each axis), so for growth p >= 2 the iteration counts stay nearly
-flat as the grid is refined.  A capacity has, in full mode,
-psi(u) = phicirc(kappa |u|); it is taken over grid fields with
-u = 1 on the marked set, u = 0 on the outer constraint (the box edge for
-the whole-plane capacity, the complement of Omega for the relative one),
-and 0 <= u <= 1 (the ``box`` constraint).  Clamping at 1 never increases
-the energy, so the box projection loses nothing against the test classes
-that merely exceed 1 on the set.  An empty set has capacity zero without
-a solve.
+flat as the grid is refined.  Every capacity is one
+:func:`relative_capacity` solve on the n x n grid over the unit box
+(h = 1/(n - 1)); the whole-plane capacity is the one with Omega the
+whole box.  A capacity has, in full mode, psi(u) = phicirc(kappa |u|);
+it is taken over grid fields with u = 1 on the marked set, u = 0 on the
+box edge and off Omega, and 0 <= u <= 1 (the ``box`` constraint).
+Clamping at 1 never increases the energy, so the box projection loses
+nothing against the test classes that merely exceed 1 on the set.  An
+empty set has capacity zero without a solve.
 
 Solves warm-start from related minimizers wherever the classical
 structure makes the answer comparable: the union/intersection solves
@@ -51,9 +52,7 @@ __all__ = [
 ]
 
 
-# the point-capacity ladder: box side and zero-order weight kappa
-LADDER_SIDE = 1.0
-LADDER_KAPPA = 1.0
+LADDER_KAPPA = 1.0  # zero-order weight of the point-capacity ladder
 
 
 class NonDoublingError(ValueError):
@@ -65,21 +64,19 @@ class CapacityResult:
     value: float
     minimizer: GridField2D
     iterations: int
-    rel_decrease: float
     mode: str
     n: int
-    side: float
     stop_reason: str
 
 
-def disk_mask(n, cx, cy, r, side=1.0):
-    ax = np.linspace(0.0, side, n)
+def disk_mask(n, cx, cy, r):
+    ax = np.linspace(0.0, 1.0, n)
     X, Y = np.meshgrid(ax, ax, indexing="ij")
     return (X - cx) ** 2 + (Y - cy) ** 2 <= r * r
 
 
-def square_mask(n, x_lo, x_hi, y_lo, y_hi, side=1.0):
-    ax = np.linspace(0.0, side, n)
+def square_mask(n, x_lo, x_hi, y_lo, y_hi):
+    ax = np.linspace(0.0, 1.0, n)
     X, Y = np.meshgrid(ax, ax, indexing="ij")
     return (X >= x_lo) & (X <= x_hi) & (Y >= y_lo) & (Y <= y_hi)
 
@@ -116,7 +113,7 @@ def _poisson_inverse(fixed):
     return apply
 
 
-def minimize_grid_energy(phi, u0, fixed, h, psi=None, box=False, rel_tol=1e-8, max_iter=60_000):
+def minimize_grid_energy(phi, u0, fixed, h, psi=None, box=False, rel_tol=1e-8):
     """Minimize sum_cells Phi(grad u) h^2 + sum_nodes psi(u) h^2.
 
     ``psi`` is a pair of nodewise callables (value, derivative) or None.
@@ -155,44 +152,7 @@ def minimize_grid_energy(phi, u0, fixed, h, psi=None, box=False, rel_tol=1e-8, m
         return g * area
 
     return minimize_projected(
-        energy,
-        grad,
-        project,
-        u0,
-        rel_tol=rel_tol,
-        max_iter=max_iter,
-        precond=_poisson_inverse(fixed),
-    )
-
-
-def _solve_condenser(
-    phi, phicirc, kappa, one_mask, zero_mask, n, side, mode, u0=None, rel_tol=1e-8, max_iter=60_000
-):
-    h = side / (n - 1)
-    if not one_mask.any():
-        # the zero field is feasible and has zero energy
-        return CapacityResult(0.0, GridField2D.zeros(n, h), 0, 0.0, mode, n, side, "stationary")
-    psi = None
-    if mode == "full":
-        psi = (
-            lambda u: phicirc.value(kappa * np.abs(u)),
-            lambda u: kappa * np.sign(u) * phicirc.derivative(kappa * np.abs(u)),
-        )
-    u0 = np.zeros((n, n)) if u0 is None else np.array(u0, dtype=float)
-    u0[one_mask] = 1.0
-    u0[zero_mask] = 0.0
-    res = minimize_grid_energy(
-        phi, u0, one_mask | zero_mask, h, psi=psi, box=True, rel_tol=rel_tol, max_iter=max_iter
-    )
-    return CapacityResult(
-        value=res.objective,
-        minimizer=GridField2D(res.u, h),
-        iterations=res.iterations,
-        rel_decrease=res.rel_decrease,
-        mode=mode,
-        n=n,
-        side=side,
-        stop_reason=res.stop_reason,
+        energy, grad, project, u0, rel_tol=rel_tol, precond=_poisson_inverse(fixed)
     )
 
 
@@ -202,22 +162,14 @@ def _boundary_mask(n):
     return m
 
 
-def sobolev_capacity(phi, phicirc, kappa, e_mask, n, side=1.0, u0=None, **kw):
-    """Whole-plane capacity of E, approximated on a finite box.
-
-    The infimum over the plane is approximated with zero values on the box
-    edge; callers probe box sensitivity by rerunning with a larger side.
-    An empty set has capacity zero by definition.
-    """
-    e_mask = np.asarray(e_mask, dtype=bool)
-    zero = _boundary_mask(n) & ~e_mask
-    return _solve_condenser(phi, phicirc, kappa, e_mask, zero, n, side, "full", u0=u0, **kw)
+def sobolev_capacity(phi, phicirc, kappa, e_mask, n, u0=None):
+    """Whole-plane capacity of E, approximated on the unit box with zero
+    values on its edge.  An empty set has capacity zero by definition."""
+    return relative_capacity(phi, phicirc, kappa, e_mask, np.ones((n, n), dtype=bool), n, u0=u0)
 
 
-def relative_capacity(
-    phi, phicirc, kappa, k_mask, omega_mask, n, side=1.0, mode="full", u0=None, **kw
-):
-    """Condenser capacity of K relative to Omega.
+def relative_capacity(phi, phicirc, kappa, k_mask, omega_mask, n, mode="full", u0=None):
+    """Condenser capacity of K relative to Omega on the n x n unit grid.
 
     ``mode="dirichlet-only"`` drops the zero-order term (validation mode:
     for |xi|^2 the annulus value has the classical closed form).
@@ -226,11 +178,32 @@ def relative_capacity(
     omega_mask = np.asarray(omega_mask, dtype=bool)
     if np.any(k_mask & ~omega_mask):
         raise ValueError("K must sit inside Omega")
-    zero = (~omega_mask) | (_boundary_mask(n) & ~k_mask)
-    return _solve_condenser(phi, phicirc, kappa, k_mask, zero, n, side, mode, u0=u0, **kw)
+    h = 1.0 / (n - 1)
+    if not k_mask.any():
+        # the zero field is feasible and has zero energy
+        return CapacityResult(0.0, GridField2D.zeros(n, h), 0, mode, n, "stationary")
+    zero_mask = (~omega_mask) | (_boundary_mask(n) & ~k_mask)
+    psi = None
+    if mode == "full":
+        psi = (
+            lambda u: phicirc.value(kappa * np.abs(u)),
+            lambda u: kappa * np.sign(u) * phicirc.derivative(kappa * np.abs(u)),
+        )
+    u0 = np.zeros((n, n)) if u0 is None else np.array(u0, dtype=float)
+    u0[k_mask] = 1.0
+    u0[zero_mask] = 0.0
+    res = minimize_grid_energy(phi, u0, k_mask | zero_mask, h, psi=psi, box=True)
+    return CapacityResult(
+        value=res.objective,
+        minimizer=GridField2D(res.u, h),
+        iterations=res.iterations,
+        mode=mode,
+        n=n,
+        stop_reason=res.stop_reason,
+    )
 
 
-def capacity_property_suite(phi, phicirc, kappa, pairs, n, rel_tol_check=1e-3, **kw):
+def capacity_property_suite(phi, phicirc, kappa, pairs, n, rel_tol_check=1e-3):
     """Monotonicity, strong subadditivity and finite subadditivity checks.
 
     ``pairs`` is a list of (mask_a, mask_b).  For each pair the suite
@@ -244,16 +217,13 @@ def capacity_property_suite(phi, phicirc, kappa, pairs, n, rel_tol_check=1e-3, *
     rows = []
 
     def solve(mask, u0):
-        return sobolev_capacity(phi, phicirc, kappa, mask, n, u0=u0, **kw)
+        return sobolev_capacity(phi, phicirc, kappa, mask, n, u0=u0)
 
     for idx, (ma, mb) in enumerate(pairs):
         ra, rb = solve(ma, None), solve(mb, None)
         union, inter = ma | mb, ma & mb
         ru = solve(union, np.maximum(ra.minimizer.values, rb.minimizer.values))
-        if inter.any():
-            ri = solve(inter, np.minimum(ra.minimizer.values, rb.minimizer.values))
-        else:
-            ri = solve(inter, None)
+        ri = solve(inter, np.minimum(ra.minimizer.values, rb.minimizer.values))
         tol = rel_tol_check * max(ra.value + rb.value, 1e-12)
         rows.append(
             {
@@ -287,39 +257,24 @@ def upsample_nested(values):
     return out
 
 
-def _ladder_node(x, y, n):
-    """Interior node (i, j) of the n-node ladder grid nearest to (x, y);
-    ValueError names a point that snaps to the edge or beyond it."""
-    i = int(round(x / LADDER_SIDE * (n - 1)))
-    j = int(round(y / LADDER_SIDE * (n - 1)))
-    if not (1 <= i <= n - 2 and 1 <= j <= n - 2):
-        raise ValueError(
-            f"point ({x}, {y}) is not inside the open box of side {LADDER_SIDE} on the {n}-node grid"
-        )
-    return i, j
-
-
-def _cell_capacity_ladder(p, x, y, n_values):
+def _cell_capacity_ladder(p, i, j, n_values):
     """Full-mode capacity (kappa = ``LADDER_KAPPA``) of the one-node set at
-    (x, y) relative to the open box of side ``LADDER_SIDE``, for |xi|^p
-    growth, on each of the nested grids ``n_values``.
+    node (i, j) of the coarsest grid relative to the open unit box, for
+    |xi|^p growth, on each of the nested grids ``n_values``.
 
-    The node is snapped to the coarsest grid and followed as (2i, 2j)
-    down the grids, so every rung marks the same point.  The first rung
-    starts cold, each later one from the upsampled minimizer below it.
+    The node is followed as (2i, 2j) down the grids, so every rung marks
+    the same point.  The first rung starts cold, each later one from the
+    upsampled minimizer below it.
     """
     if any(m != 2 * n - 1 for n, m in zip(n_values, n_values[1:])):
         raise ValueError(f"grid sizes {tuple(n_values)} are not nested (each next n is 2n - 1)")
-    i, j = _ladder_node(x, y, n_values[0])
     phi, phicirc = radial_power_fn(p), PowerFn(p)
     u0, values = None, []
     for n in n_values:
         k_mask = np.zeros((n, n), dtype=bool)
         k_mask[i, j] = True
         omega = ~_boundary_mask(n)
-        res = relative_capacity(
-            phi, phicirc, LADDER_KAPPA, k_mask, omega, n, side=LADDER_SIDE, u0=u0, max_iter=120_000
-        )
+        res = relative_capacity(phi, phicirc, LADDER_KAPPA, k_mask, omega, n, u0=u0)
         values.append(res.value)
         u0 = upsample_nested(res.minimizer.values)
         i, j = 2 * i, 2 * j
@@ -336,7 +291,7 @@ def point_capacity_scaling(p_values, n_values=(33, 65, 129, 257)):
     nested (each next n is 2n - 1); the cell is the middle one.
     """
     report = {}
-    mid = LADDER_SIDE / 2.0
+    mid = n_values[0] // 2
     for p in p_values:
         values = np.array(_cell_capacity_ladder(p, mid, mid, n_values))
         report[p] = {
@@ -356,12 +311,11 @@ def diffuse_singular_split(measure, p, n_values=(33, 65, 129)):
     collapsing trend means the atom charges a capacity-null point and goes
     to the singular part.  The density always belongs to the diffuse part.
     """
-    for x, y, _ in measure.atoms:
-        _ladder_node(x, y, n_values[0])  # every atom is checked before the first solve
+    # every atom is snapped, and checked, before the first solve
+    nodes = list(measure.atom_nodes(GridField2D.unit_square(n_values[0])))
     diffuse_atoms, singular_atoms, details = [], [], []
-    for atom in measure.atoms:
-        x, y, _ = atom
-        values = _cell_capacity_ladder(p, x, y, n_values)
+    for atom, (i, j, _) in zip(measure.atoms, nodes):
+        values = _cell_capacity_ladder(p, i, j, n_values)
         collapsing = values[-1] < 0.5 * values[0]
         (singular_atoms if collapsing else diffuse_atoms).append(atom)
         details.append({"atom": atom, "values": values, "null_supported": collapsing})

@@ -346,10 +346,12 @@ def composed_forms(phi, mats):
 
 
 def _worker_count():
-    try:
-        return max(1, int(os.environ.get("ANISOLAB_THREADS", "1")))
-    except ValueError:
-        return 1
+    """The probe's pool size from ANISOLAB_THREADS (unset: 1); anything
+    but a positive integer raises ValueError."""
+    raw = os.environ.get("ANISOLAB_THREADS", "1")
+    if not (raw.strip().isdecimal() and int(raw) >= 1):
+        raise ValueError(f"ANISOLAB_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def essential_anisotropy_probe(phi, mats):

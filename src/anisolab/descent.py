@@ -20,7 +20,8 @@ rule), ``stationary`` (a projected trial step brings no first-order
 decrease: at a constrained optimum, or once the step is below the
 rounding of u), ``linesearch_exhausted`` (every backtrack failed the Armijo
 test, so nothing is certified and ``converged`` is False) or ``cap`` (on
-the partial result that :class:`IterationCapError` carries).
+the partial result that :class:`IterationCapError` carries, once a solve
+runs past ``MAX_ITER`` iterations).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = ["DescentResult", "IterationCapError", "minimize_projected"]
 ARMIJO = 1e-4
 MAX_BACKTRACKS = 60
 WINDOW = 50  # iterations of the relative-decrease stopping rule
+MAX_ITER = 120_000  # iterations before IterationCapError; no solve comes near it
 
 
 class IterationCapError(RuntimeError):
@@ -52,22 +54,14 @@ class DescentResult:
     stop_reason: str
 
 
-def minimize_projected(
-    energy,
-    gradient,
-    project,
-    u0,
-    rel_tol=1e-8,
-    max_iter=100_000,
-    precond=None,
-):
+def minimize_projected(energy, gradient, project, u0, rel_tol=1e-8, precond=None):
     """Minimize a convex energy over the projected feasible set.
 
     ``project`` must be idempotent and is applied to the start point and
     every trial point.  ``precond``, when given, is the fixed linear map
     v -> P v of the descent metric; None means the identity.  Convergence
     is declared when the objective drops by less than ``rel_tol``
-    (relative) over ``WINDOW`` iterations; running past ``max_iter``
+    (relative) over ``WINDOW`` iterations; running past ``MAX_ITER``
     raises :class:`IterationCapError` with the partial result attached.
     """
     metric = precond if precond is not None else (lambda v: v)
@@ -77,7 +71,7 @@ def minimize_projected(
     direction = metric(g)
     step = 1.0 / max(float(np.sqrt(np.vdot(direction, direction).real)), 1.0)
     history = [e]
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         alpha = step
         for _ in range(MAX_BACKTRACKS):
             cand = project(u - alpha * direction)
@@ -112,11 +106,11 @@ def minimize_projected(
     result = DescentResult(
         u=u,
         objective=e,
-        iterations=max_iter,
+        iterations=MAX_ITER,
         converged=False,
         rel_decrease=float((history[-WINDOW - 1] - e) / max(abs(e), 1e-300))
         if len(history) > WINDOW
         else np.inf,
         stop_reason="cap",
     )
-    raise IterationCapError(f"no convergence within {max_iter} iterations", result)
+    raise IterationCapError(f"no convergence within {MAX_ITER} iterations", result)

@@ -57,21 +57,22 @@ class DiscreteMeasure:
     atoms: list = field(default_factory=list)
     density: GridField2D | None = None
 
-    def _atom_nodes(self, g):
-        """(i, j, weight) per atom, binned to the nearest node of g; an atom
-        off the grid raises ValueError."""
+    def atom_nodes(self, g):
+        """(i, j, weight) per atom, binned to the nearest node of g.  An atom
+        that bins to the edge of g or beyond it raises ValueError: the
+        zero-boundary problems hold u = 0 there, so they never see it."""
         for x, y, w in self.atoms:
             i = int(round((x - g.x0) / g.h))
             j = int(round((y - g.y0) / g.h))
-            if not (0 <= i < g.n and 0 <= j < g.n):
-                raise ValueError(f"atom at ({x}, {y}) outside the grid")
+            if not (1 <= i <= g.n - 2 and 1 <= j <= g.n - 2):
+                raise ValueError(f"atom at ({x}, {y}) is not inside the open box of the grid")
             yield i, j, w
 
     def node_values(self, g):
         """Node density on the grid of g: atoms binned to the nearest node
         plus the density."""
         vals = np.zeros_like(g.values)
-        for i, j, w in self._atom_nodes(g):
+        for i, j, w in self.atom_nodes(g):
             vals[i, j] += w / (g.h * g.h)
         if self.density is not None:
             vals = vals + self.density.values
@@ -112,11 +113,14 @@ def mollify_measure(measure, eps, kernel, base):
 
     Atoms become normalized kernel blobs (discrete mass exactly the atom
     weight; blobs clipped by the boundary are renormalized with a
-    warning), and the density is convolved with the same kernel: that is
-    what an approximation sequence of smooth data does.
+    warning; an atom that does not bin to an interior node of ``base``
+    raises ValueError, as in :meth:`DiscreteMeasure.atom_nodes`), and
+    the density is convolved with the same kernel: that is what an
+    approximation sequence of smooth data does.
     """
     if eps < 2.0 * base.h:
         raise ValueError("mollification scale must be at least two grid cells")
+    list(measure.atom_nodes(base))  # raises before any blob is built
     n, h = base.n, base.h
     ax = base.axis()
     X, Y = np.meshgrid(ax, ax, indexing="ij")
@@ -161,15 +165,8 @@ def solve_weak(phi, f_field, rel_tol=1e-9, u0=None):
     edge = np.ones(f_vals.shape, dtype=bool)
     edge[1:-1, 1:-1] = False
     start = np.zeros_like(f_vals) if u0 is None else np.where(edge, 0.0, u0)
-    res = minimize_grid_energy(
-        phi,
-        start,
-        edge,
-        f_field.h,
-        psi=(lambda u: -f_vals * u, lambda u: -f_vals),
-        rel_tol=rel_tol,
-        max_iter=120_000,
-    )
+    psi = (lambda u: -f_vals * u, lambda u: -f_vals)
+    res = minimize_grid_energy(phi, start, edge, f_field.h, psi=psi, rel_tol=rel_tol)
     out = GridField2D(res.u, f_field.h, f_field.x0, f_field.y0)
     out.iterations = res.iterations
     out.objective = res.objective

@@ -58,6 +58,8 @@ __all__ = [
 DOUBLING_SAMPLES = 512  # log-spaced samples behind doubling_indices
 DOUBLING_TEST_RANGE = (1.0, 40.0)  # log t range of is_doubling
 DOUBLING_GROWTH_TOL = 1.10
+CONVEX_SAMPLES = 64  # check_convex's log-t samples per piece
+CONVEX_SLACK = 1e-8  # check_convex's allowed log-slope decrease (nats)
 
 
 def _as_log_args(t):
@@ -431,7 +433,7 @@ class ConvexityReport:
     samples: int = 0
 
 
-def _sample_logts(f, per_piece, span=(-6.0, 6.0)):
+def _sample_logts(f, span=(-6.0, 6.0)):
     """Log-t sample grid: dense inside each piece plus breakpoint straddles."""
     if isinstance(f, PiecewiseYoungFn1D) and len(f.breakpoints_logt):
         edges = np.concatenate(
@@ -445,20 +447,18 @@ def _sample_logts(f, per_piece, span=(-6.0, 6.0)):
         edges = np.array(span, dtype=float)
     chunks = []
     for a, b in zip(edges[:-1], edges[1:]):
-        chunks.append(np.linspace(a, b, max(per_piece, 3), endpoint=False))
+        chunks.append(np.linspace(a, b, CONVEX_SAMPLES, endpoint=False))
     chunks.append(edges[-1:])
     return np.unique(np.concatenate(chunks))
 
 
-def check_convex(f, samples_per_piece=64, rel_slack=1e-8):
+def check_convex(f):
     """Convexity via nondecreasing difference quotients of sampled secants.
 
     Quotients are compared on the log scale, where relative slack in the
     value domain maps to additive slack in nats.
     """
-    if samples_per_piece < 3:
-        raise ValueError("need at least 3 samples per piece")
-    logts = _sample_logts(f, samples_per_piece)
+    logts = _sample_logts(f)
     logfs = f.log_value(logts)
     # log of (f(t_{i+1}) - f(t_i)) / (t_{i+1} - t_i)
     with np.errstate(invalid="ignore"):
@@ -470,7 +470,7 @@ def check_convex(f, samples_per_piece=64, rel_slack=1e-8):
         return ConvexityReport(ok=True, samples=len(logts))
     drops = ls[:-1] - ls[1:]  # positive where the slope decreased
     worst = int(np.argmax(drops))
-    slack = rel_slack + 64.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(ls[:-1]))
+    slack = CONVEX_SLACK + 64.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(ls[:-1]))
     ok = bool(np.all(drops <= slack))
     return ConvexityReport(
         ok=ok,

@@ -17,7 +17,8 @@ from anisolab import acceptance
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
-def _report(name, res, budget):
+def _report(name, res):
+    budget = acceptance.RUNTIME_BUDGETS[name]
     ok = res["pass"] and res["seconds"] <= budget
     detail = {k: v for k, v in res.items() if k not in ("pass", "seconds")}
     print(f"criterion {name}: {'PASS' if ok else 'FAIL'} "
@@ -27,19 +28,19 @@ def _report(name, res, budget):
 
 def test_criterion_1_construction_validity():
     res = acceptance.criterion_construction()
-    ok, detail = _report("1 construction", res, 5.0)
+    ok, detail = _report("1_construction", res)
     assert ok, detail
 
 
 def test_criterion_2_sandwich_bounds():
     res = acceptance.criterion_sandwich()
-    ok, detail = _report("2 sandwich", res, 30.0)
+    ok, detail = _report("2_sandwich", res)
     assert ok, detail
 
 
 def test_criterion_3_conjugation():
     res = acceptance.criterion_conjugation()
-    ok, detail = _report("3 conjugation", res, 120.0)
+    ok, detail = _report("3_conjugation", res)
     assert ok, detail
 
 
@@ -53,32 +54,32 @@ def test_quick_criterion_3_holds_on_other_seeds(seed):
 
 def test_criterion_4_monotonicity_counterexample():
     res = acceptance.criterion_monotonicity_example()
-    ok, detail = _report("4 monotonicity example", res, 1.0)
+    ok, detail = _report("4_monotonicity_example", res)
     assert ok, detail
 
 
 def test_criterion_5_probe_discrimination():
     res = acceptance.criterion_probe()
-    ok, detail = _report("5 probe", res, 300.0)
+    ok, detail = _report("5_probe", res)
     assert res["triple_maps_total"] == 360 * 21 * 21
     assert ok, detail
 
 
 def test_criterion_6_rearrangement_sobolev_oracles():
     res = acceptance.criterion_rearrangement_sobolev()
-    ok, detail = _report("6 rearrangement/sobolev", res, 60.0)
+    ok, detail = _report("6_rearrangement_sobolev", res)
     assert ok, detail
 
 
 def test_criterion_7_capacity():
     res = acceptance.criterion_capacity()
-    ok, detail = _report("7 capacity", res, 600.0)
+    ok, detail = _report("7_capacity", res)
     assert ok, detail
 
 
 def test_criterion_8_pde():
     res = acceptance.criterion_pde()
-    ok, detail = _report("8 pde", res, 900.0)
+    ok, detail = _report("8_pde", res)
     assert ok, detail
 
 

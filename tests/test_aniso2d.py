@@ -149,9 +149,10 @@ def test_conjugate_box_autoexpansion():
 
 def test_conjugate_box_too_small():
     spec = GridSpec2D.square(4.0, 65)
-    tight = GridSpec2D.square(0.5, 65)
-    with pytest.raises(BoxTooSmallError):
-        conjugate2d(quadratic_fn(), spec, primal_spec=tight, max_expand=0)
+    # four doublings take the primal box to 3.2, short of the dual box 4.0
+    tight = GridSpec2D.square(0.2, 65)
+    with pytest.raises(BoxTooSmallError, match="after 4 doublings"):
+        conjugate2d(quadratic_fn(), spec, primal_spec=tight)
 
 
 def test_young_inequality_analytic_pairs(rng):

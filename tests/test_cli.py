@@ -8,8 +8,8 @@ import numpy as np
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
-def run_cli(args, cwd):
-    env = dict(os.environ, PYTHONPATH=SRC)
+def run_cli(args, cwd, **env_vars):
+    env = dict(os.environ, PYTHONPATH=SRC, **env_vars)
     return subprocess.run(
         [sys.executable, "-m", "anisolab", *args],
         cwd=cwd,
@@ -154,6 +154,19 @@ def test_probe_csv(tmp_path):
     assert "108/108" in r.stdout
 
 
+def test_probe_rejects_a_bad_thread_count(tmp_path):
+    run_cli(["construct", "--cycles", "4", "--out", "triple.json"], tmp_path)
+    r = run_cli(
+        ["probe", "--phi", "triple.json", "--rotations", "2", "--shears", "1",
+         "--scales", "1", "--out", "probe.csv"],
+        tmp_path,
+        ANISOLAB_THREADS="abc",
+    )
+    assert r.returncode == 1
+    assert "error: ANISOLAB_THREADS must be a positive integer, got 'abc'" in r.stderr
+    assert not (tmp_path / "probe.csv").exists()
+
+
 def test_capacity_cli(tmp_path):
     r = run_cli(
         ["capacity", "--phi", "radial:2", "--relative", "--mode", "dirichlet-only",
@@ -177,3 +190,16 @@ def test_solve_cli(tmp_path):
     rep = json.loads((tmp_path / "solve.json").read_text())
     assert rep["stages"] == 2
     assert rep["l1_gaps"][-1] < rep["l1_gaps"][0]
+
+
+def test_solve_rejects_an_atom_on_the_box_edge(tmp_path):
+    # the zero-boundary solve never sees mass on the edge, so nothing is run
+    r = run_cli(
+        ["solve", "--phi", "quadratic", "--measure", "dirac:0,0.5", "--stages", "2",
+         "--n", "33", "--out", "solve.json"],
+        tmp_path,
+    )
+    assert r.returncode == 1
+    assert "error: atom at (0.0, 0.5) is not inside the open box of the grid" in r.stderr
+    assert "renormalized" not in r.stderr
+    assert not (tmp_path / "solve.json").exists()

@@ -225,6 +225,14 @@ def test_probe_thread_pool_matches_serial(build9, monkeypatch):
     assert reps["2"]["worst_drops"].tobytes() == reps["1"]["worst_drops"].tobytes()
 
 
+@pytest.mark.parametrize("threads", ["abc", "0", "-3", ""])
+def test_probe_rejects_a_bad_thread_count(build9, monkeypatch, threads):
+    mats, _ = default_probe_family(2, 1, 1)
+    monkeypatch.setenv("ANISOLAB_THREADS", threads)
+    with pytest.raises(ValueError, match=f"ANISOLAB_THREADS .* got {threads!r}"):
+        essential_anisotropy_probe(constructed_triple_fn(build9), mats)
+
+
 def test_probe_power_sum_identity_passes():
     rep = essential_anisotropy_probe(power_sum_fn(2, 3), np.eye(2)[None, :, :])
     assert rep["n_failing"] == 0

@@ -131,7 +131,7 @@ def test_envelope_pointwise(build6):
 
 def test_convexity_of_each_function(build6):
     for f in build6.phi:
-        assert check_convex(f, samples_per_piece=48).ok
+        assert check_convex(f).ok
 
 
 def test_certificates_nonnegative_and_increasing(build6):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anisolab import descent
 from anisolab.descent import IterationCapError, minimize_projected
 from anisolab.gridfield import GridField2D, divergence_of, forward_gradient
 
@@ -115,8 +116,9 @@ def test_descent_respects_projection(rng):
     assert np.allclose(res.u, [1.0, 0.0, 0.5], atol=1e-6)
 
 
-def test_descent_iteration_cap():
+def test_descent_iteration_cap(monkeypatch):
     # a descending but never-converging linear slope within the cap
+    monkeypatch.setattr(descent, "MAX_ITER", 50)
     with pytest.raises(IterationCapError) as info:
         minimize_projected(
             lambda x: float(x[0]),
@@ -124,7 +126,6 @@ def test_descent_iteration_cap():
             lambda x: x,
             np.array([0.0]),
             rel_tol=1e-30,
-            max_iter=50,
         )
     assert info.value.result.iterations == 50
     assert info.value.result.stop_reason == "cap"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,15 @@ def test_mollify_boundary_clip_warns():
     assert np.sum(h.values) * base.cell_area == pytest.approx(1.0, rel=1e-12)
 
 
+def test_mollify_rejects_an_atom_on_the_box_edge():
+    base = GridField2D.unit_square(33)
+    mu = DiscreteMeasure(atoms=[(0.5, 0.5, 1.0), (0.0, 0.5, 1.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no blob is built, so nothing is renormalized
+        with pytest.raises(ValueError, match=r"atom at \(0.0, 0.5\)"):
+            mollify_measure(mu, 0.25, "bump", base)
+
+
 def test_mollify_density_smoothing():
     base = GridField2D.unit_square(65)
     dens = GridField2D.unit_square(65)
@@ -96,8 +107,10 @@ def test_decomposition_action_rejects_atoms_off_the_grid():
     # the measure acts on a test function through its node density, atoms as w/h^2
     n = 17
     test = GridField2D.unit_square(n)
-    for atom in ((-0.2, 0.5, 1.0), (0.5, -0.2, 1.0), (1.5, 0.5, 1.0), (0.5, 1.5, 1.0)):
-        with pytest.raises(ValueError, match="outside the grid"):
+    # an atom on the box edge would sit where the zero-boundary solves hold u = 0
+    off = ((-0.2, 0.5), (0.5, -0.2), (1.5, 0.5), (0.5, 1.5), (0.0, 0.5), (1.0, 0.5), (0.5, 0.0))
+    for atom in ((x, y, 1.0) for x, y in off):
+        with pytest.raises(ValueError, match="is not inside the open box of the grid"):
             DiscreteMeasure(atoms=[atom]).node_values(test)
     vals = DiscreteMeasure(atoms=[(0.5, 0.5, 1.5)]).node_values(test)
     expected = np.zeros((n, n))
