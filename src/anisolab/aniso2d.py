@@ -358,11 +358,20 @@ def _lower_chains(x, v, scale):
     collinear runs included, stay on the chain.  Returns (chain, size):
     chain[r, :size[r]] are row r's kept indices in increasing order, and
     the rest of chain is 0.  +inf samples are never pushed.
+
+    A finite row on which no consecutive triple fails the pop test (found
+    in one pass by :func:`_pops_none`) keeps every index: the scan, holding
+    every earlier index, would pop nothing there, so it skips such rows.
     """
     rows_n, n = v.shape
-    chain = np.zeros((rows_n, n), dtype=np.int32)
-    size = np.zeros(rows_n, dtype=np.intp)
     finite = np.isfinite(v)
+    whole = finite.all(axis=1) & _pops_none(x, v, scale)
+    chain = np.zeros((rows_n, n), dtype=np.int32)
+    chain[whole] = np.arange(n, dtype=np.int32)
+    size = np.where(whole, n, 0).astype(np.intp)
+    finite[whole] = False
+    if not finite.any():
+        return chain, size
     for i in range(n):
         rows = np.flatnonzero(finite[:, i])
         pend = rows[size[rows] >= 2]
@@ -378,6 +387,28 @@ def _lower_chains(x, v, scale):
         chain[rows, size[rows]] = i
         size[rows] += 1
     return chain, size
+
+
+def _pops_none(x, v, scale):
+    """Per row of ``v``, whether no consecutive triple (i - 2, i - 1, i)
+    fails the pop test of :func:`_lower_chains`.
+
+    The test is the scan's own expression, so on a finite row the answer
+    is bit for bit what the scan would decide with the whole prefix on its
+    chain.  Rows go a block at a time, with temporaries near
+    ``_MERGE_BLOCK`` elements each.
+    """
+    rows_n, n = v.shape
+    ratio = (x[1:-1] - x[:-2]) / (x[2:] - x[:-2])
+    out = np.ones(rows_n, dtype=bool)
+    step = max(1, _MERGE_BLOCK // n)
+    with np.errstate(invalid="ignore"):
+        for a in range(0, rows_n, step):
+            va, vb, vc = v[a : a + step, :-2], v[a : a + step, 1:-1], v[a : a + step, 2:]
+            gap = (vb - va) - (vc - va) * ratio
+            slack = _TOL * (scale[a : a + step, None] + np.abs(va) + np.abs(vb) + np.abs(vc))
+            out[a : a + step] = ~np.any(gap > slack, axis=1)
+    return out
 
 
 def _legendre_1d(x, v, eta):

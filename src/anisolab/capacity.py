@@ -6,17 +6,17 @@ energy, built here once by :func:`minimize_grid_energy`:
     F[u] = sum_cells Phi(grad u) h^2 + sum_nodes psi(u) h^2
 
 with nodes held fixed at their start values.  Every solve descends in
-one metric, the inverse 5-point Laplacian on the free nodes (a DST-I
-along each axis), so for growth p >= 2 the iteration counts stay nearly
-flat as the grid is refined.  Every capacity is one
-:func:`relative_capacity` solve on the n x n grid over the unit box
-(h = 1/(n - 1)); the whole-plane capacity is the one with Omega the
-whole box.  A capacity has, in full mode, psi(u) = phicirc(kappa |u|);
-it is taken over grid fields with u = 1 on the marked set, u = 0 on the
-box edge and off Omega, and 0 <= u <= 1 (the ``box`` constraint).
-Clamping at 1 never increases the energy, so the box projection loses
-nothing against the test classes that merely exceed 1 on the set.  An
-empty set has capacity zero without a solve.
+one metric, the inverse 5-point Laplacian on the free nodes (applied as
+products with the orthonormal DST-I matrix), so for growth p >= 2 the
+iteration counts stay nearly flat as the grid is refined.  Every
+capacity is one :func:`relative_capacity` solve on the n x n grid over
+the unit box (h = 1/(n - 1)); the whole-plane capacity is the one with
+Omega the whole box.  A capacity has, in full mode, psi(u) =
+phicirc(kappa |u|); it is taken over grid fields with u = 1 on the
+marked set, u = 0 on the box edge and off Omega, and 0 <= u <= 1 (the
+``box`` constraint).  Clamping at 1 never increases the energy, so the
+box projection loses nothing against the test classes that merely
+exceed 1 on the set.  An empty set has capacity zero without a solve.
 
 Solves warm-start from related minimizers wherever the classical
 structure makes the answer comparable: the union/intersection solves
@@ -81,33 +81,28 @@ def square_mask(n, x_lo, x_hi, y_lo, y_hi):
     return (X >= x_lo) & (X <= x_hi) & (Y >= y_lo) & (Y <= y_hi)
 
 
-def _dst1(v):
-    """DST-I along the last axis, from the FFT of the odd extension."""
-    z = np.zeros(v.shape[:-1] + (1,))
-    odd = np.concatenate([z, v, z, -v[..., ::-1]], axis=-1)
-    return -0.5 * np.fft.rfft(odd, axis=-1).imag[..., 1 : v.shape[-1] + 1]
-
-
 def _poisson_inverse(fixed):
     """The descent metric v -> Z L^-1 Z v on an n x n grid.
 
     L is the 5-point stencil (4, -1) on the interior nodes with a zero
-    box edge, inverted by a DST-I along each axis; Z zeroes the ``fixed``
-    nodes, which must include the edge.  The map is symmetric positive
+    box edge; Z zeroes the ``fixed`` nodes, which must include the edge.
+    The orthonormal DST-I matrix S (symmetric, S @ S = I) diagonalizes L
+    along each axis, so L^-1 V = S (W * (S V S)) S with W = 1 / (lam_i +
+    lam_j): four dense matrix products.  The map is symmetric positive
     definite on the free nodes, so -P g stays a descent direction.
     """
     m = fixed.shape[0] - 2
-    lam = 4.0 * np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1)) ** 2
-    # the DST-I is its own inverse up to the factor 2 / (m + 1) per axis
-    weight = (2.0 / (m + 1)) ** 2 / (lam[:, None] + lam[None, :])
-
-    def dst2(a):
-        return _dst1(_dst1(a).T).T
+    k = np.arange(1, m + 1)
+    # j k reduced mod 2 (m + 1) keeps the sine's argument within one period
+    s = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * m + 2)) / (m + 1))
+    lam = 4.0 * np.sin(0.5 * np.pi * k / (m + 1)) ** 2
+    weight = 1.0 / (lam[:, None] + lam[None, :])
+    free = ~fixed[1:-1, 1:-1]
 
     def apply(v):
         out = np.zeros_like(v)
-        out[1:-1, 1:-1] = dst2(weight * dst2(np.where(fixed, 0.0, v)[1:-1, 1:-1]))
-        out[fixed] = 0.0
+        inner = np.where(free, v[1:-1, 1:-1], 0.0)
+        out[1:-1, 1:-1] = free * (s @ (weight * (s @ inner @ s)) @ s)
         return out
 
     return apply

@@ -287,6 +287,38 @@ def test_legendre_matches_brute_force_outside_slope_range(rng):
     assert list(iarg[:, 0]) == [0, 30] and np.all(jarg == 22)
 
 
+def test_legendre_mixed_rows_match_brute_force(rng, monkeypatch):
+    # one block of rows of three kinds: strictly convex rows keep every
+    # index, a bump pops one, +inf samples are never pushed
+    n, eta1, eta2 = 29, np.linspace(-6.0, 6.0, 23), np.linspace(-3.0, 3.0, 17)
+    x = np.linspace(-2.0, 2.0, n)
+    kinds = np.arange(30) % 3
+    rows = np.empty((kinds.size, n))
+    bump = {}
+    for r, kind in enumerate(kinds):
+        rows[r] = rng.uniform(0.5, 3.0) * x**2 + rng.uniform(-1.0, 1.0) * x + rng.normal()
+        if kind == 1:
+            bump[r] = int(rng.integers(1, n - 1))
+            rows[r, bump[r]] += 0.5
+        elif kind == 2:
+            rows[r, rng.uniform(size=n) < 0.3] = np.inf
+    chain, size = aniso2d._lower_chains(x, rows, np.ones(kinds.size))
+    for r, kind in enumerate(kinds):
+        kept = chain[r, : size[r]]
+        if kind == 0:
+            assert np.array_equal(kept, np.arange(n))
+        elif kind == 1:
+            assert size[r] == n - 1 and bump[r] not in kept
+        else:
+            assert np.array_equal(kept, np.flatnonzero(np.isfinite(rows[r])))
+    # _legendre_kernel's first pass runs _legendre_1d on exactly these rows,
+    # one row per block under the small _MERGE_BLOCK
+    ys = np.linspace(-1.0, 1.0, kinds.size)
+    for block in (40, aniso2d._MERGE_BLOCK):
+        monkeypatch.setattr(aniso2d, "_MERGE_BLOCK", block)
+        _assert_matches_brute(x, ys, rows.T, eta1, eta2)
+
+
 def test_legendre_exact_ties_go_to_lowest_index(rng):
     # integer data: every product is exact, so collinear runs tie exactly
     for _ in range(30):

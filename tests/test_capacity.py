@@ -46,6 +46,32 @@ def test_poisson_metric_inverts_the_stencil(rng):
     assert np.max(np.abs(back - v[1:-1, 1:-1])) <= 1e-12 * np.max(np.abs(v))
 
 
+def test_poisson_metric_is_symmetric_positive_and_zero_on_fixed_nodes(rng):
+    # a second size: m = 18 interior nodes per axis, m + 1 = 19 an odd prime
+    n = 20
+    edge = capacity._boundary_mask(n)
+    lap = _five_point(n - 2)
+    fixed = edge | (rng.random((n, n)) < 0.3)
+    for mask in (edge, fixed):
+        v = rng.normal(size=(n, n))
+        out = capacity._poisson_inverse(mask)(v)
+        free_v = np.where(mask, 0.0, v)[1:-1, 1:-1].ravel()
+        ref = np.linalg.solve(lap, free_v).reshape(n - 2, n - 2)
+        assert np.allclose(out[1:-1, 1:-1], np.where(mask[1:-1, 1:-1], 0.0, ref), rtol=0, atol=1e-12)
+    metric = capacity._poisson_inverse(fixed)
+    a, b = rng.normal(size=(2, n, n))
+    pa, pb = metric(a), metric(b)
+    # Z L^-1 Z is symmetric: <a, P b> = <P a, b> up to rounding on the
+    # scale of the P-norms of a and b
+    scale = np.sqrt(np.vdot(a, pa) * np.vdot(b, pb))
+    assert abs(np.vdot(a, pb) - np.vdot(pa, b)) <= 1e-12 * scale
+    # positive on a vector that lives on the free nodes
+    a_free = np.where(fixed, 0.0, a)
+    assert np.vdot(a_free, metric(a_free)) > 0.0
+    # exactly zero on every fixed node, whatever v holds there
+    assert np.all(pa[fixed] == 0.0) and np.all(pb[fixed] == 0.0)
+
+
 def test_grid_energy_needs_the_box_edge_fixed():
     n = 9
     fixed = np.zeros((n, n), dtype=bool)
