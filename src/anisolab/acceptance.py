@@ -31,8 +31,8 @@ from .aniso2d import (
 )
 from .capacity import (
     capacity_property_suite,
+    diffuse_singular_split,
     disk_mask,
-    point_capacity_scaling,
     relative_capacity,
     square_mask,
 )
@@ -288,21 +288,21 @@ def criterion_capacity(quick=False, seed=DEFAULT_SEED):
     )
     out["suite_ok"] = suite["ok"]
     out["pass"] = bool(out["pass"] and suite["ok"])
-    # point capacity separation
+    # point capacity separation: the split of one centred atom
     nvals = (33, 65, 129) if quick else (33, 65, 129, 257)
-    scaling = point_capacity_scaling([1.5, 3.0], n_values=nvals)
-    r15 = scaling[1.5]["values"][-1] / scaling[1.5]["values"][0]
-    r30 = scaling[3.0]["values"][-1] / scaling[3.0]["values"][0]
-    out["point_ratio_p15"] = r15
-    out["point_ratio_p30"] = r30
-    out["point_values"] = {"1.5": scaling[1.5]["values"], "3.0": scaling[3.0]["values"]}
+    atom = DiscreteMeasure(atoms=[(0.5, 0.5, 1.0)])
+    (d15,), (d30,) = (
+        diffuse_singular_split(atom, p, n_values=nvals)["details"] for p in (1.5, 3.0)
+    )
+    v15, v30 = d15["values"], d30["values"]
+    out["point_ratio_p15"] = v15[-1] / v15[0]
+    out["point_ratio_p30"] = v30[-1] / v30[0]
+    out["point_values"] = {"1.5": v15, "3.0": v30}
     out["pass"] = bool(
         out["pass"]
-        and scaling[1.5]["collapsing"]
-        and r15 < 0.5
-        and not scaling[3.0]["collapsing"]
-        and r30 >= 0.5
-        and scaling[1.5]["values"][-1] < scaling[3.0]["values"][-1]
+        and d15["null_supported"]
+        and not d30["null_supported"]
+        and v15[-1] < v30[-1]
     )
     return out
 

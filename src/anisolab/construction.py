@@ -41,7 +41,7 @@ from .numerics import (
     expand_bracket_increasing,
     logsubexp,
 )
-from .young1d import Piece, PiecewiseYoungFn1D, PowerFn, PowerLogFn, _field
+from .young1d import LinearPiece, PiecewiseYoungFn1D, PowerFn, PowerLogFn, _field
 
 __all__ = [
     "ConstructionError",
@@ -249,7 +249,7 @@ def tangent_point(logt_k, p, alpha):
     bisection.  Requires lo(t_k) <= hi(t_k); otherwise no tangent from the
     launch point exists and a :class:`ConstructionError` is raised.
 
-    Returns ``(logh, line)`` with ``line`` a linear :class:`Piece` anchored
+    Returns ``(logh, line)`` with ``line`` a :class:`LinearPiece` anchored
     at the launch point whose slope is hi'(h).
     """
     lower = PowerFn(p)
@@ -272,7 +272,7 @@ def tangent_point(logt_k, p, alpha):
         logh = bisect_increasing(gap, lo, hi)
     except BracketError as exc:
         raise ConstructionError(f"tangent bracket not found: {exc}") from exc
-    line = Piece.linear(
+    line = LinearPiece(
         log_slope=upper.log_derivative(logh),
         anchor_logt=logt_k,
         anchor_logf=target,
@@ -337,7 +337,7 @@ def build_triple(p, alpha, cycles):
 
     lower = PowerFn(p)
     upper = PowerLogFn(p, alpha)
-    pieces = [[Piece.power(p)], [Piece.power(p)], [Piece.powerlog(p, alpha)]]
+    pieces = [[lower], [lower], [upper]]
     breaks = [[], [], []]
     heavy = 2
     logt = 0.0  # t_0 = 1
@@ -364,10 +364,10 @@ def build_triple(p, alpha, cycles):
             )
         # climber: lower curve -> line -> upper curve
         append_piece(r2, logtau, line)
-        append_piece(r2, logh, Piece.powerlog(p, alpha))
+        append_piece(r2, logh, upper)
         # leader: upper curve -> line -> lower curve
         append_piece(r3, logh, line)
-        append_piece(r3, logs, Piece.power(p))
+        append_piece(r3, logs, lower)
         # role1 stays on the lower curve: no new pieces
         margin = certificate_margin(upper, lower, lower, k, logt_next)
         schedule.append(

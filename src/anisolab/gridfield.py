@@ -1,7 +1,7 @@
 """Scalar fields on uniform square grids, their grid differences and files.
 
 Fields live on the nodes of an N x N grid with spacing h over
-[x0, x0 + (N-1) h]^2 and extend by zero outside; gradients are forward
+[0, (N-1) h]^2 and extend by zero outside; gradients are forward
 differences per cell, so a field that is zero on the boundary nodes has
 all of its energy inside the box.
 """
@@ -21,8 +21,6 @@ __all__ = ["GridField2D", "forward_gradient", "divergence_of"]
 class GridField2D:
     values: np.ndarray
     h: float
-    x0: float = 0.0
-    y0: float = 0.0
 
     @property
     def n(self):
@@ -33,11 +31,11 @@ class GridField2D:
         return self.h * self.h
 
     def axis(self):
-        return self.x0 + self.h * np.arange(self.n)
+        return self.h * np.arange(self.n)
 
     @classmethod
-    def zeros(cls, n, h, x0=0.0, y0=0.0):
-        return cls(values=np.zeros((n, n)), h=h, x0=x0, y0=y0)
+    def zeros(cls, n, h):
+        return cls(values=np.zeros((n, n)), h=h)
 
     @classmethod
     def unit_square(cls, n):
@@ -45,20 +43,24 @@ class GridField2D:
         return cls.zeros(n, 1.0 / (n - 1))
 
     def copy(self):
-        return GridField2D(self.values.copy(), self.h, self.x0, self.y0)
+        return GridField2D(self.values.copy(), self.h)
 
     def as_sampled(self):
-        return SampledFn2D(x0=self.x0, y0=self.y0, hx=self.h, hy=self.h, values=self.values)
+        return SampledFn2D(x0=0.0, y0=0.0, hx=self.h, hy=self.h, values=self.values)
 
     def to_binary(self, path):
         self.as_sampled().to_binary(path)
 
     @classmethod
     def from_binary(cls, path):
+        """Read :meth:`to_binary` output; a grid that is not square or not
+        at the origin raises ValueError."""
         s = SampledFn2D.from_binary(path)
         if s.nx != s.ny:
             raise ValueError("grid fields are square")
-        return cls(values=s.values, h=s.hx, x0=s.x0, y0=s.y0)
+        if s.x0 != 0.0 or s.y0 != 0.0:
+            raise ValueError(f"{path}: origin ({s.x0!r}, {s.y0!r}) is not (0, 0)")
+        return cls(values=s.values, h=s.hx)
 
 
 def forward_gradient(values, h):

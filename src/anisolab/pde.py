@@ -31,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .capacity import minimize_grid_energy
-from .gridfield import GridField2D, divergence_of, forward_gradient
+from .gridfield import GridField2D, forward_gradient
 from .sobolev import luxemburg_norm_gradient
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "truncate",
     "mollify_measure",
     "solve_weak",
-    "euler_lagrange_residual",
     "truncation_bounds_check",
     "uniqueness_experiment",
 ]
@@ -62,8 +61,8 @@ class DiscreteMeasure:
         that bins to the edge of g or beyond it raises ValueError: the
         zero-boundary problems hold u = 0 there, so they never see it."""
         for x, y, w in self.atoms:
-            i = int(round((x - g.x0) / g.h))
-            j = int(round((y - g.y0) / g.h))
+            i = int(round(x / g.h))
+            j = int(round(y / g.h))
             if not (1 <= i <= g.n - 2 and 1 <= j <= g.n - 2):
                 raise ValueError(f"atom at ({x}, {y}) is not inside the open box of the grid")
             yield i, j, w
@@ -147,7 +146,7 @@ def mollify_measure(measure, eps, kernel, base):
         padded = np.pad(measure.density.values, kr, mode="constant")
         windows = sliding_window_view(padded, patch.shape)
         out += np.einsum("ijkl,kl->ij", windows, patch) * h * h
-    return GridField2D(out, h, base.x0, base.y0)
+    return GridField2D(out, h)
 
 
 # ---------------------------------------------------------------------------
@@ -167,19 +166,11 @@ def solve_weak(phi, f_field, rel_tol=1e-9, u0=None):
     start = np.zeros_like(f_vals) if u0 is None else np.where(edge, 0.0, u0)
     psi = (lambda u: -f_vals * u, lambda u: -f_vals)
     res = minimize_grid_energy(phi, start, edge, f_field.h, psi=psi, rel_tol=rel_tol)
-    out = GridField2D(res.u, f_field.h, f_field.x0, f_field.y0)
+    out = GridField2D(res.u, f_field.h)
     out.iterations = res.iterations
     out.objective = res.objective
     out.stop_reason = res.stop_reason
     return out
-
-
-def euler_lagrange_residual(phi, u, f_field):
-    """Nodewise div A(grad u) + f on interior nodes (zero at the solution)."""
-    gx, gy = forward_gradient(u.values, u.h)
-    ax, ay = phi.grad(gx, gy)
-    r = divergence_of(ax, ay, u.h, u.n) + f_field.values
-    return r[1:-1, 1:-1]
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 A MonotoneTable carries (x_j, y_j) pairs of a strictly increasing map on
 (0, inf), interpolates linearly in log-log coordinates (exact on pure
 powers), and extrapolates with the edge slopes.  It is a 1-D function of
-the single protocol of :mod:`anisolab.young1d`: it writes ``log_value`` /
-``log_derivative`` (both ``-inf`` at log x = -inf) and binds that module's
-shared ``value`` / ``derivative``, so x < 0 raises ValueError, x = 0 gives
-0, and tables slot into the same modulars, solvers and conjugation paths.
+the single protocol of :mod:`anisolab.young1d`: it writes the kernels
+``_log_value`` / ``_log_derivative`` (both ``-inf`` at log x = -inf) and
+that module's class decorator installs ``log_value``, ``log_derivative``,
+``value`` and ``derivative`` from them, so x < 0 raises ValueError, x = 0
+gives 0, and tables slot into the same modulars, solvers and conjugation
+paths.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ import json
 
 import numpy as np
 
-from .young1d import _derivative_from_log, _field, _value_from_log
+from .young1d import _field, _protocol
 
 __all__ = ["MonotoneTable"]
 
 
+@_protocol
 class MonotoneTable:
     def __init__(self, logx, logy):
         logx = np.asarray(logx, dtype=float)
@@ -43,23 +46,16 @@ class MonotoneTable:
 
     # -- interpolation -------------------------------------------------------
 
-    def log_value(self, logx):
-        q = np.asarray(logx, dtype=float)
-        idx = np.clip(np.searchsorted(self.logx, q) - 1, 0, len(self.logx) - 2)
-        out = self.logy[idx] + self._slopes[idx] * (q - self.logx[idx])
-        return out if out.ndim else float(out)
+    def _log_value(self, logx):
+        idx = np.clip(np.searchsorted(self.logx, logx) - 1, 0, len(self.logx) - 2)
+        return self.logy[idx] + self._slopes[idx] * (logx - self.logx[idx])
 
-    def log_derivative(self, logx):
+    def _log_derivative(self, logx):
         # d/dx of the x^m-shaped segment: m * y / x
-        logx = np.asarray(logx, dtype=float)
         idx = np.clip(np.searchsorted(self.logx, logx) - 1, 0, len(self.logx) - 2)
         with np.errstate(invalid="ignore"):
-            out = np.log(self._slopes[idx]) + self.log_value(logx) - logx
-        out = np.where(np.isneginf(logx), -np.inf, out)
-        return out if out.ndim else float(out)
-
-    value = _value_from_log
-    derivative = _derivative_from_log
+            out = np.log(self._slopes[idx]) + self._log_value(logx) - logx
+        return np.where(np.isneginf(logx), -np.inf, out)
 
     # -- structure checks ----------------------------------------------------
 

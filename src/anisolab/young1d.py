@@ -3,23 +3,26 @@
 A Young function here is even, convex, vanishes exactly at zero and is
 finite; an N-function additionally grows superlinearly at infinity and is
 o(t) near zero.  Only the branch t >= 0 is represented; callers fold the
-sign.  Every 1-D function of the lab -- the closed forms below,
-:class:`PiecewiseYoungFn1D` (an ordered list of pieces split at log-domain
-breakpoints, the carrier for the glued competing functions) and
-:class:`~anisolab.tables.MonotoneTable` -- follows one protocol, all
-methods elementwise-vectorized:
+sign.  Every 1-D function of the lab -- the four closed forms below,
+:class:`LinearPiece`, :class:`PiecewiseYoungFn1D` (an ordered list of
+pieces split at log-domain breakpoints, the carrier for the glued
+competing functions) and :class:`~anisolab.tables.MonotoneTable` --
+follows one protocol, all methods elementwise-vectorized:
 
 * ``log_value`` / ``log_derivative`` map log t to log f(t) / log f'(t);
-  each type writes its own, and ``-inf`` (t = 0) gives ``-inf``, except
-  that ``PowerFn`` with p = 1 returns its slope log coef;
-* ``value`` / ``derivative`` on plain arguments are written once here,
-  as exp of the log form: t < 0 raises ValueError, t = 0 gives 0, a
-  scalar gives a float and an array keeps its shape.
+  ``-inf`` (t = 0) gives ``-inf``, except for the slope log coef of
+  ``PowerFn`` with p = 1 and for ``LinearPiece``, which only ever
+  continues another piece and keeps its anchor value and slope there;
+* ``value`` / ``derivative`` are exp of the log form: t < 0 raises
+  ValueError, t = 0 gives 0, a scalar gives a float and an array keeps
+  its shape.
 
-Each class binds the shared ``value`` / ``derivative`` in its own body
-rather than inheriting them, so tools that wrap methods class by class
-(the benchmark's tracer, ``bench/tracer.py``) find all four names in every
-class dict.
+Each type writes only its math, as the array kernels ``_log_value`` /
+``_log_derivative`` (a float array of log t in, an array of the same
+shape out).  The class decorator :func:`_protocol` installs the four
+public methods from them into the class's own dict rather than a base
+class, so tools that wrap methods class by class (the benchmark's
+tracer, ``bench/tracer.py``) find all four names in every class.
 
 Breakpoints grow like exp(poly(k)) under the inductive gluing, far past
 double range, so every structural computation runs on (log t, log f(t))
@@ -29,7 +32,7 @@ a double is +inf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +49,7 @@ __all__ = [
     "PowerLogFn",
     "PowerLogBaseFn",
     "PowerExpFn",
-    "Piece",
+    "LinearPiece",
     "PiecewiseYoungFn1D",
     "inverse1d_log",
     "check_convex",
@@ -75,27 +78,53 @@ def _scalarize(x):
     return float(x) if x.ndim == 0 else x
 
 
-def _from_log(log_fn, t):
-    """exp(log_fn(log t)) for t >= 0, a float for a scalar t."""
-    return safe_exp(log_fn(_as_log_args(t)))
+def _protocol(cls):
+    """Install ``log_value``, ``log_derivative``, ``value`` and
+    ``derivative`` in ``cls`` from its kernels ``_log_value`` /
+    ``_log_derivative``."""
+
+    def log_value(self, logt):
+        """log f at log t, elementwise; a scalar gives a float."""
+        return _scalarize(self._log_value(np.asarray(logt, dtype=float)))
+
+    def log_derivative(self, logt):
+        """log f' at log t, elementwise; a scalar gives a float."""
+        return _scalarize(self._log_derivative(np.asarray(logt, dtype=float)))
+
+    def value(self, t):
+        """f(t) for t >= 0, elementwise; overflow gives +inf."""
+        return safe_exp(self._log_value(_as_log_args(t)))
+
+    def derivative(self, t):
+        """f'(t) for t >= 0, elementwise; overflow gives +inf."""
+        return safe_exp(self._log_derivative(_as_log_args(t)))
+
+    for fn in (log_value, log_derivative, value, derivative):
+        fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
+        setattr(cls, fn.__name__, fn)
+    return cls
 
 
-def _value_from_log(self, t):
-    """f(t) for t >= 0, elementwise; overflow gives +inf."""
-    return _from_log(self.log_value, t)
-
-
-def _derivative_from_log(self, t):
-    """f'(t) for t >= 0, elementwise; overflow gives +inf."""
-    return _from_log(self.log_derivative, t)
+def _field(data, key, path=""):
+    """``data[key]`` from a parsed JSON object; a missing key raises
+    ValueError naming it after the ``path`` prefix (``"schedule[1]."``)."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"{path}{key}: missing") from None
 
 
 # ---------------------------------------------------------------------------
-# closed forms
+# closed forms; PowerFn, PowerLogFn and LinearPiece are also the pieces of
+# PiecewiseYoungFn1D, each with its JSON ``kind`` and ``param_names``
 
 
+@_protocol
 class PowerFn:
     """coef * t**p, the lower reference curve of the construction."""
+
+    kind = "power"
+    param_names = ("p", "coef")
 
     def __init__(self, p, coef=1.0):
         if p < 1.0:
@@ -105,26 +134,23 @@ class PowerFn:
         self.p = float(p)
         self.coef = float(coef)
 
-    def log_value(self, logt):
-        logt = np.asarray(logt, dtype=float)
-        return _scalarize(np.log(self.coef) + self.p * logt)
+    def _log_value(self, logt):
+        return np.log(self.coef) + self.p * logt
 
-    def log_derivative(self, logt):
-        logt = np.asarray(logt, dtype=float)
+    def _log_derivative(self, logt):
         if self.p == 1.0:
-            out = np.full_like(logt, np.log(self.coef))
-        else:
-            with np.errstate(invalid="ignore"):
-                out = np.log(self.coef * self.p) + (self.p - 1.0) * logt
-            out = np.where(np.isneginf(logt), -np.inf, out)
-        return _scalarize(out)
-
-    value = _value_from_log
-    derivative = _derivative_from_log
+            return np.full_like(logt, np.log(self.coef))
+        with np.errstate(invalid="ignore"):
+            out = np.log(self.coef * self.p) + (self.p - 1.0) * logt
+        return np.where(np.isneginf(logt), -np.inf, out)
 
 
+@_protocol
 class PowerLogFn:
     """t**p * log(t+1)**alpha, the upper reference curve of the construction."""
+
+    kind = "powerlog"
+    param_names = ("p", "alpha")
 
     def __init__(self, p, alpha):
         if p < 1.0 or alpha <= 0.0:
@@ -132,30 +158,24 @@ class PowerLogFn:
         self.p = float(p)
         self.alpha = float(alpha)
 
-    def log_value(self, logt):
-        logt = np.asarray(logt, dtype=float)
+    def _log_value(self, logt):
         lg = log1p_exp(logt)  # log(t+1)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = self.p * logt + self.alpha * np.log(lg)
-        out = np.where(np.isneginf(logt), -np.inf, out)
-        return _scalarize(out)
+        return np.where(np.isneginf(logt), -np.inf, out)
 
-    def log_derivative(self, logt):
+    def _log_derivative(self, logt):
         # d/dt [t^p L^a] = p t^{p-1} L^a + a t^p L^{a-1} / (t+1),  L = log(t+1)
-        logt = np.asarray(logt, dtype=float)
         lg = log1p_exp(logt)
         with np.errstate(divide="ignore", invalid="ignore"):
             loglg = np.log(lg)
             t1 = np.log(self.p) + (self.p - 1.0) * logt + self.alpha * loglg
             t2 = np.log(self.alpha) + self.p * logt + (self.alpha - 1.0) * loglg - lg
             out = np.logaddexp(t1, t2)
-        out = np.where(np.isneginf(logt), -np.inf, out)
-        return _scalarize(out)
-
-    value = _value_from_log
-    derivative = _derivative_from_log
+        return np.where(np.isneginf(logt), -np.inf, out)
 
 
+@_protocol
 class PowerLogBaseFn:
     """t**p * log(base+t)**delta with base > 1 (Trudinger-style factor)."""
 
@@ -173,15 +193,12 @@ class PowerLogBaseFn:
         lbt = np.logaddexp(np.log(self.base), logt)
         return lbt, np.log(lbt)
 
-    def log_value(self, logt):
-        logt = np.asarray(logt, dtype=float)
+    def _log_value(self, logt):
         _, loglg = self._log_logbase(logt)
         out = self.p * logt + self.delta * loglg
-        out = np.where(np.isneginf(logt), -np.inf, out)
-        return _scalarize(out)
+        return np.where(np.isneginf(logt), -np.inf, out)
 
-    def log_derivative(self, logt):
-        logt = np.asarray(logt, dtype=float)
+    def _log_derivative(self, logt):
         lbt, loglg = self._log_logbase(logt)
         with np.errstate(divide="ignore", invalid="ignore"):
             t1 = np.log(self.p) + (self.p - 1.0) * logt + self.delta * loglg
@@ -193,13 +210,10 @@ class PowerLogBaseFn:
             else:
                 t2 = np.log(-self.delta) + self.p * logt + (self.delta - 1.0) * loglg - lbt
                 out = logsubexp(t1, t2)
-        out = np.where(np.isneginf(logt), -np.inf, out)
-        return _scalarize(out)
-
-    value = _value_from_log
-    derivative = _derivative_from_log
+        return np.where(np.isneginf(logt), -np.inf, out)
 
 
+@_protocol
 class PowerExpFn:
     """coef * t**p * exp(t).  Not doubling; solvers reject it."""
 
@@ -209,121 +223,59 @@ class PowerExpFn:
         self.p = float(p)
         self.coef = float(coef)
 
-    def log_value(self, logt):
-        logt = np.asarray(logt, dtype=float)
+    def _log_value(self, logt):
         out = np.log(self.coef) + self.p * logt + safe_exp(logt)
-        out = np.where(np.isneginf(logt), -np.inf, out)
-        return _scalarize(out)
+        return np.where(np.isneginf(logt), -np.inf, out)
 
-    def log_derivative(self, logt):
-        logt = np.asarray(logt, dtype=float)
+    def _log_derivative(self, logt):
         t = safe_exp(logt)
         with np.errstate(invalid="ignore"):
             out = np.log(self.coef) + (self.p - 1.0) * logt + np.log(self.p + t) + t
-        out = np.where(np.isneginf(logt), -np.inf, out)
-        return _scalarize(out)
-
-    value = _value_from_log
-    derivative = _derivative_from_log
+        return np.where(np.isneginf(logt), -np.inf, out)
 
 
-# ---------------------------------------------------------------------------
-# pieces
+@_protocol
+class LinearPiece:
+    """f_a + slope * (t - t_a) for t >= t_a, held at f_a below the anchor.
 
+    Stored as (log_slope, anchor_logt, anchor_logf), so enormous slopes
+    and anchors stay representable.
+    """
 
-class _LinearSegment:
-    """f_a + slope * (t - t_a) for t >= t_a, held at f_a below the anchor."""
+    kind = "linear"
+    param_names = ("log_slope", "anchor_logt", "anchor_logf")
 
     def __init__(self, log_slope, anchor_logt, anchor_logf):
-        self.log_slope = log_slope
-        self.anchor_logt = anchor_logt
-        self.anchor_logf = anchor_logf
+        self.log_slope = float(log_slope)
+        self.anchor_logt = float(anchor_logt)
+        self.anchor_logf = float(anchor_logf)
 
-    def log_value(self, logt):
-        logt = np.asarray(logt, dtype=float)
+    def _log_value(self, logt):
         at, af = self.anchor_logt, self.anchor_logf
         with np.errstate(invalid="ignore"):
             out = np.logaddexp(af, self.log_slope + logsubexp(logt, at))
-        out = np.where(logt <= at, af, out)
-        return _scalarize(out)
+        return np.where(logt <= at, af, out)
 
-    def log_derivative(self, logt):
-        return _scalarize(np.full_like(np.asarray(logt, dtype=float), self.log_slope))
-
-
-def _field(data, key, path=""):
-    """``data[key]`` from a parsed JSON object; a missing key raises
-    ValueError naming it after the ``path`` prefix (``"schedule[1]."``)."""
-    try:
-        return data[key]
-    except KeyError:
-        raise ValueError(f"{path}{key}: missing") from None
+    def _log_derivative(self, logt):
+        return np.full_like(logt, self.log_slope)
 
 
-# kind -> (log-domain form, its parameter names): Piece builds its form from
-# this table and PiecewiseYoungFn1D.from_json_dict reads parameters by name
-_PIECE_FORMS = {
-    "power": (PowerFn, ("p", "coef")),
-    "powerlog": (PowerLogFn, ("p", "alpha")),
-    "linear": (_LinearSegment, ("log_slope", "anchor_logt", "anchor_logf")),
-}
+_PIECE_TYPES = {cls.kind: cls for cls in (PowerFn, PowerLogFn, LinearPiece)}
 
 
-@dataclass(frozen=True)
-class Piece:
-    """One segment of a piecewise function, valid on [from_logt, next).
-
-    kind "power"    : coef * t**p
-    kind "powerlog" : t**p * log(t+1)**alpha
-    kind "linear"   : f_a + slope * (t - t_a), stored as
-                      (log_slope, anchor_logt, anchor_logf) so enormous
-                      slopes and anchors stay representable.
-
-    The form evaluating the piece is built once, from ``params``.
-    """
-
-    kind: str
-    params: dict
-    form: object = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.kind not in _PIECE_FORMS:
-            raise ValueError(f"unknown piece kind {self.kind!r}")
-        object.__setattr__(self, "form", _PIECE_FORMS[self.kind][0](**self.params))
-
-    def log_value(self, logt):
-        return self.form.log_value(logt)
-
-    def log_derivative(self, logt):
-        return self.form.log_derivative(logt)
-
-    @staticmethod
-    def power(p, coef=1.0):
-        return Piece("power", {"p": float(p), "coef": float(coef)})
-
-    @staticmethod
-    def powerlog(p, alpha):
-        return Piece("powerlog", {"p": float(p), "alpha": float(alpha)})
-
-    @staticmethod
-    def linear(log_slope, anchor_logt, anchor_logf):
-        return Piece(
-            "linear",
-            {
-                "log_slope": float(log_slope),
-                "anchor_logt": float(anchor_logt),
-                "anchor_logf": float(anchor_logf),
-            },
-        )
+# ---------------------------------------------------------------------------
+# piecewise functions
 
 
+@_protocol
 class PiecewiseYoungFn1D:
     """Piecewise Young function: pieces glued at increasing log breakpoints.
 
-    ``pieces[i]`` is active on [breakpoints[i-1], breakpoints[i]) in log-t,
-    with the first piece reaching down to t = 0 and the last continuing to
-    infinity.  Construction asserts continuity at every splice (relative
-    mismatch <= ctol in log-value).
+    ``pieces[i]`` (a :class:`PowerFn`, :class:`PowerLogFn` or
+    :class:`LinearPiece`) is active on [breakpoints[i-1], breakpoints[i])
+    in log-t, with the first piece reaching down to t = 0 and the last
+    continuing to infinity.  Construction asserts continuity at every
+    splice (relative mismatch <= ctol in log-value).
     """
 
     CONTINUITY_TOL = 1e-9
@@ -348,29 +300,21 @@ class PiecewiseYoungFn1D:
                     f"discontinuous splice at logt={b:.6g}: {left!r} vs {right!r}"
                 )
 
-    def _piece_index(self, logt):
-        return np.searchsorted(self.breakpoints_logt, logt, side="right")
-
-    def _dispatch(self, logt, method):
-        logt = np.asarray(logt, dtype=float)
-        scalar = logt.ndim == 0
-        flat = np.atleast_1d(logt).astype(float)
+    def _dispatch(self, logt, kernel):
+        flat = np.atleast_1d(logt)
         out = np.empty_like(flat)
-        idx = self._piece_index(flat)
+        idx = np.searchsorted(self.breakpoints_logt, flat, side="right")
         for i, piece in enumerate(self.pieces):
             m = idx == i
             if np.any(m):
-                out[m] = getattr(piece, method)(flat[m])
-        return float(out[0]) if scalar else out.reshape(logt.shape)
+                out[m] = getattr(piece, kernel)(flat[m])
+        return out.reshape(logt.shape)
 
-    def log_value(self, logt):
-        return self._dispatch(logt, "log_value")
+    def _log_value(self, logt):
+        return self._dispatch(logt, "_log_value")
 
-    def log_derivative(self, logt):
-        return self._dispatch(logt, "log_derivative")
-
-    value = _value_from_log
-    derivative = _derivative_from_log
+    def _log_derivative(self, logt):
+        return self._dispatch(logt, "_log_derivative")
 
     # -- serialization ------------------------------------------------------
 
@@ -379,12 +323,10 @@ class PiecewiseYoungFn1D:
         froms = [None] + [float(b) for b in self.breakpoints_logt]
         for piece, fb in zip(self.pieces, froms):
             d = {"kind": piece.kind, "from_logt": fb}
-            d.update(piece.params)
+            d.update((n, getattr(piece, n)) for n in piece.param_names)
             if piece.kind == "linear":
                 # plain slope/intercept only when they fit in a double
-                ls = piece.params["log_slope"]
-                at = piece.params["anchor_logt"]
-                af = piece.params["anchor_logf"]
+                ls, at, af = piece.log_slope, piece.anchor_logt, piece.anchor_logf
                 if ls < 700.0 and at < 700.0 and af < 700.0:
                     slope = float(np.exp(ls))
                     d["slope"] = slope
@@ -397,15 +339,17 @@ class PiecewiseYoungFn1D:
 
     @classmethod
     def from_json_dict(cls, data):
-        """Inverse of :meth:`to_json_dict`; a missing field raises
-        ValueError naming its path (``pieces[3].anchor_logf: missing``)."""
+        """Inverse of :meth:`to_json_dict`; a missing field or an unknown
+        kind raises ValueError naming its path (``pieces[3].anchor_logf``)."""
         pieces, breaks = [], []
         for i, pd in enumerate(_field(data, "pieces")):
             at = f"pieces[{i}]."
             kind = _field(pd, "kind", at)
-            # Piece rejects an unknown kind
-            _, names = _PIECE_FORMS.get(kind, (None, ()))
-            pieces.append(Piece(kind, {n: float(_field(pd, n, at)) for n in names}))
+            if kind not in _PIECE_TYPES:
+                raise ValueError(f"{at}kind: unknown piece kind {kind!r}")
+            piece_type = _PIECE_TYPES[kind]
+            params = {n: float(_field(pd, n, at)) for n in piece_type.param_names}
+            pieces.append(piece_type(**params))
             if i > 0:
                 breaks.append(_field(pd, "from_logt", at))
         return cls(pieces, breaks, trace=data.get("trace"))

@@ -25,7 +25,7 @@ def test_tangent_residuals():
     logh, line = tangent_point(logtau, 2.0, 1.0)
     hi = PowerLogFn(2, 1)
     assert line.log_value(logh) == pytest.approx(hi.log_value(logh), abs=1e-9)
-    assert line.params["log_slope"] == pytest.approx(hi.log_derivative(logh), abs=1e-12)
+    assert line.log_slope == pytest.approx(hi.log_derivative(logh), abs=1e-12)
     assert line.log_value(logtau) == pytest.approx(PowerFn(2).log_value(logtau), abs=1e-12)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from anisolab import descent
+from anisolab.aniso2d import SampledFn2D
 from anisolab.descent import IterationCapError, minimize_projected
 from anisolab.gridfield import GridField2D, divergence_of, forward_gradient
 
@@ -24,6 +25,15 @@ def test_binary_roundtrip(tmp_path, rng):
     back = GridField2D.from_binary(p)
     assert np.array_equal(back.values, f.values)
     assert back.h == f.h
+    header = SampledFn2D.from_binary(p)
+    assert (header.x0, header.y0) == (0.0, 0.0)
+
+
+def test_binary_off_origin_rejected(tmp_path):
+    p = tmp_path / "f.bin"
+    SampledFn2D(x0=0.0, y0=-0.5, hx=0.125, hy=0.125, values=np.zeros((9, 9))).to_binary(p)
+    with pytest.raises(ValueError, match=r"origin \(0\.0, -0\.5\) is not \(0, 0\)"):
+        GridField2D.from_binary(p)
 
 
 def test_descent_solves_quadratic(rng):

@@ -5,11 +5,10 @@ import pytest
 
 from anisolab.aniso2d import intro_exp_fn, quadratic_fn, radial_power_fn
 from anisolab.capacity import NonDoublingError
-from anisolab.gridfield import GridField2D, forward_gradient
+from anisolab.gridfield import GridField2D, divergence_of, forward_gradient
 from anisolab.pde import (
     ApproxSequence,
     DiscreteMeasure,
-    euler_lagrange_residual,
     mollify_measure,
     solve_weak,
     truncate,
@@ -146,8 +145,10 @@ def test_poisson_center_value():
     u = solve_weak(quadratic_fn(), _unit_source(n))
     center = u.values[n // 2, n // 2]
     assert abs(center - POISSON_CENTER) / POISSON_CENTER <= 0.01
-    res = euler_lagrange_residual(quadratic_fn(), u, _unit_source(n))
-    assert np.max(np.abs(res)) <= 1e-3
+    # the Euler-Lagrange residual div A(grad u) + f on the interior nodes
+    ax, ay = quadratic_fn().grad(*forward_gradient(u.values, u.h))
+    res = divergence_of(ax, ay, u.h, n) + _unit_source(n).values
+    assert np.max(np.abs(res[1:-1, 1:-1])) <= 1e-3
 
 
 def test_torsion_matches_the_dense_five_point_solve():

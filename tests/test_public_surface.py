@@ -15,13 +15,7 @@ PROGRAM_FILES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.p
 MODULES = sorted(f.stem for f in PACKAGE.glob("*.py") if f.stem != "__main__")
 
 # Public definitions no program code calls yet, each kept on purpose.
-ALLOWED_UNUSED = {
-    # the paper's capacitary characterization of diffuse measures; its
-    # verdict is to be gated on certified capacity brackets
-    "diffuse_singular_split",
-    # to become the weak solve's own stationarity residual
-    "euler_lagrange_residual",
-}
+ALLOWED_UNUSED = set()
 
 # Public methods no program code calls, each kept on purpose.
 ALLOWED_UNUSED_METHODS = {
@@ -62,7 +56,9 @@ def _references(tree, skip, strings=False):
     return found
 
 
-def test_every_public_definition_is_used_by_the_program():
+def _unused_definitions():
+    """``[(file, lineno, name)]`` of every public top-level function or
+    class that no program code references."""
     trees = {f: ast.parse(f.read_text(encoding="utf-8")) for f in PROGRAM_FILES}
     definitions = {
         (f, node)
@@ -77,12 +73,14 @@ def test_every_public_definition_is_used_by_the_program():
         used = node.name in _references(trees[f], {node}) or any(
             node.name in refs for g, refs in everywhere.items() if g != f
         )
-        if not used and node.name not in ALLOWED_UNUSED:
-            unused.append(f"{f.name}:{node.lineno} {node.name}")
-    assert not unused, unused
+        if not used:
+            unused.append((f.name, node.lineno, node.name))
+    return unused
 
 
-def test_every_public_method_is_used_by_the_program():
+def _unused_methods():
+    """``[(file, lineno, "Class.method")]`` of every public method of a
+    public class that no program code references, by name or as a string."""
     trees = {f: ast.parse(f.read_text(encoding="utf-8")) for f in PROGRAM_FILES}
     methods = [
         (f, cls, node)
@@ -99,6 +97,25 @@ def test_every_public_method_is_used_by_the_program():
         used = node.name in _references(trees[f], {node}, strings=True) or any(
             node.name in refs for g, refs in everywhere.items() if g != f
         )
-        if not used and f"{cls.name}.{node.name}" not in ALLOWED_UNUSED_METHODS:
-            unused.append(f"{f.name}:{node.lineno} {cls.name}.{node.name}")
+        if not used:
+            unused.append((f.name, node.lineno, f"{cls.name}.{node.name}"))
+    return unused
+
+
+def test_every_public_definition_is_used_by_the_program():
+    unused = [f"{f}:{line} {name}" for f, line, name in _unused_definitions()
+              if name not in ALLOWED_UNUSED]
     assert not unused, unused
+
+
+def test_every_public_method_is_used_by_the_program():
+    unused = [f"{f}:{line} {name}" for f, line, name in _unused_methods()
+              if name not in ALLOWED_UNUSED_METHODS]
+    assert not unused, unused
+
+
+def test_allowlists_hold_only_unused_names():
+    # an allowlisted name that is gone, or that the program now uses,
+    # leaves the list in the same change
+    assert ALLOWED_UNUSED <= {name for *_, name in _unused_definitions()}
+    assert ALLOWED_UNUSED_METHODS <= {name for *_, name in _unused_methods()}
