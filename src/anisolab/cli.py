@@ -182,13 +182,10 @@ def cmd_probe(args):
     phi = parse_phi(args.phi)
     mats, params = default_probe_family(args.rotations, args.shears, args.scales)
     rep = essential_anisotropy_probe(phi, mats)
-    rows = []
-    if rep["method"] == "cycle-witness":
-        for (theta, s, lam), fail, drop in zip(params, rep["fails"], rep["worst_drops"]):
-            rows.append((theta, s, lam, "fail" if fail else "pass", float(drop)))
-    else:
-        for (theta, s, lam), verdict in zip(params, rep["verdicts"]):
-            rows.append((theta, s, lam, "pass" if verdict["equivalent"] else "fail", 0.0))
+    rows = [
+        (theta, s, lam, "fail" if fail else "pass", float(drop))
+        for (theta, s, lam), fail, drop in zip(params, rep["fails"], rep["worst_drops"])
+    ]
     _write_csv(args.out, ["theta_deg", "shear", "scale", "verdict", "worst_drop"], rows)
     print(f"{rep['n_failing']}/{rep['n_maps']} maps fail the axis decomposition")
     return 0

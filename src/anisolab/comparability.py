@@ -23,7 +23,6 @@ import os
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -111,22 +110,23 @@ def _decade_minima(log_samples, gaps, per_decade=np.log(10.0)):
     return mins
 
 
-def dominates(F, G, log_samples):
+def dominates(log_f, log_g, log_samples):
     """Does F dominate G (c G(d x) <= F(x)) on the sampled log-argument grid?
 
-    ``F``/``G`` expose ``log_value``, which may return one row of values
-    per ray of a 2-D cloud, shape (rows, n); a trend diverging along any
-    row refutes the domination.  Samples must be ordered and span a wide
+    ``log_f``/``log_g`` map log x to log F(x)/log G(x), such as a 1-D
+    function's ``log_value``; they may return one row of values per ray
+    of a 2-D cloud, shape (rows, n), and a trend diverging along any row
+    refutes the domination.  Samples must be ordered and span a wide
     range (a dozen decades is the working default).  The scalings d run
     over ``DEFAULT_D_GRID``.  Returns a verdict with certificate
     constants, or witness trends per tested d.
     """
     log_samples = np.asarray(log_samples, dtype=float)
-    logF = F.log_value(log_samples)
+    logF = log_f(log_samples)
     best = None
     witnesses = []
     for d in DEFAULT_D_GRID:
-        gaps = logF - G.log_value(log_samples + np.log(d))
+        gaps = logF - log_g(log_samples + np.log(d))
         mins = _decade_minima(log_samples, gaps)
         min_gap = float(np.min(gaps))
         diverging = any(_trend_diverges(row) for row in np.atleast_2d(mins))
@@ -153,9 +153,9 @@ def dominates(F, G, log_samples):
     return DominationVerdict(dominates=False, witnesses=witnesses)
 
 
-def equivalent(F, G, log_samples):
-    fwd = dominates(F, G, log_samples)
-    bwd = dominates(G, F, log_samples)
+def equivalent(log_f, log_g, log_samples):
+    fwd = dominates(log_f, log_g, log_samples)
+    bwd = dominates(log_g, log_f, log_samples)
     return {"equivalent": fwd.dominates and bwd.dominates, "forward": fwd, "backward": bwd}
 
 
@@ -171,9 +171,7 @@ def equivalent_on_rays(log_f, log_g, dirs, log_r):
     rays at once, one row per direction, through :func:`equivalent`.
     """
     ux, uy = np.asarray(dirs, dtype=float).T[:, :, None]
-    F = SimpleNamespace(log_value=partial(log_f, ux, uy))
-    G = SimpleNamespace(log_value=partial(log_g, ux, uy))
-    return equivalent(F, G, log_r)
+    return equivalent(partial(log_f, ux, uy), partial(log_g, ux, uy), log_r)
 
 
 def _standard_directions(phi):
@@ -364,17 +362,22 @@ def essential_anisotropy_probe(phi, mats):
     terms (a ``terms`` list).  Chunks are independent; ANISOLAB_THREADS
     caps the pool, and the reduction is indexed, so scheduling cannot
     change the result.
+
+    Both paths report the per-map ``fails`` (bool) and ``worst_drops``
+    (the cycle-witness gap drops; zeros on the cloud path), with
+    ``method``, ``n_maps``, ``n_failing`` and ``all_fail``.
     """
     if not hasattr(phi, "terms"):
         raise ValueError(
             f"the probe needs a sum of directional terms; {type(phi).__name__} has none"
         )
     forms = composed_forms(phi, mats)
+    fails = np.zeros(len(mats), dtype=bool)
+    drops = np.zeros(len(mats))
     if hasattr(phi, "build"):
+        method = "cycle-witness"
         log_d = np.log(DEFAULT_D_GRID)
         n_workers = _worker_count()
-        fails = np.zeros(len(mats), dtype=bool)
-        drops = np.zeros(len(mats))
         spans = [(a, min(a + PROBE_CHUNK, len(mats))) for a in range(0, len(mats), PROBE_CHUNK)]
 
         def run_span(span):
@@ -393,26 +396,19 @@ def essential_anisotropy_probe(phi, mats):
         for (a, b), (f, w) in results:
             fails[a:b] = f
             drops[a:b] = w
-        return {
-            "method": "cycle-witness",
-            "n_maps": len(mats),
-            "n_failing": int(np.sum(fails)),
-            "all_fail": bool(np.all(fails)),
-            "fails": fails,
-            "worst_drops": drops,
-        }
-    fns = [fn for _, _, fn in phi.terms]
-    results = [
-        axis_decomposition_test(
-            AnisoFn2D([(fx, fy, fn) for (fx, fy), fn in zip(f, fns)], name=phi.name + "@T")
-        )
-        for f in forms
-    ]
+    else:
+        method = "cloud"
+        fns = [fn for _, _, fn in phi.terms]
+        for m, f in enumerate(forms):
+            phi_t = AnisoFn2D([(fx, fy, fn) for (fx, fy), fn in zip(f, fns)], name=phi.name + "@T")
+            fails[m] = not axis_decomposition_test(phi_t)["equivalent"]
     return {
-        "method": "cloud",
+        "method": method,
         "n_maps": len(mats),
-        "verdicts": results,
-        "n_failing": sum(0 if r["equivalent"] else 1 for r in results),
+        "n_failing": int(np.sum(fails)),
+        "all_fail": bool(np.all(fails)),
+        "fails": fails,
+        "worst_drops": drops,
     }
 
 

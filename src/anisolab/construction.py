@@ -35,12 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (
-    BracketError,
-    bisect_increasing,
-    expand_bracket_increasing,
-    logsubexp,
-)
+from .numerics import BracketError, logsubexp, root_increasing
 from .young1d import LinearPiece, PiecewiseYoungFn1D, PowerFn, PowerLogFn, _field
 
 __all__ = [
@@ -268,8 +263,7 @@ def tangent_point(logt_k, p, alpha):
         return spent - upper.log_value(logh)
 
     try:
-        lo, hi = expand_bracket_increasing(gap, logt_k + 1e-9, step=0.5)
-        logh = bisect_increasing(gap, lo, hi)
+        logh = root_increasing(gap, logt_k + 1e-9, step=0.5)
     except BracketError as exc:
         raise ConstructionError(f"tangent bracket not found: {exc}") from exc
     line = LinearPiece(
@@ -288,8 +282,7 @@ def _line_meets_lower(line, p, logh):
         return lower.log_value(logs) - line.log_value(logs)
 
     try:
-        lo, hi = expand_bracket_increasing(gap, logh + 1e-9, step=0.5)
-        return bisect_increasing(gap, lo, hi)
+        return root_increasing(gap, logh + 1e-9, step=0.5)
     except BracketError as exc:
         raise ConstructionError(
             f"descent line never re-meets the lower curve (p == 1?): {exc}"

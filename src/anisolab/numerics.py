@@ -1,15 +1,22 @@
-"""Shared low-level numerics: log-domain arithmetic and bracketed bisection.
+"""Shared low-level numerics: log-domain arithmetic and monotone root search.
 
-Everything here works elementwise on numpy arrays as well as on python
-floats.  Log-domain helpers keep sums and differences of hugely scaled
-positive quantities representable: the construction module produces
-breakpoints beyond exp(1000), so all structural arithmetic is carried on
+The log-domain helpers work elementwise on numpy arrays as well as on
+python floats.  They keep sums and differences of hugely scaled positive
+quantities representable: the construction module produces breakpoints
+beyond exp(1000), so all structural arithmetic is carried on
 (log t, log f(t)) pairs.
+
+:func:`root_increasing` is the one scalar bracket walk and bisection: it
+places the construction's breakpoints, inverts 1-D functions in log t and
+finds Luxemburg norms in log lambda.  :func:`bisect_increasing_arrays`
+bisects given brackets lane by lane, one lane per ray of a sublevel set.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+MAX_STEPS = 200  # bracket-walk steps, and halvings, of each root search
 
 
 class RangeError(ValueError):
@@ -63,54 +70,45 @@ def safe_exp(logv):
     return out
 
 
-def bisect_increasing(f, lo, hi, rtol=1e-12, max_iter=200):
-    """Root of a nondecreasing scalar function on a bracketing interval.
+def root_increasing(f, start, step, rtol=1e-12):
+    """Root of a nondecreasing scalar function, searched from ``start``.
 
-    ``f(lo) <= 0 <= f(hi)`` is required.  Stops when the bracket width falls
-    below ``rtol * max(1, |mid|)``.
+    Walks right (where ``f(start) < 0``) or left in steps doubling from
+    ``step`` until a sign change is enclosed, then bisects until the
+    bracket width falls below ``rtol * max(1, |mid|)``.  An exact root at
+    ``start`` is returned as is; a walk of ``MAX_STEPS`` steps that finds
+    no sign change raises :class:`BracketError`.
     """
-    flo, fhi = f(lo), f(hi)
-    if flo > 0.0 or fhi < 0.0:
-        raise BracketError(f"no sign change on [{lo!r}, {hi!r}]: f={flo!r},{fhi!r}")
-    for _ in range(max_iter):
+    f0 = f(start)
+    if f0 == 0.0:
+        return start
+    right = f0 < 0.0
+    lo = hi = start
+    for _ in range(MAX_STEPS):
+        if right:
+            lo, hi = hi, hi + step
+            if f(hi) >= 0.0:
+                break
+        else:
+            lo, hi = lo - step, lo
+            if f(lo) <= 0.0:
+                break
+        step *= 2.0
+    else:
+        side = "right" if right else "left"
+        raise BracketError(f"no sign change walking {side} from {start!r}")
+    for _ in range(MAX_STEPS):
         mid = 0.5 * (lo + hi)
         if hi - lo <= rtol * max(1.0, abs(mid)):
             return mid
-        fm = f(mid)
-        if fm < 0.0:
+        if f(mid) < 0.0:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def expand_bracket_increasing(f, start, step=1.0, factor=2.0, max_steps=200):
-    """Bracket the root of a nondecreasing f starting at ``start``.
-
-    Walks right (and left) in geometrically growing steps until a sign
-    change is enclosed; returns (lo, hi).
-    """
-    f0 = f(start)
-    if f0 == 0.0:
-        return start, start
-    lo = hi = start
-    s = step
-    if f0 < 0.0:
-        for _ in range(max_steps):
-            hi = lo + s
-            if f(hi) >= 0.0:
-                return lo, hi
-            lo, s = hi, s * factor
-        raise BracketError("rightward bracket expansion exhausted")
-    for _ in range(max_steps):
-        lo = hi - s
-        if f(lo) <= 0.0:
-            return lo, hi
-        hi, s = lo, s * factor
-    raise BracketError("leftward bracket expansion exhausted")
-
-
-def bisect_increasing_arrays(f, lo, hi, rtol=1e-12, max_iter=200):
+def bisect_increasing_arrays(f, lo, hi, rtol=1e-12):
     """Vectorized bisection: f maps arrays to arrays, nondecreasing per lane.
 
     Convergence is judged per row along the last axis: a row stops once
@@ -122,7 +120,7 @@ def bisect_increasing_arrays(f, lo, hi, rtol=1e-12, max_iter=200):
     """
     lo = np.array(lo, dtype=float, copy=True)
     hi = np.array(hi, dtype=float, copy=True)
-    for _ in range(max_iter):
+    for _ in range(MAX_STEPS):
         mid = 0.5 * (lo + hi)
         width = hi - lo
         done = np.all(width <= rtol * np.maximum(1.0, np.abs(mid)), axis=-1, keepdims=True)

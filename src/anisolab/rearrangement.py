@@ -43,11 +43,15 @@ def ray_radii_log(phi, log_t, n_angles):
     """log rho(theta_i) with Phi(rho * omega) = t, per uniform angle.
 
     ``log_t`` is one level or a 1-D array of levels; an array gives one row
-    of log radii per level, all solved in one bisection.
+    of log radii per level, all solved in one bisection.  A log level that
+    is not finite (t <= 0, inf or nan) raises ValueError naming it.
     """
+    log_t = np.asarray(log_t, dtype=float)
+    nonfinite = log_t[~np.isfinite(log_t)]
+    if nonfinite.size:
+        raise ValueError(f"log level {float(nonfinite[0])!r} is not finite: need 0 < t < inf")
     theta = 2.0 * np.pi * np.arange(n_angles) / n_angles
     ux, uy = np.cos(theta), np.sin(theta)
-    log_t = np.asarray(log_t, dtype=float)
     rows = log_t.reshape(-1, 1)
 
     def f(logr):

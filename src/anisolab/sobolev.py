@@ -13,8 +13,10 @@ diverges the table is spliced below its first node with a continuously
 matched tau^{3/2} piece, the simplest superlinear power that keeps the
 n = 2 head convergent; the splice changes nothing above the first node.
 
-Luxemburg norms are the usual infimum over lambda of a unit modular,
-found by bisection on the monotone map lambda -> modular(U / lambda).
+Luxemburg norms are the usual infimum over lambda of a unit modular.
+The map lambda -> modular(U / lambda) is nonincreasing, so the norm is the
+root of the nondecreasing s -> 1 - modular(U e^-s), searched in
+s = log lambda from log max |U| by :func:`~anisolab.numerics.root_increasing`.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridfield import forward_gradient
+from .numerics import root_increasing
 from .tables import MonotoneTable
 
 __all__ = [
@@ -50,7 +53,7 @@ H_MAX_DOUBLINGS = 4
 # slope within GROWTH_MARGIN of -1 is inconclusive
 TAIL_FRACTION = 0.3
 GROWTH_MARGIN = 0.05
-LUXEMBURG_RTOL = 1e-8  # relative bracket width of the Luxemburg-norm bisection
+LUXEMBURG_RTOL = 1e-8  # bracket width, in log lambda, of the Luxemburg-norm search
 
 
 class ClassificationError(RuntimeError):
@@ -170,39 +173,19 @@ def modular_vector(gx, gy, phi, cell_area):
     return float(np.sum(phi.value(gx, gy)) * cell_area)
 
 
-def _luxemburg(modular_of_lambda, scale_hint):
-    """inf{lambda > 0 : modular(U / lambda) <= 1} by bisection."""
-    lam = max(scale_hint, np.finfo(float).tiny)
-    for _ in range(200):
-        if modular_of_lambda(lam) <= 1.0:
-            break
-        lam *= 4.0
-    else:
-        raise RuntimeError("no finite Luxemburg bracket")
-    hi = lam
-    lo = lam
-    for _ in range(200):
-        candidate = lo / 4.0
-        if candidate <= 0.0 or modular_of_lambda(candidate) > 1.0:
-            lo = candidate
-            break
-        lo = candidate
-    while hi - lo > LUXEMBURG_RTOL * hi:
-        mid = 0.5 * (lo + hi)
-        if modular_of_lambda(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return float(hi)
-
-
 def luxemburg_norm_vector(gx, gy, phi, cell_area):
+    """inf{lambda > 0 : modular(U / lambda) <= 1} for U = (gx, gy)."""
     gx = np.asarray(gx, dtype=float)
     gy = np.asarray(gy, dtype=float)
     amax = float(max(np.max(np.abs(gx), initial=0.0), np.max(np.abs(gy), initial=0.0)))
     if amax == 0.0:
         return 0.0
-    return _luxemburg(lambda lam: modular_vector(gx / lam, gy / lam, phi, cell_area), amax)
+
+    def excess(s):
+        scale = np.exp(-s)
+        return 1.0 - modular_vector(gx * scale, gy * scale, phi, cell_area)
+
+    return float(np.exp(root_increasing(excess, np.log(amax), np.log(4.0), rtol=LUXEMBURG_RTOL)))
 
 
 def luxemburg_norm_gradient(field, phi):

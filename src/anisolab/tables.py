@@ -57,18 +57,6 @@ class MonotoneTable:
             out = np.log(self._slopes[idx]) + self._log_value(logx) - logx
         return np.where(np.isneginf(logx), -np.inf, out)
 
-    # -- structure checks ----------------------------------------------------
-
-    def convex_on_nodes(self, rel_slack=1e-9):
-        """Difference quotients of node values nondecreasing (value domain)."""
-        x = np.exp(self.logx)
-        y = np.exp(self.logy)
-        if np.any(~np.isfinite(x)) or np.any(~np.isfinite(y)):
-            # fall back to log-log slopes >= previous (valid for slopes >= 1)
-            return bool(np.all(np.diff(self._slopes) >= -rel_slack))
-        q = np.diff(y) / np.diff(x)
-        return bool(np.all(np.diff(q) >= -rel_slack * np.maximum(1.0, q[:-1])))
-
     # -- io -------------------------------------------------------------------
 
     def to_json_dict(self):

@@ -36,13 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    bisect_increasing,
-    expand_bracket_increasing,
-    log1p_exp,
-    logsubexp,
-    safe_exp,
-)
+from .numerics import log1p_exp, logsubexp, root_increasing, safe_exp
 
 __all__ = [
     "PowerFn",
@@ -365,8 +359,7 @@ def inverse1d_log(f, logy):
     def g(logt):
         return f.log_value(logt) - logy
 
-    lo, hi = expand_bracket_increasing(g, 0.0, step=4.0)
-    return bisect_increasing(g, lo, hi)
+    return root_increasing(g, 0.0, step=4.0)
 
 
 @dataclass

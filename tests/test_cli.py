@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -103,6 +104,26 @@ def test_sublevel_bounds_csv(tmp_path):
     for line in lines[1:]:
         t, area, lo, hi = (float(v) for v in line.split(","))
         assert lo <= area <= hi
+
+
+@pytest.mark.parametrize(
+    "phi, levels, named",
+    [
+        ("quadratic", "10,nan", "nan"),
+        ("quadratic", "10,inf", "inf"),
+        ("triple.json", "10,-5", "nan"),
+        ("triple.json", "10,0", "-inf"),
+    ],
+)
+def test_sublevel_rejects_non_finite_levels(tmp_path, phi, levels, named):
+    run_cli(["construct", "--cycles", "4", "--out", "triple.json"], tmp_path)
+    r = run_cli(
+        ["sublevel", "--phi", phi, "--levels", levels, "--angles", "64", "--out", "areas.csv"],
+        tmp_path,
+    )
+    assert r.returncode == 1
+    assert f"error: log level {named} is not finite" in r.stderr
+    assert not (tmp_path / "areas.csv").exists()
 
 
 def test_conjugate_binary(tmp_path):

@@ -1,0 +1,120 @@
+import numpy as np
+import pytest
+
+from anisolab.construction import tangent_point
+from anisolab.numerics import BracketError, logsubexp, root_increasing
+from anisolab.young1d import PowerFn, PowerLogFn, inverse1d_log
+
+
+# The bracket walk and bisection that root_increasing replaced, kept
+# verbatim as the reference it must reproduce bit for bit.
+def bisect_increasing(f, lo, hi, rtol=1e-12, max_iter=200):
+    """Root of a nondecreasing scalar function on a bracketing interval.
+
+    ``f(lo) <= 0 <= f(hi)`` is required.  Stops when the bracket width falls
+    below ``rtol * max(1, |mid|)``.
+    """
+    flo, fhi = f(lo), f(hi)
+    if flo > 0.0 or fhi < 0.0:
+        raise BracketError(f"no sign change on [{lo!r}, {hi!r}]: f={flo!r},{fhi!r}")
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= rtol * max(1.0, abs(mid)):
+            return mid
+        fm = f(mid)
+        if fm < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def expand_bracket_increasing(f, start, step=1.0, factor=2.0, max_steps=200):
+    """Bracket the root of a nondecreasing f starting at ``start``.
+
+    Walks right (and left) in geometrically growing steps until a sign
+    change is enclosed; returns (lo, hi).
+    """
+    f0 = f(start)
+    if f0 == 0.0:
+        return start, start
+    lo = hi = start
+    s = step
+    if f0 < 0.0:
+        for _ in range(max_steps):
+            hi = lo + s
+            if f(hi) >= 0.0:
+                return lo, hi
+            lo, s = hi, s * factor
+        raise BracketError("rightward bracket expansion exhausted")
+    for _ in range(max_steps):
+        lo = hi - s
+        if f(lo) <= 0.0:
+            return lo, hi
+        hi, s = lo, s * factor
+    raise BracketError("leftward bracket expansion exhausted")
+
+
+def _reference(f, start, step):
+    return bisect_increasing(f, *expand_bracket_increasing(f, start, step=step))
+
+
+def _recorded(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+def test_root_walks_right_from_below():
+    g, calls = _recorded(lambda x: x - 37.3)
+    root = root_increasing(g, 0.0, 1.0)
+    assert root == pytest.approx(37.3, rel=1e-12)
+    assert min(calls) == 0.0
+
+
+def test_root_walks_left_from_above():
+    g, calls = _recorded(lambda x: x**3 + 5.0)
+    root = root_increasing(g, 2.0, 0.5)
+    assert root == pytest.approx(-(5.0 ** (1.0 / 3.0)), rel=1e-12)
+    assert max(calls) == 2.0
+
+
+def test_root_at_start_is_returned_after_one_evaluation():
+    g, calls = _recorded(lambda x: x - 1.5)
+    assert root_increasing(g, 1.5, 1.0) == 1.5
+    assert calls == [1.5]
+
+
+@pytest.mark.parametrize("sign, side", [(-1.0, "right"), (1.0, "left")])
+def test_root_without_a_sign_change_raises(sign, side):
+    with pytest.raises(BracketError, match=f"walking {side} from 0.25"):
+        root_increasing(lambda x: sign, 0.25, 1.0)
+
+
+@pytest.mark.parametrize("p, alpha", [(2.0, 1.0), (1.5, 2.0), (1.0, 1.0)])
+@pytest.mark.parametrize("logt_k", [np.log(2.0), 5.0, 40.0, 700.0])
+def test_root_equals_the_old_pair_on_the_tangency_gap(p, alpha, logt_k):
+    lower, upper = PowerFn(p), PowerLogFn(p, alpha)
+    target = lower.log_value(logt_k)
+
+    def gap(logh):
+        spent = np.logaddexp(upper.log_derivative(logh) + logsubexp(logh, logt_k), target)
+        return spent - upper.log_value(logh)
+
+    ref = _reference(gap, logt_k + 1e-9, 0.5)
+    assert root_increasing(gap, logt_k + 1e-9, 0.5) == ref
+    assert tangent_point(logt_k, p, alpha)[0] == ref
+
+
+def test_root_equals_the_old_pair_on_level_inverses(build6):
+    for f in (PowerFn(2), PowerLogFn(2, 1), build6.phi[0]):
+        for logy in (-30.0, -1.0, 0.0, 0.5, 12.0, 700.0, 2000.0):
+
+            def g(logt):
+                return f.log_value(logt) - logy
+
+            assert inverse1d_log(f, logy) == _reference(g, 0.0, 4.0)

@@ -22,8 +22,6 @@ ALLOWED_UNUSED_METHODS = {
     # reads the grid files `to_binary` writes (the CLI's `--field` output),
     # with the malformed-file checks every reader keeps
     "GridField2D.from_binary",
-    # convexity of a tabulated Young function (phi_circ, phi_n) on its nodes
-    "MonotoneTable.convex_on_nodes",
 }
 
 

@@ -32,6 +32,15 @@ def test_bad_level_rejected():
         sublevel_area(power_sum_fn(2, 2), 0.0)
 
 
+def test_ray_radii_reject_non_finite_log_levels(build6):
+    phi = constructed_triple_fn(build6)
+    with pytest.raises(ValueError, match="log level nan is not finite"):
+        ray_radii_log(phi, np.array([1.0, np.nan, np.inf, -np.inf]), 16)
+    for bad in (np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"log level {bad!r} is not finite"):
+            ray_radii_log(power_sum_fn(2, 2), np.array([bad, 1.0]), 16)
+
+
 def test_area_strictly_increasing(build6):
     phi = constructed_triple_fn(build6)
     ts = np.logspace(0.5, 7, 12)
@@ -133,10 +142,19 @@ def test_phi_circ_radial_consistency_nonquadratic():
     assert np.max(np.abs(tab.value(s) - s**1.7) / s**1.7) <= 1e-6
 
 
+def _secants_nondecreasing(table, rel_slack):
+    """The difference quotients of the table's node values are nondecreasing
+    (convexity on the nodes, in the value domain)."""
+    x, y = np.exp(table.logx), np.exp(table.logy)
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+    q = np.diff(y) / np.diff(x)
+    return bool(np.all(np.diff(q) >= -rel_slack * np.maximum(1.0, q[:-1])))
+
+
 def test_phi_circ_convex_on_nodes(build6):
     grid = np.logspace(0.0, 7.0, 50)
     tab = phi_circ(constructed_triple_fn(build6), grid, n_angles=512)
-    assert tab.convex_on_nodes(rel_slack=1e-6)
+    assert _secants_nondecreasing(tab, rel_slack=1e-6)
 
 
 def test_levelset_sandwich(build6):

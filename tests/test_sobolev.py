@@ -4,6 +4,7 @@ import pytest
 from anisolab.aniso2d import power_sum_fn, quadratic_fn, radial_power_fn
 from anisolab.gridfield import GridField2D, forward_gradient
 from anisolab.sobolev import (
+    LUXEMBURG_RTOL,
     ClassificationError,
     build_H,
     build_profile,
@@ -112,6 +113,19 @@ def test_luxemburg_matches_lp(tent65):
     assert lux_g == pytest.approx(lp_g, rel=1e-7)
 
 
+def test_luxemburg_norm_within_one_bracket_of_the_unit_modular(rng):
+    # the search stops at a bracket of width LUXEMBURG_RTOL * max(1, |log lambda|)
+    # in log lambda around the crossing
+    area = (1.0 / 32) ** 2
+    for phi in (radial_power_fn(1.5), power_sum_fn(2, 3), quadratic_fn()):
+        for scale in (1e-6, 1.0, 1e6):
+            gx, gy = scale * rng.normal(size=(2, 33, 33))
+            s = np.log(luxemburg_norm_vector(gx, gy, phi, area))
+            w = LUXEMBURG_RTOL * max(1.0, abs(s))
+            assert modular_vector(gx * np.exp(-(s - w)), gy * np.exp(-(s - w)), phi, area) > 1.0
+            assert modular_vector(gx * np.exp(-(s + w)), gy * np.exp(-(s + w)), phi, area) <= 1.0
+
+
 def test_luxemburg_zero_and_scaling():
     f = _tent_field(33)
     gx, gy = forward_gradient(f.values, f.h)
@@ -147,7 +161,16 @@ def test_luxemburg_gradient_of_tent(tent65):
     assert v > 0.0 and np.isfinite(v)
 
 
+def _secants_nondecreasing(table, rel_slack):
+    """The difference quotients of the table's node values are nondecreasing
+    (convexity on the nodes, in the value domain)."""
+    x, y = np.exp(table.logx), np.exp(table.logy)
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+    q = np.diff(y) / np.diff(x)
+    return bool(np.all(np.diff(q) >= -rel_slack * np.maximum(1.0, q[:-1])))
+
+
 def test_phin_convex_on_nodes():
     prof = build_profile(_power_table(1.5))
-    assert prof.phin.convex_on_nodes(rel_slack=1e-8)
+    assert _secants_nondecreasing(prof.phin, rel_slack=1e-8)
     assert np.all(np.diff(prof.H.logy) > 0.0)
