@@ -279,7 +279,7 @@ def _triple_axis_fails(build, forms, log_d):
             usable = lo <= hi
             with np.errstate(invalid="ignore"):
                 logr = np.where(usable, 0.5 * (lo + hi), 0.0)
-            la = np.logaddexp(
+            la = logaddexp_many(
                 build.phi[lights[0]].log_value(logc[0][:, None] + logr),
                 build.phi[lights[1]].log_value(logc[1][:, None] + logr),
             )

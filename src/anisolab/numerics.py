@@ -28,11 +28,26 @@ class BracketError(RuntimeError):
 
 
 def logaddexp_many(*logs):
-    """log(sum(exp(l) for l in logs)), elementwise, overflow safe."""
-    out = logs[0]
-    for l in logs[1:]:
-        out = np.logaddexp(out, l)
-    return out
+    """log(sum(exp(l) for l in logs)), elementwise, overflow safe.
+
+    One streaming max-shift pass: ``shift`` is the elementwise maximum of
+    the parts (0 where that is not finite), the shifted exponentials are
+    summed into one running array, and the result is ``shift + log(sum)``.
+    No stacked copy of the parts is made.  All ``-inf`` gives ``-inf``,
+    any ``+inf`` gives ``+inf``, NaN gives NaN; scalars give a scalar.
+    """
+    if len(logs) == 1:
+        return logs[0]
+    top = np.maximum(logs[0], logs[1])
+    for l in logs[2:]:
+        top = np.maximum(top, l)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    # overflow only where a NaN part left shift at 0; log(0) is all -inf
+    with np.errstate(over="ignore", divide="ignore"):
+        total = np.exp(logs[0] - shift)
+        for l in logs[1:]:
+            total += np.exp(l - shift)
+        return shift + np.log(total)
 
 
 def logsubexp(la, lb):
@@ -52,9 +67,15 @@ def logsubexp(la, lb):
 
 
 def log1p_exp(x):
-    """log(1 + exp(x)) without overflow (elementwise)."""
+    """log(1 + exp(x)) without overflow (elementwise).
+
+    One expression for both signs, ``max(x, 0) + log1p(exp(-|x|))``,
+    rather than a select that evaluates two branches.  ``-|x|`` is taken
+    as ``minimum(x, -x)``, which returns x's own NaN, so a NaN comes back
+    with its bits, as do +-inf and +-0.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.where(x > 0.0, x + np.log1p(np.exp(-np.abs(x))), np.log1p(np.exp(np.minimum(x, 0.0))))
+    out = np.maximum(x, 0.0) + np.log1p(np.exp(np.minimum(x, -x)))
     if out.ndim == 0:
         return float(out)
     return out

@@ -134,12 +134,20 @@ def verify_levelset_bounds(build, t_list, n_angles=2048):
     upper:  (4p/(p+1)) * hi'(inv_hi(t))^(1/p) * inv_hi(t)^(1/p + 1)
 
     Everything is compared in logs; the report records both bounds, the
-    area, and the tightness ratios.
+    area, and the tightness ratios.  A level that is not positive and
+    finite raises ValueError naming it.
     """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_levels = np.log(np.asarray(t_list, dtype=float))
+    for t, log_t in zip(t_list, log_levels.tolist()):
+        if not np.isfinite(log_t):
+            raise ValueError(
+                f"log level {log_t!r} is not finite; level {t:g} must be positive and finite"
+            )
     phi2d = constructed_triple_fn(build)
     hi = build.upper
     p = build.p
-    prof = level_profile(phi2d, np.log(np.asarray(t_list, dtype=float)), n_angles)
+    prof = level_profile(phi2d, log_levels, n_angles)
     rows = []
     for t, log_t, log_area in zip(t_list, prof.log_t.tolist(), prof.log_area):
         log_tau3 = inverse1d_log(hi, log_t - np.log(3.0))

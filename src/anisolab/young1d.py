@@ -295,13 +295,30 @@ class PiecewiseYoungFn1D:
                 )
 
     def _dispatch(self, logt, kernel):
+        """Evaluate each piece's ``kernel`` on the elements it owns.
+
+        Walks the pieces in order with threshold masks: piece i owns
+        ``flat < bp[i]`` minus the elements of earlier pieces, and the
+        last piece owns the rest, NaN included (where ``searchsorted``
+        with ``side="right"`` would put it).  Empty pieces are skipped
+        and the walk stops once every element has its piece.
+        """
         flat = np.atleast_1d(logt)
         out = np.empty_like(flat)
-        idx = np.searchsorted(self.breakpoints_logt, flat, side="right")
+        left = np.zeros(flat.shape, dtype=bool)
+        done = 0
         for i, piece in enumerate(self.pieces):
-            m = idx == i
-            if np.any(m):
+            if i < len(self.breakpoints_logt):
+                upto = flat < self.breakpoints_logt[i]
+                m, left = upto ^ left, upto
+            else:
+                m = ~left
+            n = np.count_nonzero(m)
+            if n:
                 out[m] = getattr(piece, kernel)(flat[m])
+                done += n
+                if done == flat.size:
+                    break
         return out.reshape(logt.shape)
 
     def _log_value(self, logt):

@@ -126,6 +126,20 @@ def test_sublevel_rejects_non_finite_levels(tmp_path, phi, levels, named):
     assert not (tmp_path / "areas.csv").exists()
 
 
+@pytest.mark.parametrize("levels, named", [("10,-5", "-5"), ("10,0", "0"), ("10,nan", "nan")])
+def test_triple_sublevel_names_a_bad_level_as_typed(tmp_path, levels, named):
+    run_cli(["construct", "--cycles", "4", "--out", "triple.json"], tmp_path)
+    r = run_cli(
+        ["sublevel", "--phi", "triple.json", "--levels", levels, "--angles", "64",
+         "--out", "areas.csv"],
+        tmp_path,
+    )
+    assert r.returncode == 1
+    assert f"; level {named} must be positive and finite" in r.stderr
+    assert "Warning" not in r.stderr
+    assert not (tmp_path / "areas.csv").exists()
+
+
 def test_conjugate_binary(tmp_path):
     r = run_cli(
         ["conjugate", "--phi", "quadratic", "--extent", "3", "--n", "65", "--out", "c.bin"],

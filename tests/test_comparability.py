@@ -212,6 +212,27 @@ def test_probe_thread_pool_matches_serial(build9, monkeypatch):
     assert reps["2"]["worst_drops"].tobytes() == reps["1"]["worst_drops"].tobytes()
 
 
+def _logaddexp_chain(*logs):
+    # the chained np.logaddexp that the streaming log-sum-exp replaced
+    out = logs[0]
+    for l in logs[1:]:
+        out = np.logaddexp(out, l)
+    return out
+
+
+def test_probe_agrees_with_the_chained_log_sum_exp(build9, monkeypatch):
+    # 4,410 maps: two chunks of PROBE_CHUNK
+    phi = constructed_triple_fn(build9)
+    mats, _ = default_probe_family(10, 21, 21)
+    assert len(mats) > comparability.PROBE_CHUNK
+    rep = essential_anisotropy_probe(phi, mats)
+    monkeypatch.setattr(comparability, "logaddexp_many", _logaddexp_chain)
+    ref = essential_anisotropy_probe(phi, mats)
+    assert np.array_equal(rep["fails"], ref["fails"])
+    assert rep["n_failing"] == ref["n_failing"]
+    np.testing.assert_allclose(rep["worst_drops"], ref["worst_drops"], rtol=0.0, atol=1e-10)
+
+
 @pytest.mark.parametrize("threads", ["abc", "0", "-3", ""])
 def test_probe_rejects_a_bad_thread_count(build9, monkeypatch, threads):
     mats, _ = default_probe_family(2, 1, 1)

@@ -1,8 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from anisolab.construction import tangent_point
-from anisolab.numerics import BracketError, logsubexp, root_increasing
+from anisolab.numerics import (
+    BracketError,
+    log1p_exp,
+    logaddexp_many,
+    logsubexp,
+    root_increasing,
+)
 from anisolab.young1d import PowerFn, PowerLogFn, inverse1d_log
 
 
@@ -118,3 +126,62 @@ def test_root_equals_the_old_pair_on_level_inverses(build6):
                 return f.log_value(logt) - logy
 
             assert inverse1d_log(f, logy) == _reference(g, 0.0, 4.0)
+
+
+# The forms that log1p_exp and logaddexp_many replaced, kept as references.
+def _log1p_exp_two_branch(x):
+    x = np.asarray(x, dtype=float)
+    return np.where(
+        x > 0.0, x + np.log1p(np.exp(-np.abs(x))), np.log1p(np.exp(np.minimum(x, 0.0)))
+    )
+
+
+def _logaddexp_chain(*logs):
+    out = logs[0]
+    for l in logs[1:]:
+        out = np.logaddexp(out, l)
+    return out
+
+
+def test_log1p_exp_equals_the_two_branch_form_bit_for_bit():
+    edges = np.array([0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 800.0, -800.0,
+                      np.inf, -np.inf, np.nan, -np.nan])
+    x = np.concatenate([edges, np.random.default_rng(3).normal(0.0, 40.0, 1000)])
+    assert log1p_exp(x).tobytes() == _log1p_exp_two_branch(x).tobytes()
+    for v in edges:
+        out = log1p_exp(float(v))
+        assert type(out) is float
+        assert np.array([out]).tobytes() == np.array([_log1p_exp_two_branch(v)]).tobytes()
+
+
+def test_logaddexp_many_edge_values():
+    inf, nan = np.inf, np.nan
+    assert logaddexp_many(-inf, -inf, -inf) == -inf
+    assert logaddexp_many(np.full(3, -inf), np.full(3, -inf)).tolist() == [-inf] * 3
+    assert logaddexp_many(np.array([1.0, -inf]), np.array([inf, inf])).tolist() == [inf, inf]
+    assert logaddexp_many(2.0, inf, -inf) == inf
+    assert np.isnan(logaddexp_many(nan, 1.0, 2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(logaddexp_many(1.0, nan, 800.0))
+        assert logaddexp_many(-inf, -inf) == -inf
+    out = logaddexp_many(np.array([0.0, nan, -inf]), np.array([0.0, 5.0, 3.0]))
+    assert out[0] == np.log(2.0) and np.isnan(out[1]) and out[2] == 3.0
+    assert isinstance(logaddexp_many(1.0, 2.0), float) and np.ndim(logaddexp_many(1.0, 2.0)) == 0
+    # a scalar broadcasts against arrays of different shapes
+    a, b = np.array([1.0, 2.0, 3.0]), np.array([[0.5], [-1.0]])
+    got = logaddexp_many(a, 750.0, b)
+    assert got.shape == (2, 3)
+    np.testing.assert_allclose(got, _logaddexp_chain(a, 750.0, b), rtol=1e-15)
+
+
+@pytest.mark.parametrize("n_parts", [2, 3, 6])
+def test_logaddexp_many_stays_within_4_ulp_of_the_chain(n_parts):
+    # ulp of max(1, |result|): near a zero result both forms carry an
+    # absolute rounding of a few 1e-16 (log of a sum near 1), so a
+    # relative ulp there measures nothing
+    rng = np.random.default_rng(n_parts)
+    parts = [rng.uniform(-700.0, 700.0, 20000) for _ in range(n_parts)]
+    ref = _logaddexp_chain(*parts)
+    got = logaddexp_many(*parts)
+    assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(np.maximum(1.0, np.abs(ref))))

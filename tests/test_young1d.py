@@ -251,3 +251,42 @@ def test_one_piece_function_equals_its_form_bit_for_bit(form):
     for name in ("value", "derivative"):
         assert np.array_equal(getattr(f, name)(ts), getattr(form, name)(ts))
         assert getattr(f, name)(ts[1]) == getattr(form, name)(ts[1])
+
+
+# The piece dispatch that the threshold-mask walk replaced, kept as the
+# reference it must reproduce bit for bit.
+def _searchsorted_dispatch(f, logt, kernel):
+    flat = np.atleast_1d(logt)
+    out = np.empty_like(flat)
+    idx = np.searchsorted(f.breakpoints_logt, flat, side="right")
+    for i, piece in enumerate(f.pieces):
+        m = idx == i
+        if np.any(m):
+            out[m] = getattr(piece, kernel)(flat[m])
+    return out.reshape(logt.shape)
+
+
+def test_dispatch_equals_searchsorted_bit_for_bit(build9, rng):
+    for f in build9.phi:
+        bp = f.breakpoints_logt
+        assert len(f.pieces) == 13
+        edges = np.concatenate(
+            [bp, np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf)]
+        )
+        specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+        logts = np.concatenate([rng.uniform(-50.0, 2500.0, 4000), edges, specials])
+        rng.shuffle(logts)
+        for kernel in ("_log_value", "_log_derivative"):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                ref = _searchsorted_dispatch(f, logts, kernel)
+                got = getattr(f, kernel)(logts)
+                got_2d = getattr(f, kernel)(logts.reshape(-1, 1))
+                got_0d = getattr(f, kernel)(np.array(bp[3]))
+            assert got.tobytes() == ref.tobytes()
+            assert got_2d.tobytes() == ref.tobytes()
+            assert got_0d.shape == () and got_0d == ref[np.flatnonzero(logts == bp[3])[0]]
+        # one element per piece: the walk must reach the last piece
+        one_each = np.concatenate([[bp[0] - 1.0], 0.5 * (bp[:-1] + bp[1:]), [bp[-1] + 1.0]])
+        for kernel in ("_log_value", "_log_derivative"):
+            ref = _searchsorted_dispatch(f, one_each, kernel)
+            assert getattr(f, kernel)(one_each).tobytes() == ref.tobytes()
