@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -42,7 +43,6 @@ __all__ = [
     "ConstructionError",
     "CertificateError",
     "CycleRecord",
-    "CertificateRecord",
     "TripleBuild",
     "tangent_point",
     "next_breakpoint",
@@ -87,92 +87,101 @@ class CycleRecord:
     log_margin: float = np.nan
 
 
-@dataclass
-class CertificateRecord:
-    cycle: int
-    heavy_index: int
-    logt_next: float
-    log_margin: float
+def _check_params(p, alpha):
+    """Raise ValueError naming ``p`` or ``alpha`` unless p is a finite
+    number >= 1 and alpha a finite number > 0."""
+    for name, value in (("p", p), ("alpha", alpha)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
+            raise ValueError(f"{name}: {value!r} is not a finite number")
+    if p < 1.0:
+        raise ValueError(f"p: {p!r} is below 1")
+    if alpha <= 0.0:
+        raise ValueError(f"alpha: {alpha!r} is not positive")
 
 
 @dataclass
 class TripleBuild:
+    """The three functions, held as the schedule that fixes them.
+
+    ``__post_init__`` checks the schedule, raising ValueError naming the
+    field, and glues ``lower``, ``upper`` and the three
+    :class:`PiecewiseYoungFn1D` of ``phi`` from its points; a point off the
+    tangency or re-meeting point fails the splice continuity check.
+    """
+
     p: float
     alpha: float
     cycles: int
-    phi: tuple  # three PiecewiseYoungFn1D
     schedule: list
-    lower: PowerFn = field(default=None)
-    upper: PowerLogFn = field(default=None)
+
+    def __post_init__(self):
+        _check_params(self.p, self.alpha)
+        if len(self.schedule) != self.cycles:
+            raise ValueError(
+                f"cycles: {self.cycles!r}, but the schedule has {len(self.schedule)} records"
+            )
+        self.lower = lower = PowerFn(self.p)
+        self.upper = upper = PowerLogFn(self.p, self.alpha)
+        pieces = [[lower], [lower], [upper]]
+        breaks = [[], [], []]
+        heavy = 2
+        for i, r in enumerate(self.schedule):
+            if r.k != i:
+                raise ValueError(f"schedule[{i}].k: {r.k!r}, expected {i}")
+            roles = _roles_for(heavy)
+            if tuple(r.permutation) != roles:
+                raise ValueError(
+                    f"schedule[{i}].permutation: {list(r.permutation)!r} is not {list(roles)!r}, "
+                    f"the rotation after heavy index {heavy}"
+                )
+            _, climber, leader = roles
+            if r.heavy_index != climber:
+                raise ValueError(
+                    f"schedule[{i}].heavy_index: {r.heavy_index!r} differs from "
+                    f"permutation[1] {climber}"
+                )
+            heavy = climber
+            # the tangent from (tau, lo(tau)) to the upper curve at h; the
+            # climber rides it from tau up to h, the leader from h down to s
+            line = LinearPiece(upper.log_derivative(r.logh), r.logtau, lower.log_value(r.logtau))
+            breaks[climber] += [r.logtau, r.logh]
+            pieces[climber] += [line, upper]
+            breaks[leader] += [r.logh, r.logs]
+            pieces[leader] += [line, lower]
+        violation = schedule_order_violation(self.schedule)
+        if violation is not None:
+            raise ValueError(violation)
+        self.phi = tuple(PiecewiseYoungFn1D(pieces[i], breaks[i]) for i in range(3))
 
     def to_json_dict(self):
         return {
             "p": self.p,
             "alpha": self.alpha,
             "cycles": self.cycles,
-            "phi": [f.to_json_dict() for f in self.phi],
-            "schedule": [
-                {
-                    "k": r.k,
-                    "logt": r.logt,
-                    "logtau": r.logtau,
-                    "logh": r.logh,
-                    "logs": r.logs,
-                    "logt_next": r.logt_next,
-                    "heavy_index": r.heavy_index,
-                    "permutation": list(r.permutation),
-                    "log_margin": r.log_margin,
-                }
-                for r in self.schedule
-            ],
+            "schedule": [asdict(r) for r in self.schedule],
         }
 
     @classmethod
     def from_json_dict(cls, data):
-        """Inverse of :meth:`to_json_dict`.  Malformed input (a missing
-        field, not three functions, a schedule that does not match
-        ``cycles``, an index out of range or out of order) raises
-        ValueError naming the field."""
-        phi_data = _field(data, "phi")
-        if len(phi_data) != 3:
-            raise ValueError(f"phi: a triple has 3 functions, not {len(phi_data)}")
-        phi = []
-        for i, d in enumerate(phi_data):
-            try:
-                phi.append(PiecewiseYoungFn1D.from_json_dict(d))
-            except ValueError as exc:
-                raise ValueError(f"phi[{i}].{exc}") from None
-        records = ("k", "logt", "logtau", "logh", "logs", "logt_next", "heavy_index", "permutation")
+        """Inverse of :meth:`to_json_dict`.  A missing field raises
+        ValueError naming it, and the checks of the constructor apply; a
+        ``phi`` key, which older files carry, is ignored because the
+        schedule fixes the functions."""
         schedule = []
         for i, r in enumerate(_field(data, "schedule")):
-            rec = {key: _field(r, key, f"schedule[{i}].") for key in records}
+            rec = {
+                f.name: _field(r, f.name, f"schedule[{i}].")
+                for f in fields(CycleRecord)
+                if f.name in r or f.default is MISSING
+            }
             rec["permutation"] = tuple(rec["permutation"])
-            schedule.append(CycleRecord(**rec, log_margin=r.get("log_margin", np.nan)))
-        cycles = _field(data, "cycles")
-        if len(schedule) != cycles:
-            raise ValueError(f"cycles: {cycles!r}, but the schedule has {len(schedule)} records")
-        for i, r in enumerate(schedule):
-            if r.k != i:
-                raise ValueError(f"schedule[{i}].k: {r.k!r}, expected {i}")
-            if r.heavy_index not in (0, 1, 2):
-                raise ValueError(f"schedule[{i}].heavy_index: {r.heavy_index!r} is not 0, 1 or 2")
-            if sorted(r.permutation) != [0, 1, 2]:
-                raise ValueError(
-                    f"schedule[{i}].permutation: {list(r.permutation)!r} is not a permutation of (0, 1, 2)"
-                )
-        violation = schedule_order_violation(schedule)
-        if violation is not None:
-            raise ValueError(violation)
-        build = cls(
+            schedule.append(CycleRecord(**rec))
+        return cls(
             p=_field(data, "p"),
             alpha=_field(data, "alpha"),
-            cycles=cycles,
-            phi=tuple(phi),
+            cycles=_field(data, "cycles"),
             schedule=schedule,
         )
-        build.lower = PowerFn(build.p)
-        build.upper = PowerLogFn(build.p, build.alpha)
-        return build
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -319,30 +328,23 @@ def _roles_for(heavy):
 def build_triple(p, alpha, cycles):
     """Run the inductive construction for the given number of cycles.
 
-    Root-finding failures surface as :class:`ConstructionError` carrying
-    the cycle index.  The returned build holds the three functions, the
-    full schedule with certificate margins, and the reference curves.
+    Computes the schedule records, with their certificate margins, and
+    returns them as a :class:`TripleBuild`, which glues the three
+    functions.  Root-finding failures and a schedule that loses its
+    chained order surface as :class:`ConstructionError` carrying the
+    cycle index.
     """
-    if p < 1.0 or alpha <= 0.0:
-        raise ValueError("need p >= 1 and alpha > 0")
+    _check_params(p, alpha)
     if not 0 <= cycles <= MAX_CYCLES:
         raise ValueError(f"cycles must lie in [0, {MAX_CYCLES}]")
 
     lower = PowerFn(p)
     upper = PowerLogFn(p, alpha)
-    pieces = [[lower], [lower], [upper]]
-    breaks = [[], [], []]
     heavy = 2
     logt = 0.0  # t_0 = 1
     schedule = []
-
-    def append_piece(idx, from_logt, piece):
-        breaks[idx].append(from_logt)
-        pieces[idx].append(piece)
-
     for k in range(cycles):
         roles = _roles_for(heavy)
-        r1, r2, r3 = roles
         logtau = max(logt, MANEUVER_MIN_LOGT)
         try:
             logh, line = tangent_point(logtau, p, alpha)
@@ -350,19 +352,6 @@ def build_triple(p, alpha, cycles):
         except ConstructionError as exc:
             raise ConstructionError(str(exc), cycle=k) from exc
         logt_next = next_breakpoint(logs, k, p, alpha)
-        if not (logt <= logtau < logh < logs < logt_next):
-            raise ConstructionError(
-                f"schedule not increasing: {logt}, {logtau}, {logh}, {logs}, {logt_next}",
-                cycle=k,
-            )
-        # climber: lower curve -> line -> upper curve
-        append_piece(r2, logtau, line)
-        append_piece(r2, logh, upper)
-        # leader: upper curve -> line -> lower curve
-        append_piece(r3, logh, line)
-        append_piece(r3, logs, lower)
-        # role1 stays on the lower curve: no new pieces
-        margin = certificate_margin(upper, lower, lower, k, logt_next)
         schedule.append(
             CycleRecord(
                 k=k,
@@ -371,25 +360,19 @@ def build_triple(p, alpha, cycles):
                 logh=logh,
                 logs=logs,
                 logt_next=logt_next,
-                heavy_index=r2,
+                heavy_index=roles[1],
                 permutation=roles,
-                log_margin=margin,
+                log_margin=certificate_margin(upper, lower, lower, k, logt_next),
             )
         )
-        heavy = r2
+        # for p = 1 the s root lands so far out (log s ~ 9e15) that
+        # logt_next rounds onto it; only this check stops the build there
+        violation = schedule_order_violation(schedule)
+        if violation is not None:
+            raise ConstructionError(violation, cycle=k)
+        heavy = roles[1]
         logt = logt_next
-
-    phi = tuple(
-        PiecewiseYoungFn1D(
-            pieces[i],
-            breaks[i],
-            trace={"stored_index": i, "p": p, "alpha": alpha, "cycles": cycles},
-        )
-        for i in range(3)
-    )
-    return TripleBuild(
-        p=p, alpha=alpha, cycles=cycles, phi=phi, schedule=schedule, lower=lower, upper=upper
-    )
+    return TripleBuild(p=p, alpha=alpha, cycles=cycles, schedule=schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +396,8 @@ def certificate_margin(heavy_fn, light_a, light_b, k, logt_next):
 
 
 def incomparability_certificate(build):
-    """Per-cycle certificate records for a finished build.
+    """Per-cycle schedule records for a finished build, from cycle 1 on,
+    each with its certificate margin recomputed from the reference curves.
 
     With at least three cycles every stored index holds the leading
     position somewhere, so all six pairwise domination directions are
@@ -423,24 +407,13 @@ def incomparability_certificate(build):
     if build.cycles < 3:
         raise ValueError("need K >= 3 so each index leads at least once")
     records = []
-    for rec in build.schedule:
-        if rec.k == 0:
-            continue
-        margin = certificate_margin(
-            build.upper, build.lower, build.lower, rec.k, rec.logt_next
-        )
+    for rec in build.schedule[1:]:
+        margin = certificate_margin(build.upper, build.lower, build.lower, rec.k, rec.logt_next)
         if margin < 0.0:
             raise CertificateError(
                 f"certificate violated at cycle {rec.k}: margin {margin:.3g}"
             )
-        records.append(
-            CertificateRecord(
-                cycle=rec.k,
-                heavy_index=rec.heavy_index,
-                logt_next=rec.logt_next,
-                log_margin=margin,
-            )
-        )
+        records.append(replace(rec, log_margin=margin))
     return records
 
 

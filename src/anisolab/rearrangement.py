@@ -94,11 +94,23 @@ def log_sublevel_area(phi, log_t, n_angles=2048):
     return area
 
 
+def _log_levels(t_list):
+    """log t for each level; a level that is not positive and finite
+    raises ValueError naming it as given, before any work is done."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_levels = np.log(np.asarray(t_list, dtype=float))
+    for t, log_t in zip(t_list, log_levels.tolist()):
+        if not np.isfinite(log_t):
+            raise ValueError(
+                f"log level {log_t!r} is not finite; level {t:g} must be positive and finite"
+            )
+    return log_levels
+
+
 def sublevel_area(phi, t, n_angles=2048):
-    """|{Phi <= t}| as a float; RangeError past double range."""
-    if t <= 0.0:
-        raise ValueError("level must be positive")
-    la = log_sublevel_area(phi, float(np.log(t)), n_angles)
+    """|{Phi <= t}| as a float; RangeError past double range.  A level
+    that is not positive and finite raises ValueError naming it."""
+    la = log_sublevel_area(phi, float(_log_levels([t])[0]), n_angles)
     if la > 709.0:
         raise RangeError("area exceeds double range; use log_sublevel_area")
     return float(np.exp(la))
@@ -137,13 +149,7 @@ def verify_levelset_bounds(build, t_list, n_angles=2048):
     area, and the tightness ratios.  A level that is not positive and
     finite raises ValueError naming it.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_levels = np.log(np.asarray(t_list, dtype=float))
-    for t, log_t in zip(t_list, log_levels.tolist()):
-        if not np.isfinite(log_t):
-            raise ValueError(
-                f"log level {log_t!r} is not finite; level {t:g} must be positive and finite"
-            )
+    log_levels = _log_levels(t_list)
     phi2d = constructed_triple_fn(build)
     hi = build.upper
     p = build.p

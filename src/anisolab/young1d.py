@@ -110,15 +110,12 @@ def _field(data, key, path=""):
 
 # ---------------------------------------------------------------------------
 # closed forms; PowerFn, PowerLogFn and LinearPiece are also the pieces of
-# PiecewiseYoungFn1D, each with its JSON ``kind`` and ``param_names``
+# PiecewiseYoungFn1D, glued by construction.TripleBuild from its schedule
 
 
 @_protocol
 class PowerFn:
     """coef * t**p, the lower reference curve of the construction."""
-
-    kind = "power"
-    param_names = ("p", "coef")
 
     def __init__(self, p, coef=1.0):
         if p < 1.0:
@@ -142,9 +139,6 @@ class PowerFn:
 @_protocol
 class PowerLogFn:
     """t**p * log(t+1)**alpha, the upper reference curve of the construction."""
-
-    kind = "powerlog"
-    param_names = ("p", "alpha")
 
     def __init__(self, p, alpha):
         if p < 1.0 or alpha <= 0.0:
@@ -236,9 +230,6 @@ class LinearPiece:
     and anchors stay representable.
     """
 
-    kind = "linear"
-    param_names = ("log_slope", "anchor_logt", "anchor_logf")
-
     def __init__(self, log_slope, anchor_logt, anchor_logf):
         self.log_slope = float(log_slope)
         self.anchor_logt = float(anchor_logt)
@@ -252,9 +243,6 @@ class LinearPiece:
 
     def _log_derivative(self, logt):
         return np.full_like(logt, self.log_slope)
-
-
-_PIECE_TYPES = {cls.kind: cls for cls in (PowerFn, PowerLogFn, LinearPiece)}
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +262,11 @@ class PiecewiseYoungFn1D:
 
     CONTINUITY_TOL = 1e-9
 
-    def __init__(self, pieces, breakpoints_logt, trace=None):
+    def __init__(self, pieces, breakpoints_logt):
         if len(pieces) != len(breakpoints_logt) + 1:
             raise ValueError("need exactly one more piece than breakpoints")
         self.pieces = list(pieces)
         self.breakpoints_logt = np.asarray(breakpoints_logt, dtype=float)
-        self.trace = dict(trace or {})
         if len(self.breakpoints_logt) and np.any(np.diff(self.breakpoints_logt) <= 0.0):
             raise ValueError("breakpoints must be strictly increasing")
         self._check_continuity()
@@ -326,44 +313,6 @@ class PiecewiseYoungFn1D:
 
     def _log_derivative(self, logt):
         return self._dispatch(logt, "_log_derivative")
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json_dict(self):
-        pieces = []
-        froms = [None] + [float(b) for b in self.breakpoints_logt]
-        for piece, fb in zip(self.pieces, froms):
-            d = {"kind": piece.kind, "from_logt": fb}
-            d.update((n, getattr(piece, n)) for n in piece.param_names)
-            if piece.kind == "linear":
-                # plain slope/intercept only when they fit in a double
-                ls, at, af = piece.log_slope, piece.anchor_logt, piece.anchor_logf
-                if ls < 700.0 and at < 700.0 and af < 700.0:
-                    slope = float(np.exp(ls))
-                    d["slope"] = slope
-                    d["intercept"] = float(np.exp(af) - slope * np.exp(at))
-                else:
-                    d["slope"] = None
-                    d["intercept"] = None
-            pieces.append(d)
-        return {"pieces": pieces, "trace": self.trace}
-
-    @classmethod
-    def from_json_dict(cls, data):
-        """Inverse of :meth:`to_json_dict`; a missing field or an unknown
-        kind raises ValueError naming its path (``pieces[3].anchor_logf``)."""
-        pieces, breaks = [], []
-        for i, pd in enumerate(_field(data, "pieces")):
-            at = f"pieces[{i}]."
-            kind = _field(pd, "kind", at)
-            if kind not in _PIECE_TYPES:
-                raise ValueError(f"{at}kind: unknown piece kind {kind!r}")
-            piece_type = _PIECE_TYPES[kind]
-            params = {n: float(_field(pd, n, at)) for n in piece_type.param_names}
-            pieces.append(piece_type(**params))
-            if i > 0:
-                breaks.append(_field(pd, "from_logt", at))
-        return cls(pieces, breaks, trace=data.get("trace"))
 
 
 # ---------------------------------------------------------------------------

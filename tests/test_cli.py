@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def run_cli(args, cwd, **env_vars):
@@ -138,6 +139,37 @@ def test_triple_sublevel_names_a_bad_level_as_typed(tmp_path, levels, named):
     assert f"; level {named} must be positive and finite" in r.stderr
     assert "Warning" not in r.stderr
     assert not (tmp_path / "areas.csv").exists()
+
+
+def test_builtin_sublevel_names_a_bad_level_as_typed(tmp_path):
+    r = run_cli(
+        ["sublevel", "--phi", "quadratic", "--levels", "10,-5,3", "--angles", "64",
+         "--out", "areas.csv"],
+        tmp_path,
+    )
+    assert r.returncode == 1
+    assert "error: log level nan is not finite; level -5 must be positive and finite" in r.stderr
+    assert "Warning" not in r.stderr
+    assert not (tmp_path / "areas.csv").exists()
+
+
+def test_a_triple_file_with_phi_reads_the_schedule(tmp_path, build9):
+    # triple files once carried a serialized copy of the three functions
+    # ("phi") beside the schedule; the reader ignores it, so a swapped pair
+    # changes nothing
+    with open(os.path.join(DATA, "triple_cycles9_with_phi.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["phi"][0], data["phi"][1] = data["phi"][1], data["phi"][0]
+    (tmp_path / "triple.json").write_text(json.dumps(data))
+    from anisolab.construction import TripleBuild
+
+    back = TripleBuild.load(tmp_path / "triple.json")
+    for f, g in zip(build9.phi, back.phi):
+        assert np.array_equal(f.breakpoints_logt, g.breakpoints_logt)
+        assert [(type(a), vars(a)) for a in f.pieces] == [(type(b), vars(b)) for b in g.pieces]
+    r = run_cli(["probe", "--phi", "triple.json", "--rotations", "8", "--out", "probe.csv"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert "3528/3528 maps fail" in r.stdout
 
 
 def test_conjugate_binary(tmp_path):

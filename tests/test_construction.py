@@ -1,4 +1,6 @@
 import copy
+import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -95,12 +97,12 @@ def test_build_k1_schedule_and_pieces():
     assert rec.logtau == np.log(2.0)  # feasibility launch
     assert rec.logtau < rec.logh < rec.logs < rec.logt_next
     # climber phi_2: power, line from tau, upper curve from h
-    kinds = [p.kind for p in b.phi[1].pieces]
-    assert kinds == ["power", "linear", "powerlog"]
+    kinds = [type(p).__name__ for p in b.phi[1].pieces]
+    assert kinds == ["PowerFn", "LinearPiece", "PowerLogFn"]
     # leader phi_3: upper curve, line from h, power from s
-    kinds = [p.kind for p in b.phi[2].pieces]
-    assert kinds == ["powerlog", "linear", "power"]
-    assert [p.kind for p in b.phi[0].pieces] == ["power"]
+    kinds = [type(p).__name__ for p in b.phi[2].pieces]
+    assert kinds == ["PowerLogFn", "LinearPiece", "PowerFn"]
+    assert [type(p).__name__ for p in b.phi[0].pieces] == ["PowerFn"]
 
 
 def test_build_p1_raises_at_descent():
@@ -169,6 +171,8 @@ def test_certificate_violation_raises():
 def test_build_json_roundtrip(tmp_path, build6):
     path = tmp_path / "triple.json"
     build6.save(path)
+    # the schedule is the whole record: the functions are glued from it
+    assert set(json.loads(path.read_text())) == {"alpha", "cycles", "p", "schedule"}
     back = TripleBuild.load(path)
     assert back.cycles == build6.cycles
     logts = np.linspace(-2, 1500, 300)
@@ -202,13 +206,11 @@ MALFORMED_TRIPLES = {
         _set(("schedule", 0, "permutation"), [0, 0, 2]),
         "schedule[0].permutation",
     ),
-    "two_functions": (lambda data: data["phi"].pop(), "phi"),
     "record_without_logs": (lambda data: data["schedule"][1].pop("logs"), "schedule[1].logs"),
-    "linear_piece_without_anchor": (
-        lambda data: data["phi"][0]["pieces"][3].pop("anchor_logf"),
-        "phi[0].pieces[3].anchor_logf",
-    ),
     "no_cycles": (lambda data: data.pop("cycles"), "cycles"),
+    "p_below_one": (_set(("p",), 0.5), "p"),
+    "alpha_negative": (_set(("alpha",), -1), "alpha"),
+    "p_a_string": (_set(("p",), "2"), "p"),
 }
 
 
@@ -221,6 +223,43 @@ def test_triple_json_rejects_malformed_input(case, build6):
     with pytest.raises(ValueError) as err:
         TripleBuild.from_json_dict(data)
     assert str(err.value).startswith(field + ":")
+
+
+# (record, change to it, the field the error must name): roles that are
+# not the construction's rotation, so the functions would be glued wrongly
+SCHEDULE_ROLE_TAMPERS = {
+    "heavy_index_not_the_climber": (
+        5, lambda r: {"heavy_index": r.permutation[0]}, "schedule[5].heavy_index"
+    ),
+    "permutation_not_the_rotation": (
+        1, lambda r: {"permutation": r.permutation[1:] + r.permutation[:1]}, "schedule[1].permutation"
+    ),
+}
+
+
+@pytest.mark.parametrize("via", ["reader", "constructor"])
+@pytest.mark.parametrize("case", sorted(SCHEDULE_ROLE_TAMPERS))
+def test_schedule_roles_are_checked_on_every_path(case, via, build6):
+    i, change, field = SCHEDULE_ROLE_TAMPERS[case]
+    schedule = list(build6.schedule)
+    schedule[i] = replace(schedule[i], **change(schedule[i]))
+    assert sorted(schedule[i].permutation) == [0, 1, 2]  # still a permutation
+    with pytest.raises(ValueError) as err:
+        if via == "reader":
+            data = dict(build6.to_json_dict(), schedule=[asdict(r) for r in schedule])
+            TripleBuild.from_json_dict(json.loads(json.dumps(data)))
+        else:
+            TripleBuild(build6.p, build6.alpha, build6.cycles, schedule)
+    assert str(err.value).startswith(field + ":")
+
+
+def test_logs_off_the_re_meeting_point_rejected(build6):
+    schedule = list(build6.schedule)
+    schedule[2] = replace(schedule[2], logs=schedule[2].logs + 0.5)
+    assert schedule_order_violation(schedule) is None  # only the splice check sees it
+    data = dict(build6.to_json_dict(), schedule=[asdict(r) for r in schedule])
+    with pytest.raises(ValueError, match="discontinuous splice"):
+        TripleBuild.from_json_dict(data)
 
 
 def test_schedule_csv(tmp_path, build6):

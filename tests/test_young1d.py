@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -130,17 +128,6 @@ def test_nfunction_report(build6):
         assert low < one - 1.0
 
 
-def test_json_roundtrip_bit_stable(build6):
-    for f in build6.phi:
-        d = f.to_json_dict()
-        s1 = json.dumps(d, sort_keys=True)
-        back = PiecewiseYoungFn1D.from_json_dict(json.loads(s1))
-        s2 = json.dumps(back.to_json_dict(), sort_keys=True)
-        assert s1 == s2
-        logts = np.linspace(-3, 1500, 200)
-        assert np.array_equal(f.log_value(logts), back.log_value(logts))
-
-
 def test_continuity_guard():
     bad = [PowerFn(2), PowerFn(3)]  # t^2 vs t^3 mismatch at logt=1
     with pytest.raises(ValueError):
@@ -207,15 +194,6 @@ def test_piece_evaluation_builds_no_closed_form(build6, monkeypatch):
     for f in build6.phi:
         assert np.all(np.isfinite(f.log_value(logts)))
         assert np.all(np.isfinite(f.log_derivative(logts)))
-
-
-def test_unknown_piece_kind_rejected():
-    power = {"kind": "power", "from_logt": None, "p": 2.0, "coef": 1.0}
-    cubic = {"kind": "cubic", "from_logt": 0.0, "p": 3.0}
-    with pytest.raises(ValueError, match=r"^pieces\[1\]\.kind: unknown piece kind 'cubic'"):
-        PiecewiseYoungFn1D.from_json_dict({"pieces": [power, cubic]})
-    with pytest.raises(ValueError, match=r"^pieces\[0\]\.kind"):
-        PiecewiseYoungFn1D.from_json_dict({"pieces": [{"kind": "cubic", "from_logt": None}]})
 
 
 PROTOCOL_NAMES = ("log_value", "log_derivative", "value", "derivative")
