@@ -53,6 +53,7 @@ __all__ = [
 INVOLUTION_INTERIOR = 0.5  # involution_error compares on this fraction of the box
 MONOTONICITY_RTOL = 1e-12  # relative slack of check_monotonicity_property
 MAX_EXPAND = 4  # primal box doublings conjugate2d tries before BoxTooSmallError
+DUAL_MARGIN = 1.05  # biconjugate2d's dual box over the gradient range on the primal edge
 
 
 class BoxTooSmallError(RuntimeError):
@@ -566,7 +567,7 @@ def conjugate2d(phi, dual_spec, primal_spec=None):
     )
 
 
-def _dual_extents(phi, spec, margin=1.05):
+def _dual_extents(phi, spec):
     """Componentwise gradient range of phi over the box edge (dual box sizing)."""
     edge = np.concatenate(
         [
@@ -575,7 +576,7 @@ def _dual_extents(phi, spec, margin=1.05):
         ]
     )
     gx, gy = phi.grad(edge[:, 0], edge[:, 1])
-    return margin * float(np.max(np.abs(gx))), margin * float(np.max(np.abs(gy)))
+    return DUAL_MARGIN * float(np.max(np.abs(gx))), DUAL_MARGIN * float(np.max(np.abs(gy)))
 
 
 def biconjugate2d(phi, primal_spec):

@@ -45,6 +45,7 @@ __all__ = [
 
 DEFAULT_D_GRID = np.exp(np.linspace(-20.0, 20.0, 41) * np.log(2.0))
 DROP_MIN = 1.0  # the least per-decade trend drop (nats) that refutes a domination
+TREND_TAIL = 3  # decade minima a diverging trend must fall across
 LOG_C_MIN = -20.0 * np.log(2.0)
 LOG_C_MAX = 20.0 * np.log(2.0)
 # axis_decomposition_test's generic cloud: the log10 range of the ray
@@ -55,6 +56,7 @@ AXIS_PER_DECADE = 3
 # as divergence, and the margin (nats) kept from each zone's ends
 WITNESS_DROP_MIN = 0.5
 WITNESS_SAFETY = 0.25
+WITNESS_K_MIN = 2  # zones [s_k, t_{k+1}] are wide enough for clamping from here on
 PROBE_CHUNK = 4096  # maps per independent chunk of the probe
 
 
@@ -85,26 +87,26 @@ class DominationVerdict:
     witnesses: list = field(default_factory=list)  # per-d failure records
 
 
-def _trend_diverges(mins, tail=3):
+def _trend_diverges(mins):
     """True if the per-bucket minima run away at either end of the scan."""
     mins = np.asarray(mins, dtype=float)
     mins = mins[np.isfinite(mins)]
-    if len(mins) < tail:
+    if len(mins) < TREND_TAIL:
         return False
     k = int(np.argmin(mins))
     if k == len(mins) - 1:
-        seq = mins[-tail:]
+        seq = mins[-TREND_TAIL:]
     elif k == 0:
-        seq = mins[:tail][::-1]
+        seq = mins[:TREND_TAIL][::-1]
     else:
         return False
     strictly = bool(np.all(np.diff(seq) < 0.0))
     return strictly and (float(np.max(mins) - mins[-1 if k else 0]) >= DROP_MIN)
 
 
-def _decade_minima(log_samples, gaps, per_decade=np.log(10.0)):
+def _decade_minima(log_samples, gaps):
     """Per-decade minima of ``gaps`` along its last axis, row by row."""
-    buckets = np.floor((log_samples - log_samples[0]) / per_decade).astype(int)
+    buckets = np.floor((log_samples - log_samples[0]) / np.log(10.0)).astype(int)
     mins = np.full(gaps.shape[:-1] + (buckets[-1] + 1,), np.inf)
     np.minimum.at(mins.T, buckets, gaps.T)
     return mins
@@ -220,12 +222,12 @@ def axis_decomposition_test(phi):
 # cycle-witness refutation for the constructed triple
 
 
-def _witness_cycles(build, k_min=2):
-    """Usable leading cycles per stored index: zones [s_k, t_{k+1}] wide
-    enough for clamping only open up from the third cycle."""
+def _witness_cycles(build):
+    """Usable leading cycles per stored index, those from
+    ``WITNESS_K_MIN`` on."""
     per_index = {0: [], 1: [], 2: []}
     for rec in build.schedule:
-        if rec.k >= k_min:
+        if rec.k >= WITNESS_K_MIN:
             per_index[rec.heavy_index].append((rec.logs, rec.logh, rec.logt_next))
     return per_index
 

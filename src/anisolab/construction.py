@@ -32,7 +32,7 @@ from __future__ import annotations
 import csv
 import json
 import numbers
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -84,12 +84,13 @@ class CycleRecord:
     logt_next: float
     heavy_index: int  # stored index (0-based) on the upper curve at t_{k+1}
     permutation: tuple  # stored indices playing (role1, role2, role3)
-    log_margin: float = np.nan
+    log_margin: float
 
 
-def _check_params(p, alpha):
-    """Raise ValueError naming ``p`` or ``alpha`` unless p is a finite
-    number >= 1 and alpha a finite number > 0."""
+def _check_params(p, alpha, cycles):
+    """Raise ValueError naming ``p``, ``alpha`` or ``cycles`` unless p is a
+    finite number >= 1, alpha a finite number > 0 and cycles an integer in
+    [0, ``MAX_CYCLES``]."""
     for name, value in (("p", p), ("alpha", alpha)):
         if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
             raise ValueError(f"{name}: {value!r} is not a finite number")
@@ -97,61 +98,24 @@ def _check_params(p, alpha):
         raise ValueError(f"p: {p!r} is below 1")
     if alpha <= 0.0:
         raise ValueError(f"alpha: {alpha!r} is not positive")
+    if isinstance(cycles, bool) or not isinstance(cycles, numbers.Integral):
+        raise ValueError(f"cycles: {cycles!r} is not an integer")
+    if not 0 <= cycles <= MAX_CYCLES:
+        raise ValueError(f"cycles: {cycles!r} lies outside [0, {MAX_CYCLES}]")
 
 
 @dataclass
 class TripleBuild:
-    """The three functions, held as the schedule that fixes them.
-
-    ``__post_init__`` checks the schedule, raising ValueError naming the
-    field, and glues ``lower``, ``upper`` and the three
-    :class:`PiecewiseYoungFn1D` of ``phi`` from its points; a point off the
-    tangency or re-meeting point fails the splice continuity check.
-    """
+    """The three functions of :func:`build_triple`, its only producer, with
+    the schedule and the two reference curves they are glued from."""
 
     p: float
     alpha: float
     cycles: int
     schedule: list
-
-    def __post_init__(self):
-        _check_params(self.p, self.alpha)
-        if len(self.schedule) != self.cycles:
-            raise ValueError(
-                f"cycles: {self.cycles!r}, but the schedule has {len(self.schedule)} records"
-            )
-        self.lower = lower = PowerFn(self.p)
-        self.upper = upper = PowerLogFn(self.p, self.alpha)
-        pieces = [[lower], [lower], [upper]]
-        breaks = [[], [], []]
-        heavy = 2
-        for i, r in enumerate(self.schedule):
-            if r.k != i:
-                raise ValueError(f"schedule[{i}].k: {r.k!r}, expected {i}")
-            roles = _roles_for(heavy)
-            if tuple(r.permutation) != roles:
-                raise ValueError(
-                    f"schedule[{i}].permutation: {list(r.permutation)!r} is not {list(roles)!r}, "
-                    f"the rotation after heavy index {heavy}"
-                )
-            _, climber, leader = roles
-            if r.heavy_index != climber:
-                raise ValueError(
-                    f"schedule[{i}].heavy_index: {r.heavy_index!r} differs from "
-                    f"permutation[1] {climber}"
-                )
-            heavy = climber
-            # the tangent from (tau, lo(tau)) to the upper curve at h; the
-            # climber rides it from tau up to h, the leader from h down to s
-            line = LinearPiece(upper.log_derivative(r.logh), r.logtau, lower.log_value(r.logtau))
-            breaks[climber] += [r.logtau, r.logh]
-            pieces[climber] += [line, upper]
-            breaks[leader] += [r.logh, r.logs]
-            pieces[leader] += [line, lower]
-        violation = schedule_order_violation(self.schedule)
-        if violation is not None:
-            raise ValueError(violation)
-        self.phi = tuple(PiecewiseYoungFn1D(pieces[i], breaks[i]) for i in range(3))
+    lower: PowerFn
+    upper: PowerLogFn
+    phi: tuple
 
     def to_json_dict(self):
         return {
@@ -163,25 +127,28 @@ class TripleBuild:
 
     @classmethod
     def from_json_dict(cls, data):
-        """Inverse of :meth:`to_json_dict`.  A missing field raises
-        ValueError naming it, and the checks of the constructor apply; a
-        ``phi`` key, which older files carry, is ignored because the
-        schedule fixes the functions."""
-        schedule = []
-        for i, r in enumerate(_field(data, "schedule")):
-            rec = {
-                f.name: _field(r, f.name, f"schedule[{i}].")
-                for f in fields(CycleRecord)
-                if f.name in r or f.default is MISSING
-            }
-            rec["permutation"] = tuple(rec["permutation"])
-            schedule.append(CycleRecord(**rec))
-        return cls(
-            p=_field(data, "p"),
-            alpha=_field(data, "alpha"),
-            cycles=_field(data, "cycles"),
-            schedule=schedule,
-        )
+        """Inverse of :meth:`to_json_dict`: the build of the stored ``p``,
+        ``alpha`` and ``cycles``.
+
+        Every stored record field must equal the fresh build's exactly
+        (JSON floats round-trip through ``repr``); a missing or differing
+        field raises ValueError naming it.  The stored values are only
+        checked, and a ``phi`` key, which older files carry, is ignored.
+        """
+        p, alpha, cycles = (_field(data, name) for name in ("p", "alpha", "cycles"))
+        stored = _field(data, "schedule")
+        build = build_triple(p, alpha, cycles)
+        if len(stored) != cycles:
+            raise ValueError(f"cycles: {cycles!r}, but the schedule has {len(stored)} records")
+        for i, (r, rec) in enumerate(zip(stored, build.schedule)):
+            for f in fields(CycleRecord):
+                value = _field(r, f.name, f"schedule[{i}].")
+                built = getattr(rec, f.name)
+                if (tuple(value) if isinstance(value, list) else value) != built:
+                    raise ValueError(
+                        f"schedule[{i}].{f.name}: {value!r} differs from the construction's {built!r}"
+                    )
+        return build
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -317,34 +284,31 @@ def next_breakpoint(logs_k, k, p, alpha):
 
 
 def _roles_for(heavy):
-    """Stored indices playing (role1, role2, role3); role3 is the leader."""
-    if heavy == 2:
-        return (0, 1, 2)
-    if heavy == 1:
-        return (2, 0, 1)
-    return (1, 2, 0)
+    """Stored indices playing (role1, role2, role3): the last cycle's heavy
+    index leads, and the index before it (mod 3) climbs."""
+    return ((heavy + 1) % 3, (heavy + 2) % 3, heavy)
 
 
 def build_triple(p, alpha, cycles):
     """Run the inductive construction for the given number of cycles.
 
-    Computes the schedule records, with their certificate margins, and
-    returns them as a :class:`TripleBuild`, which glues the three
-    functions.  Root-finding failures and a schedule that loses its
-    chained order surface as :class:`ConstructionError` carrying the
-    cycle index.
+    Each cycle computes its schedule record, with its certificate margin,
+    and glues its tangent line into the climber, which rides it from tau
+    up to h, and the leader, which rides it from h down to s.  Root-finding
+    failures and a schedule that loses its chained order surface as
+    :class:`ConstructionError` carrying the cycle index.
     """
-    _check_params(p, alpha)
-    if not 0 <= cycles <= MAX_CYCLES:
-        raise ValueError(f"cycles must lie in [0, {MAX_CYCLES}]")
-
+    _check_params(p, alpha, cycles)
     lower = PowerFn(p)
     upper = PowerLogFn(p, alpha)
+    pieces = [[lower], [lower], [upper]]
+    breaks = [[], [], []]
     heavy = 2
     logt = 0.0  # t_0 = 1
     schedule = []
     for k in range(cycles):
         roles = _roles_for(heavy)
+        _, climber, leader = roles
         logtau = max(logt, MANEUVER_MIN_LOGT)
         try:
             logh, line = tangent_point(logtau, p, alpha)
@@ -360,7 +324,7 @@ def build_triple(p, alpha, cycles):
                 logh=logh,
                 logs=logs,
                 logt_next=logt_next,
-                heavy_index=roles[1],
+                heavy_index=climber,
                 permutation=roles,
                 log_margin=certificate_margin(upper, lower, lower, k, logt_next),
             )
@@ -370,9 +334,14 @@ def build_triple(p, alpha, cycles):
         violation = schedule_order_violation(schedule)
         if violation is not None:
             raise ConstructionError(violation, cycle=k)
-        heavy = roles[1]
+        breaks[climber] += [logtau, logh]
+        pieces[climber] += [line, upper]
+        breaks[leader] += [logh, logs]
+        pieces[leader] += [line, lower]
+        heavy = climber
         logt = logt_next
-    return TripleBuild(p=p, alpha=alpha, cycles=cycles, schedule=schedule)
+    phi = tuple(PiecewiseYoungFn1D(pieces[i], breaks[i]) for i in range(3))
+    return TripleBuild(p, alpha, cycles, schedule, lower, upper, phi)
 
 
 # ---------------------------------------------------------------------------

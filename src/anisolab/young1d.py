@@ -56,6 +56,7 @@ DOUBLING_SAMPLES = 512  # log-spaced samples behind doubling_indices
 DOUBLING_TEST_RANGE = (1.0, 40.0)  # log t range of is_doubling
 DOUBLING_GROWTH_TOL = 1.10
 CONVEX_SAMPLES = 64  # check_convex's log-t samples per piece
+CONVEX_SPAN = (-6.0, 6.0)  # check_convex's log-t range, widened to the breakpoints
 CONVEX_SLACK = 1e-8  # check_convex's allowed log-slope decrease (nats)
 
 
@@ -110,7 +111,7 @@ def _field(data, key, path=""):
 
 # ---------------------------------------------------------------------------
 # closed forms; PowerFn, PowerLogFn and LinearPiece are also the pieces of
-# PiecewiseYoungFn1D, glued by construction.TripleBuild from its schedule
+# PiecewiseYoungFn1D, glued cycle by cycle by construction.build_triple
 
 
 @_protocol
@@ -336,18 +337,18 @@ class ConvexityReport:
     samples: int = 0
 
 
-def _sample_logts(f, span=(-6.0, 6.0)):
+def _sample_logts(f):
     """Log-t sample grid: dense inside each piece plus breakpoint straddles."""
     if isinstance(f, PiecewiseYoungFn1D) and len(f.breakpoints_logt):
         edges = np.concatenate(
             (
-                [min(span[0], f.breakpoints_logt[0] - 3.0)],
+                [min(CONVEX_SPAN[0], f.breakpoints_logt[0] - 3.0)],
                 f.breakpoints_logt,
                 [f.breakpoints_logt[-1] + 3.0],
             )
         )
     else:
-        edges = np.array(span, dtype=float)
+        edges = np.array(CONVEX_SPAN, dtype=float)
     chunks = []
     for a, b in zip(edges[:-1], edges[1:]):
         chunks.append(np.linspace(a, b, CONVEX_SAMPLES, endpoint=False))

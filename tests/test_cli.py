@@ -172,6 +172,18 @@ def test_a_triple_file_with_phi_reads_the_schedule(tmp_path, build9):
     assert "3528/3528 maps fail" in r.stdout
 
 
+def test_a_triple_file_off_the_construction_names_the_field(tmp_path, build9):
+    # moving a breakpoint and the next record's start together keeps the
+    # schedule chained; the rebuild on load shows it is not the construction's
+    data = build9.to_json_dict()
+    data["schedule"][3]["logt_next"] = data["schedule"][4]["logt"] = 60.0
+    (tmp_path / "triple.json").write_text(json.dumps(data))
+    r = run_cli(["probe", "--phi", "triple.json", "--rotations", "8", "--out", "probe.csv"], tmp_path)
+    assert r.returncode == 1
+    assert "error: schedule[3].logt_next: 60.0 differs from the construction's 216.0" in r.stderr
+    assert not (tmp_path / "probe.csv").exists()
+
+
 def test_conjugate_binary(tmp_path):
     r = run_cli(
         ["conjugate", "--phi", "quadratic", "--extent", "3", "--n", "65", "--out", "c.bin"],

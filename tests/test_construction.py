@@ -7,6 +7,7 @@ import pytest
 
 from anisolab.construction import (
     LOG_GRID_STEP,
+    MAX_CYCLES,
     CertificateError,
     ConstructionError,
     TripleBuild,
@@ -16,6 +17,7 @@ from anisolab.construction import (
     incomparability_certificate,
     next_breakpoint,
     schedule_order_violation,
+    _roles_for,
     tangent_point,
 )
 from anisolab.young1d import PowerFn, PowerLogFn, check_convex
@@ -197,7 +199,7 @@ def _set(path, value):
 # field the error must name)
 MALFORMED_TRIPLES = {
     "logt_next_below_logs": (_set(("schedule", 2, "logt_next"), -5.0), "schedule[2].logt_next"),
-    "logt_next_not_next_logt": (_set(("schedule", 2, "logt_next"), 1e3), "schedule[3].logt"),
+    "logt_next_not_next_logt": (_set(("schedule", 2, "logt_next"), 1e3), "schedule[2].logt_next"),
     "logh_below_logtau": (_set(("schedule", 4, "logh"), 0.0), "schedule[4].logh"),
     "more_cycles_than_records": (_set(("cycles",), 9), "cycles"),
     "record_numbered_out_of_order": (_set(("schedule", 1, "k"), 5), "schedule[1].k"),
@@ -208,6 +210,10 @@ MALFORMED_TRIPLES = {
     ),
     "record_without_logs": (lambda data: data["schedule"][1].pop("logs"), "schedule[1].logs"),
     "no_cycles": (lambda data: data.pop("cycles"), "cycles"),
+    "cycles_above_the_cap": (_set(("cycles",), 13), "cycles"),
+    "cycles_a_fraction": (_set(("cycles",), 9.5), "cycles"),
+    "cycles_a_string": (_set(("cycles",), "9"), "cycles"),
+    "cycles_a_bool": (_set(("cycles",), True), "cycles"),
     "p_below_one": (_set(("p",), 0.5), "p"),
     "alpha_negative": (_set(("alpha",), -1), "alpha"),
     "p_a_string": (_set(("p",), "2"), "p"),
@@ -225,6 +231,17 @@ def test_triple_json_rejects_malformed_input(case, build6):
     assert str(err.value).startswith(field + ":")
 
 
+def test_every_record_carries_the_rotation():
+    # the leader is the last cycle's heavy index and the climber becomes
+    # the next one
+    assert {h: _roles_for(h) for h in range(3)} == {2: (0, 1, 2), 1: (2, 0, 1), 0: (1, 2, 0)}
+    heavy = 2
+    for rec in build_triple(2.0, 1.0, MAX_CYCLES).schedule:
+        assert rec.permutation == _roles_for(heavy)
+        assert rec.heavy_index == rec.permutation[1]
+        heavy = rec.heavy_index
+
+
 # (record, change to it, the field the error must name): roles that are
 # not the construction's rotation, so the functions would be glued wrongly
 SCHEDULE_ROLE_TAMPERS = {
@@ -237,29 +254,28 @@ SCHEDULE_ROLE_TAMPERS = {
 }
 
 
-@pytest.mark.parametrize("via", ["reader", "constructor"])
+# the reader is the one path by which a stored schedule meets a build
+@pytest.mark.parametrize("via", ["reader"])
 @pytest.mark.parametrize("case", sorted(SCHEDULE_ROLE_TAMPERS))
 def test_schedule_roles_are_checked_on_every_path(case, via, build6):
     i, change, field = SCHEDULE_ROLE_TAMPERS[case]
     schedule = list(build6.schedule)
     schedule[i] = replace(schedule[i], **change(schedule[i]))
     assert sorted(schedule[i].permutation) == [0, 1, 2]  # still a permutation
+    data = dict(build6.to_json_dict(), schedule=[asdict(r) for r in schedule])
     with pytest.raises(ValueError) as err:
-        if via == "reader":
-            data = dict(build6.to_json_dict(), schedule=[asdict(r) for r in schedule])
-            TripleBuild.from_json_dict(json.loads(json.dumps(data)))
-        else:
-            TripleBuild(build6.p, build6.alpha, build6.cycles, schedule)
+        TripleBuild.from_json_dict(json.loads(json.dumps(data)))
     assert str(err.value).startswith(field + ":")
 
 
 def test_logs_off_the_re_meeting_point_rejected(build6):
     schedule = list(build6.schedule)
     schedule[2] = replace(schedule[2], logs=schedule[2].logs + 0.5)
-    assert schedule_order_violation(schedule) is None  # only the splice check sees it
+    assert schedule_order_violation(schedule) is None  # the order still holds
     data = dict(build6.to_json_dict(), schedule=[asdict(r) for r in schedule])
-    with pytest.raises(ValueError, match="discontinuous splice"):
+    with pytest.raises(ValueError) as err:
         TripleBuild.from_json_dict(data)
+    assert str(err.value).startswith("schedule[2].logs:")
 
 
 def test_schedule_csv(tmp_path, build6):
@@ -271,5 +287,6 @@ def test_schedule_csv(tmp_path, build6):
 
 
 def test_cycle_cap():
-    with pytest.raises(ValueError):
-        build_triple(2.0, 1.0, 13)
+    for cycles in (13, -1, 9.5, "9", True):
+        with pytest.raises(ValueError, match="^cycles: "):
+            build_triple(2.0, 1.0, cycles)
