@@ -1,22 +1,15 @@
 """Sobolev and relative capacities as discretized convex minimization.
 
-Capacities and the weak solves of :mod:`anisolab.pde` minimize one grid
-energy, built here once by :func:`minimize_grid_energy`:
-
-    F[u] = sum_cells Phi(grad u) h^2 + sum_nodes psi(u) h^2
-
-with nodes held fixed at their start values.  Every solve descends in
-one metric, the inverse 5-point Laplacian on the free nodes (applied as
-products with the orthonormal DST-I matrix), so for growth p >= 2 the
-iteration counts stay nearly flat as the grid is refined.  Every
-capacity is one :func:`relative_capacity` solve on the n x n grid over
-the unit box (h = 1/(n - 1)); the whole-plane capacity is the one with
-Omega the whole box.  A capacity has, in full mode, psi(u) =
-phicirc(kappa |u|); it is taken over grid fields with u = 1 on the
-marked set, u = 0 on the box edge and off Omega, and 0 <= u <= 1 (the
-``box`` constraint).  Clamping at 1 never increases the energy, so the
-box projection loses nothing against the test classes that merely
-exceed 1 on the set.  An empty set has capacity zero without a solve.
+Every capacity is one :func:`relative_capacity` solve on the n x n grid
+over the unit box (h = 1/(n - 1)); the whole-plane capacity is the one
+with Omega the whole box.  That solve is the grid-energy descent of
+:mod:`anisolab.descent`, whose docstring states the energy and the
+metric.  A capacity has, in full mode, psi(u) = phicirc(kappa |u|); it
+is taken over grid fields with u = 1 on the marked set, u = 0 on the
+box edge and off Omega, and 0 <= u <= 1 (the ``box`` constraint).
+Clamping at 1 never increases the energy, so the box projection loses
+nothing against the test classes that merely exceed 1 on the set.  An
+empty set has capacity zero without a solve.
 
 Solves warm-start from related minimizers wherever the classical
 structure makes the answer comparable: the union/intersection solves
@@ -35,13 +28,11 @@ import numpy as np
 
 from .aniso2d import radial_power_fn
 from .descent import minimize_projected
-from .gridfield import GridField2D, divergence_of, forward_gradient
+from .gridfield import GridField2D
 from .young1d import PowerFn
 
 __all__ = [
     "CapacityResult",
-    "NonDoublingError",
-    "minimize_grid_energy",
     "disk_mask",
     "square_mask",
     "sobolev_capacity",
@@ -53,10 +44,6 @@ __all__ = [
 
 
 LADDER_KAPPA = 1.0  # zero-order weight of the point-capacity ladder
-
-
-class NonDoublingError(ValueError):
-    """The solver only accepts doubling growth."""
 
 
 @dataclass
@@ -79,76 +66,6 @@ def square_mask(n, x_lo, x_hi, y_lo, y_hi):
     ax = np.linspace(0.0, 1.0, n)
     X, Y = np.meshgrid(ax, ax, indexing="ij")
     return (X >= x_lo) & (X <= x_hi) & (Y >= y_lo) & (Y <= y_hi)
-
-
-def _poisson_inverse(fixed):
-    """The descent metric v -> Z L^-1 Z v on an n x n grid.
-
-    L is the 5-point stencil (4, -1) on the interior nodes with a zero
-    box edge; Z zeroes the ``fixed`` nodes, which must include the edge.
-    The orthonormal DST-I matrix S (symmetric, S @ S = I) diagonalizes L
-    along each axis, so L^-1 V = S (W * (S V S)) S with W = 1 / (lam_i +
-    lam_j): four dense matrix products.  The map is symmetric positive
-    definite on the free nodes, so -P g stays a descent direction.
-    """
-    m = fixed.shape[0] - 2
-    k = np.arange(1, m + 1)
-    # j k reduced mod 2 (m + 1) keeps the sine's argument within one period
-    s = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * m + 2)) / (m + 1))
-    lam = 4.0 * np.sin(0.5 * np.pi * k / (m + 1)) ** 2
-    weight = 1.0 / (lam[:, None] + lam[None, :])
-    free = ~fixed[1:-1, 1:-1]
-
-    def apply(v):
-        out = np.zeros_like(v)
-        inner = np.where(free, v[1:-1, 1:-1], 0.0)
-        out[1:-1, 1:-1] = free * (s @ (weight * (s @ inner @ s)) @ s)
-        return out
-
-    return apply
-
-
-def minimize_grid_energy(phi, u0, fixed, h, psi=None, box=False, rel_tol=1e-8):
-    """Minimize sum_cells Phi(grad u) h^2 + sum_nodes psi(u) h^2.
-
-    ``psi`` is a pair of nodewise callables (value, derivative) or None.
-    The boolean node mask ``fixed`` holds its nodes at their ``u0``
-    values and must cover the box edge; ``box`` confines the other nodes
-    to 0 <= u <= 1.  The descent runs in the metric of
-    :func:`_poisson_inverse`.  Rejects non-doubling ``phi`` with
-    :class:`NonDoublingError` and returns the descent result.
-    """
-    if not phi.is_doubling():
-        raise NonDoublingError("the grid-energy solve requires doubling growth")
-    fixed = np.asarray(fixed, dtype=bool)
-    if not (fixed[[0, -1]].all() and fixed[:, [0, -1]].all()):
-        raise ValueError("the fixed nodes must cover the box edge")
-    held = np.asarray(u0, dtype=float)[fixed]
-    area = h * h
-
-    def project(u):
-        if box:
-            u = np.clip(u, 0.0, 1.0)
-        u[fixed] = held
-        return u
-
-    def energy(u):
-        gx, gy = forward_gradient(u, h)
-        e = float(np.sum(phi.value(gx, gy)))
-        if psi is not None:
-            e += float(np.sum(psi[0](u)))
-        return e * area
-
-    def grad(u):
-        gx, gy = forward_gradient(u, h)
-        g = -divergence_of(*phi.grad(gx, gy), h, u.shape[0])
-        if psi is not None:
-            g = g + psi[1](u)
-        return g * area
-
-    return minimize_projected(
-        energy, grad, project, u0, rel_tol=rel_tol, precond=_poisson_inverse(fixed)
-    )
 
 
 def _boundary_mask(n):
@@ -187,7 +104,7 @@ def relative_capacity(phi, phicirc, kappa, k_mask, omega_mask, n, mode="full", u
     u0 = np.zeros((n, n)) if u0 is None else np.array(u0, dtype=float)
     u0[k_mask] = 1.0
     u0[zero_mask] = 0.0
-    res = minimize_grid_energy(phi, u0, k_mask | zero_mask, h, psi=psi, box=True)
+    res = minimize_projected(phi, u0, k_mask | zero_mask, h, psi=psi, box=True)
     return CapacityResult(
         value=res.objective,
         minimizer=GridField2D(res.u, h),

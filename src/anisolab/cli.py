@@ -206,6 +206,7 @@ def cmd_capacity(args):
         "iterations": res.iterations,
         "mode": res.mode,
         "n": res.n,
+        "stop_reason": res.stop_reason,
     }
     _dump_json(payload, args.out)
     if args.field:

@@ -20,8 +20,8 @@ reference curves, not implementation choices):
   ``max(t_k, 2)``.  The very first cycle starts its tangent at 2 even
   though the schedule origin stays at t_0 = 1.
 * for p == 1 the descent line never re-meets the lower curve (its slope
-  exceeds 1 everywhere); the construction reports this as a
-  :class:`ConstructionError` at the s_k root.
+  exceeds 1 everywhere); :func:`build_triple` rejects p == 1 with one or
+  more cycles as a ValueError naming ``p`` before the first cycle.
 
 All schedule arithmetic is in log coordinates; breakpoints reach
 exp(1000) within a handful of cycles.
@@ -89,8 +89,8 @@ class CycleRecord:
 
 def _check_params(p, alpha, cycles):
     """Raise ValueError naming ``p``, ``alpha`` or ``cycles`` unless p is a
-    finite number >= 1, alpha a finite number > 0 and cycles an integer in
-    [0, ``MAX_CYCLES``]."""
+    finite number >= 1 (> 1 once cycles >= 1), alpha a finite number > 0
+    and cycles an integer in [0, ``MAX_CYCLES``]."""
     for name, value in (("p", p), ("alpha", alpha)):
         if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
             raise ValueError(f"{name}: {value!r} is not a finite number")
@@ -102,6 +102,8 @@ def _check_params(p, alpha, cycles):
         raise ValueError(f"cycles: {cycles!r} is not an integer")
     if not 0 <= cycles <= MAX_CYCLES:
         raise ValueError(f"cycles: {cycles!r} lies outside [0, {MAX_CYCLES}]")
+    if p == 1.0 and cycles >= 1:
+        raise ValueError(f"p: {p!r} makes a descent line that never re-meets the lower curve")
 
 
 @dataclass
@@ -137,6 +139,8 @@ class TripleBuild:
         """
         p, alpha, cycles = (_field(data, name) for name in ("p", "alpha", "cycles"))
         stored = _field(data, "schedule")
+        if not isinstance(stored, list):
+            raise ValueError(f"schedule: expected a JSON array, found {type(stored).__name__}")
         build = build_triple(p, alpha, cycles)
         if len(stored) != cycles:
             raise ValueError(f"cycles: {cycles!r}, but the schedule has {len(stored)} records")
@@ -261,7 +265,7 @@ def _line_meets_lower(line, p, logh):
         return root_increasing(gap, logh + 1e-9, step=0.5)
     except BracketError as exc:
         raise ConstructionError(
-            f"descent line never re-meets the lower curve (p == 1?): {exc}"
+            f"descent line never re-meets the lower curve: {exc}"
         ) from exc
 
 
@@ -329,8 +333,9 @@ def build_triple(p, alpha, cycles):
                 log_margin=certificate_margin(upper, lower, lower, k, logt_next),
             )
         )
-        # for p = 1 the s root lands so far out (log s ~ 9e15) that
-        # logt_next rounds onto it; only this check stops the build there
+        # for p just above 1 the s root lands so far out (log s ~ 3e13 in
+        # cycle 1 at p = 1 + 1e-12) that logt_next rounds onto it; this
+        # check stops the build there
         violation = schedule_order_violation(schedule)
         if violation is not None:
             raise ConstructionError(violation, cycle=k)

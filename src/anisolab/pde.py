@@ -2,12 +2,11 @@
 
 The operator is the variational one, A = grad Phi, so each approximate
 problem -div A(grad u) = h_s with zero boundary is the Euler-Lagrange
-equation of a convex energy.  :func:`solve_weak` minimizes it through
-the grid-energy solve the capacities use
-(:func:`anisolab.capacity.minimize_grid_energy`, with psi(u) = -f u and
-the box edge as the only fixed nodes), so it shares their doubling
-check, Poisson metric and descent engine.  A measure is atoms plus a
-density; data split as f - div G go in as the single node density
+equation of a convex energy.  :func:`solve_weak` minimizes it by the
+grid-energy descent the capacities use (:mod:`anisolab.descent`, whose
+docstring states the energy and the metric), with psi(u) = -f u and the
+box edge as the only fixed nodes.  A measure is atoms plus a density;
+data split as f - div G go in as the single node density
 ``f - divergence_of(Gx, Gy, h, n)``, which gives the energy of the flux
 term -G . grad u exactly, since sum(G . grad u) = -sum(u div G) in the
 forward-difference pairing.
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .capacity import minimize_grid_energy
+from .descent import minimize_projected
 from .gridfield import GridField2D, forward_gradient
 from .sobolev import luxemburg_norm_gradient
 
@@ -158,14 +157,14 @@ def solve_weak(phi, f_field, rel_tol=1e-9, u0=None):
 
     Returns the minimizer as a field carrying the descent's
     ``iterations``, ``objective`` and ``stop_reason``; non-doubling
-    ``phi`` raises :class:`anisolab.capacity.NonDoublingError`.
+    ``phi`` raises :class:`anisolab.descent.NonDoublingError`.
     """
     f_vals = f_field.values
     edge = np.ones(f_vals.shape, dtype=bool)
     edge[1:-1, 1:-1] = False
     start = np.zeros_like(f_vals) if u0 is None else np.where(edge, 0.0, u0)
     psi = (lambda u: -f_vals * u, lambda u: -f_vals)
-    res = minimize_grid_energy(phi, start, edge, f_field.h, psi=psi, rel_tol=rel_tol)
+    res = minimize_projected(phi, start, edge, f_field.h, psi=psi, rel_tol=rel_tol)
     out = GridField2D(res.u, f_field.h)
     out.iterations = res.iterations
     out.objective = res.objective

@@ -102,7 +102,12 @@ def _protocol(cls):
 
 def _field(data, key, path=""):
     """``data[key]`` from a parsed JSON object; a missing key raises
-    ValueError naming it after the ``path`` prefix (``"schedule[1]."``)."""
+    ValueError naming it after the ``path`` prefix (``"schedule[1]."``),
+    and a ``data`` that is no JSON object raises one naming the path
+    itself (``top level`` for an empty prefix)."""
+    if not isinstance(data, dict):
+        where = path.removesuffix(".") or "top level"
+        raise ValueError(f"{where}: expected a JSON object, found {type(data).__name__}")
     try:
         return data[key]
     except KeyError:

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from anisolab import capacity
+from anisolab import capacity, descent
 from anisolab.aniso2d import intro_exp_fn, quadratic_fn, radial_power_fn
 from anisolab.capacity import (
-    NonDoublingError,
     capacity_property_suite,
     diffuse_singular_split,
     disk_mask,
@@ -13,6 +12,7 @@ from anisolab.capacity import (
     sobolev_capacity,
     square_mask,
 )
+from anisolab.descent import NonDoublingError
 from anisolab.gridfield import GridField2D
 from anisolab.pde import DiscreteMeasure
 from anisolab.young1d import PowerFn
@@ -33,7 +33,7 @@ def test_poisson_metric_inverts_the_stencil(rng):
     edge = capacity._boundary_mask(n)
     lap = _five_point(n - 2)
     for fixed in (edge, edge | (rng.random((n, n)) < 0.3)):
-        out = capacity._poisson_inverse(fixed)(v)
+        out = descent._poisson_inverse(fixed)(v)
         assert np.all(out[fixed] == 0.0)
         # Z L^-1 Z v: the stencil gives back v on the free nodes before the
         # fixed ones are zeroed
@@ -41,7 +41,7 @@ def test_poisson_metric_inverts_the_stencil(rng):
         ref = np.linalg.solve(lap, free_v).reshape(n - 2, n - 2)
         assert np.allclose(out[1:-1, 1:-1], np.where(fixed[1:-1, 1:-1], 0.0, ref), rtol=0, atol=1e-12)
     # with only the edge fixed, the stencil applied to the output is v itself
-    out = capacity._poisson_inverse(edge)(v)
+    out = descent._poisson_inverse(edge)(v)
     back = (lap @ out[1:-1, 1:-1].ravel()).reshape(n - 2, n - 2)
     assert np.max(np.abs(back - v[1:-1, 1:-1])) <= 1e-12 * np.max(np.abs(v))
 
@@ -54,11 +54,11 @@ def test_poisson_metric_is_symmetric_positive_and_zero_on_fixed_nodes(rng):
     fixed = edge | (rng.random((n, n)) < 0.3)
     for mask in (edge, fixed):
         v = rng.normal(size=(n, n))
-        out = capacity._poisson_inverse(mask)(v)
+        out = descent._poisson_inverse(mask)(v)
         free_v = np.where(mask, 0.0, v)[1:-1, 1:-1].ravel()
         ref = np.linalg.solve(lap, free_v).reshape(n - 2, n - 2)
         assert np.allclose(out[1:-1, 1:-1], np.where(mask[1:-1, 1:-1], 0.0, ref), rtol=0, atol=1e-12)
-    metric = capacity._poisson_inverse(fixed)
+    metric = descent._poisson_inverse(fixed)
     a, b = rng.normal(size=(2, n, n))
     pa, pb = metric(a), metric(b)
     # Z L^-1 Z is symmetric: <a, P b> = <P a, b> up to rounding on the
@@ -77,7 +77,7 @@ def test_grid_energy_needs_the_box_edge_fixed():
     fixed = np.zeros((n, n), dtype=bool)
     fixed[0, :] = fixed[:, 0] = True
     with pytest.raises(ValueError, match="edge"):
-        capacity.minimize_grid_energy(PHI, np.zeros((n, n)), fixed, 0.125)
+        descent.minimize_projected(PHI, np.zeros((n, n)), fixed, 0.125)
 
 
 def test_point_capacity_iterations_do_not_grow_with_the_grid():

@@ -256,6 +256,7 @@ def test_capacity_cli(tmp_path):
     cap = json.loads((tmp_path / "cap.json").read_text())
     target = 2.0 * np.pi / np.log(4.0)
     assert abs(cap["value"] - target) / target <= 0.1
+    assert cap["stop_reason"] == "rel_decrease"
     assert (tmp_path / "u.bin").exists()
 
 

@@ -108,9 +108,11 @@ def test_build_k1_schedule_and_pieces():
 
 
 def test_build_p1_raises_at_descent():
-    # for p = 1 the descent line (slope > 1) never re-meets t -> t
-    with pytest.raises(ConstructionError):
+    # for p = 1 the descent line (slope > 1) never re-meets t -> t, so the
+    # parameter check names p before the first cycle
+    with pytest.raises(ValueError, match=r"^p: 1\.0 .*never re-meets the lower curve"):
         build_triple(1.0, 1.0, 1)
+    assert build_triple(1.0, 1.0, 0).schedule == []  # no cycle, no descent line
 
 
 def test_schedule_strictly_increasing(build6):
@@ -217,6 +219,9 @@ MALFORMED_TRIPLES = {
     "p_below_one": (_set(("p",), 0.5), "p"),
     "alpha_negative": (_set(("alpha",), -1), "alpha"),
     "p_a_string": (_set(("p",), "2"), "p"),
+    "p_one": (_set(("p",), 1.0), "p"),
+    "schedule_not_a_list": (_set(("schedule",), 5), "schedule"),
+    "record_not_an_object": (_set(("schedule", 1), 5), "schedule[1]"),
 }
 
 
@@ -229,6 +234,11 @@ def test_triple_json_rejects_malformed_input(case, build6):
     with pytest.raises(ValueError) as err:
         TripleBuild.from_json_dict(data)
     assert str(err.value).startswith(field + ":")
+
+
+def test_triple_json_names_a_top_level_that_is_not_an_object(build6):
+    with pytest.raises(ValueError, match=r"^top level: expected a JSON object, found list$"):
+        TripleBuild.from_json_dict([build6.to_json_dict()])
 
 
 def test_every_record_carries_the_rotation():

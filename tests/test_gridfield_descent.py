@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from anisolab import descent
-from anisolab.aniso2d import SampledFn2D
+from anisolab import capacity, descent, pde
+from anisolab.aniso2d import SampledFn2D, quadratic_fn, radial_power_fn
+from anisolab.capacity import disk_mask, relative_capacity
 from anisolab.descent import IterationCapError, minimize_projected
 from anisolab.gridfield import GridField2D, divergence_of, forward_gradient
+from anisolab.young1d import PowerFn
 
 
 def test_gradient_divergence_adjoint(rng):
@@ -36,107 +38,164 @@ def test_binary_off_origin_rejected(tmp_path):
         GridField2D.from_binary(p)
 
 
+N, H = 9, 0.125  # the small grid of the synthetic energies below
+EDGE = capacity._boundary_mask(N)
+
+
+class _ZeroPhi:
+    """Phi = 0: the grid energy is its nodewise psi term alone."""
+
+    def is_doubling(self):
+        return True
+
+    def value(self, gx, gy):
+        return np.zeros_like(gx)
+
+    def grad(self, gx, gy):
+        return np.zeros_like(gx), np.zeros_like(gy)
+
+
+def _interior(v):
+    return np.pad(v, 1)
+
+
 def test_descent_solves_quadratic(rng):
-    # min 0.5 x^T A x - b x with random SPD A
-    m = rng.normal(size=(12, 12))
-    A = m @ m.T + 12 * np.eye(12)
-    b = rng.normal(size=12)
+    # sum 0.5 |grad u|^2 h^2 + sum (0.5 c u^2 - b u) h^2 with a zero edge:
+    # the minimizer solves (L + h^2 diag c) u = h^2 b on the interior,
+    # L the 5-point stencil (4, -1)
+    m = N - 2
+    c = 1.0 + rng.random((N, N))
+    b = rng.normal(size=(N, N))
+    t = 2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
+    lap = np.kron(t, np.eye(m)) + np.kron(np.eye(m), t)
+    A = lap + H * H * np.diag(c[1:-1, 1:-1].ravel())
+    ref = np.linalg.solve(A, H * H * b[1:-1, 1:-1].ravel()).reshape(m, m)
+    psi = (lambda u: 0.5 * c * u * u - b * u, lambda u: c * u - b)
     res = minimize_projected(
-        lambda x: 0.5 * x @ A @ x - b @ x,
-        lambda x: A @ x - b,
-        lambda x: x,
-        np.zeros(12),
-        rel_tol=1e-14,
+        quadratic_fn(), np.zeros((N, N)), EDGE, H, psi=psi, rel_tol=1e-14
     )
     assert res.converged
     assert res.stop_reason in ("rel_decrease", "stationary")
-    assert np.allclose(res.u, np.linalg.solve(A, b), atol=1e-5)
+    assert np.allclose(res.u, _interior(ref), atol=1e-5)
 
 
 def test_descent_stops_on_relative_decrease():
-    # an ill-conditioned quadratic at a loose tolerance: the window rule
-    # fires long before the iterate reaches the rounding floor
-    d = np.logspace(0.0, 3.0, 20)
-    res = minimize_projected(
-        lambda x: 0.5 * float(np.sum(d * (x - 1.0) ** 2)) + 1.0,
-        lambda x: d * (x - 1.0),
-        lambda x: x,
-        np.zeros(20),
-        rel_tol=1e-3,
-    )
+    # an ill-conditioned nodewise quadratic at a loose tolerance: the window
+    # rule fires long before the iterate reaches the rounding floor
+    d = np.logspace(0.0, 3.0, N * N).reshape(N, N)
+    psi = (lambda u: 0.5 * d * (u - 1.0) ** 2 + 1.0, lambda u: d * (u - 1.0))
+    res = minimize_projected(_ZeroPhi(), np.zeros((N, N)), EDGE, H, psi=psi, rel_tol=1e-3)
     assert res.stop_reason == "rel_decrease"
     assert res.converged and 0.0 < res.rel_decrease < 1e-3
 
 
 def test_descent_start_at_box_optimum_is_stationary():
-    target = np.array([2.0, -1.0])
-    res = minimize_projected(
-        lambda x: 0.5 * np.sum((x - target) ** 2),
-        lambda x: x - target,
-        lambda x: np.clip(x, 0.0, 1.0),
-        np.array([1.0, 0.0]),
-    )
+    # psi pulls every node towards 2; under the box the optimum is 1 on
+    # the free nodes, where the descent starts
+    psi = (lambda u: 0.5 * (u - 2.0) ** 2, lambda u: u - 2.0)
+    u0 = _interior(np.ones((N - 2, N - 2)))
+    res = minimize_projected(_ZeroPhi(), u0, EDGE, H, psi=psi, box=True)
     assert res.stop_reason == "stationary"
     assert res.converged and res.iterations == 1 and res.rel_decrease == 0.0
-    assert np.array_equal(res.u, [1.0, 0.0])
+    assert np.array_equal(res.u, u0)
 
 
 def test_descent_wrong_sign_gradient_exhausts_line_search():
     # the "gradient" points uphill: every backtrack fails the Armijo test
-    res = minimize_projected(
-        lambda x: float(x[0]), lambda x: np.array([-1.0]), lambda x: x, np.array([0.0])
-    )
+    psi = (lambda u: u, lambda u: -np.ones_like(u))
+    res = minimize_projected(_ZeroPhi(), np.zeros((N, N)), EDGE, H, psi=psi)
     assert res.stop_reason == "linesearch_exhausted"
     assert not res.converged
     assert res.iterations == 1 and res.rel_decrease == 0.0
-    assert res.u[0] == 0.0
+    assert np.array_equal(res.u, np.zeros((N, N)))
 
 
 def test_descent_objective_monotone(rng):
-    m = rng.normal(size=(8, 8))
-    A = m @ m.T + 8 * np.eye(8)
+    phi = radial_power_fn(3.0)
+    b = rng.normal(size=(N, N))
     trace = []
 
-    def energy(x):
-        return 0.5 * x @ A @ x
+    def energy(u):
+        gx, gy = forward_gradient(u, H)
+        return float(np.sum(phi.value(gx, gy)) - np.sum(b * u)) * H * H
 
-    def grad(x):
-        trace.append(energy(x))
-        return A @ x
+    def dpsi(u):
+        trace.append(energy(u))
+        return -b
 
-    minimize_projected(energy, grad, lambda x: x, rng.normal(size=8), rel_tol=1e-12)
-    # gradient is evaluated once per accepted iterate: objective nonincreasing
+    u0 = _interior(rng.normal(size=(N - 2, N - 2)))
+    minimize_projected(phi, u0, EDGE, H, psi=(lambda u: -b * u, dpsi), rel_tol=1e-12)
+    # psi's derivative is evaluated once per accepted iterate: objective nonincreasing
+    assert len(trace) > 2
     assert np.all(np.diff(trace) <= 1e-12)
 
 
-def test_descent_respects_projection(rng):
-    A = np.eye(3)
-    target = np.array([2.0, -1.0, 0.5])
-
-    def project(x):
-        return np.clip(x, 0.0, 1.0)
-
+def test_descent_respects_projection():
+    # a nodewise pull towards 2, -1 and 0.5 in turn: the box optimum is the
+    # clipped target on the free nodes, some on a bound and some inside
+    i, j = np.indices((N, N))
+    target = np.array([2.0, -1.0, 0.5])[(i + j) % 3]
+    psi = (lambda u: 0.5 * (u - target) ** 2, lambda u: u - target)
     res = minimize_projected(
-        lambda x: 0.5 * np.sum((x - target) ** 2),
-        lambda x: x - target,
-        project,
-        np.zeros(3),
-        rel_tol=1e-14,
+        _ZeroPhi(), np.zeros((N, N)), EDGE, H, psi=psi, box=True, rel_tol=1e-14
     )
-    assert np.allclose(res.u, [1.0, 0.0, 0.5], atol=1e-6)
+    expected = np.where(EDGE, 0.0, np.clip(target, 0.0, 1.0))
+    assert np.allclose(res.u, expected, atol=1e-6)
+
+
+def test_descent_solves_an_obstacle_problem():
+    # sum 0.5 |grad u|^2 h^2 - 100 u h^2 under u <= 1: a contact set at 1
+    # surrounded by free nodes inside the box.  Reference: projected
+    # red-black Gauss-Seidel on the same 5-point system
+    n = 17
+    h = 1.0 / (n - 1)
+    edge = capacity._boundary_mask(n)
+    psi = (lambda u: -100.0 * u, lambda u: np.full_like(u, -100.0))
+    res = minimize_projected(
+        quadratic_fn(), np.zeros((n, n)), edge, h, psi=psi, box=True, rel_tol=1e-14
+    )
+    i, j = np.indices((n, n))
+    ref = np.zeros((n, n))
+    for _ in range(2000):
+        for colour in (0, 1):
+            mask = ~edge & ((i + j) % 2 == colour)
+            nbrs = np.zeros((n, n))
+            nbrs[1:-1, 1:-1] = ref[:-2, 1:-1] + ref[2:, 1:-1] + ref[1:-1, :-2] + ref[1:-1, 2:]
+            ref[mask] = np.clip((nbrs[mask] + 100.0 * h * h) / 4.0, 0.0, 1.0)
+    assert 0 < np.sum(ref == 1.0) < np.sum(~edge & (ref > 0.0))
+    assert res.converged
+    assert np.allclose(res.u, ref, atol=1e-6)
 
 
 def test_descent_iteration_cap(monkeypatch):
-    # a descending but never-converging linear slope within the cap
+    # a descending but never-converging linear energy, no lower bound
     monkeypatch.setattr(descent, "MAX_ITER", 50)
+    psi = (lambda u: u, lambda u: np.ones_like(u))
     with pytest.raises(IterationCapError) as info:
-        minimize_projected(
-            lambda x: float(x[0]),
-            lambda x: np.array([1.0]),
-            lambda x: x,
-            np.array([0.0]),
-            rel_tol=1e-30,
-        )
+        minimize_projected(_ZeroPhi(), np.zeros((N, N)), EDGE, H, psi=psi, rel_tol=1e-30)
     assert info.value.result.iterations == 50
     assert info.value.result.stop_reason == "cap"
     assert not info.value.result.converged
+
+
+def test_capacities_and_weak_solves_bind_one_engine():
+    # the bench traces the descent by patching every binding of this one
+    # function, so its span covers every capacity and weak solve
+    assert capacity.minimize_projected is pde.minimize_projected is descent.minimize_projected
+
+
+def test_solves_keep_their_fixed_nodes_bit_for_bit(rng):
+    # only the metric's null space holds the fixed nodes: no step moves them
+    n = 33
+    k_mask = disk_mask(n, 0.5, 0.5, 0.1)
+    omega = disk_mask(n, 0.5, 0.5, 0.4)
+    res = relative_capacity(
+        radial_power_fn(3.0), PowerFn(3.0), 1.0, k_mask, omega, n, u0=rng.random((n, n))
+    )
+    u = res.minimizer.values
+    assert np.all(u[k_mask] == 1.0)
+    assert np.all(u[capacity._boundary_mask(n) | ~omega] == 0.0)
+    f = GridField2D(np.ones((n, n)), 1.0 / (n - 1))
+    warm = pde.solve_weak(radial_power_fn(1.5), f, u0=1.0 + rng.random((n, n)))
+    assert np.all(warm.values[capacity._boundary_mask(n)] == 0.0)
+    assert np.any(warm.values != 0.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from anisolab.aniso2d import intro_exp_fn, quadratic_fn, radial_power_fn
-from anisolab.capacity import NonDoublingError
+from anisolab.descent import NonDoublingError
 from anisolab.gridfield import GridField2D, divergence_of, forward_gradient
 from anisolab.pde import (
     ApproxSequence,

@@ -206,6 +206,11 @@ def test_monotone_table_json_names_a_missing_field():
         MonotoneTable.from_json_dict({"s": [1.0, 2.0, 3.0]})
 
 
+def test_monotone_table_json_names_a_top_level_that_is_not_an_object():
+    with pytest.raises(ValueError, match=r"^top level: expected a JSON object, found list$"):
+        MonotoneTable.from_json_dict([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+
+
 @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
 def test_monotone_table_rejects_entries_without_finite_logs(bad, tmp_path):
     # a negative x used to load as log x = nan and interpolate silently
