@@ -54,6 +54,7 @@ class CapacityResult:
     mode: str
     n: int
     stop_reason: str
+    gap: float | None  # the solve's certificate: value - gap <= the grid minimum
 
 
 def disk_mask(n, cx, cy, r):
@@ -93,7 +94,7 @@ def relative_capacity(phi, phicirc, kappa, k_mask, omega_mask, n, mode="full", u
     h = 1.0 / (n - 1)
     if not k_mask.any():
         # the zero field is feasible and has zero energy
-        return CapacityResult(0.0, GridField2D.zeros(n, h), 0, mode, n, "stationary")
+        return CapacityResult(0.0, GridField2D.zeros(n, h), 0, mode, n, "stationary", 0.0)
     zero_mask = (~omega_mask) | (_boundary_mask(n) & ~k_mask)
     psi = None
     if mode == "full":
@@ -112,6 +113,7 @@ def relative_capacity(phi, phicirc, kappa, k_mask, omega_mask, n, mode="full", u
         mode=mode,
         n=n,
         stop_reason=res.stop_reason,
+        gap=res.gap,
     )
 
 

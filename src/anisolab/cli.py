@@ -207,6 +207,7 @@ def cmd_capacity(args):
         "mode": res.mode,
         "n": res.n,
         "stop_reason": res.stop_reason,
+        "gap": res.gap,
     }
     _dump_json(payload, args.out)
     if args.field:

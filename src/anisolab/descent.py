@@ -8,37 +8,68 @@ n x n grid of spacing h:
 
 with the ``fixed`` nodes held at their start values (they must cover
 the box edge) and, under ``box``, every node clipped to 0 <= u <= 1.
-:func:`minimize_projected` is that solve: monotone descent with
-Barzilai-Borwein step proposals safeguarded by Armijo backtracking (so
-the objective never increases), the box clip after every trial step,
-and a stopping rule on the relative objective decrease over a trailing
-window of ``WINDOW`` iterations.  Nonsmooth kinks are handled by the
-subgradient selection of ``Phi.grad``.
+:func:`minimize_projected` is that solve: projected descent with
+Barzilai-Borwein step proposals, the box clip after every trial step,
+and a stop on a certificate where the energy has one.  Nonsmooth kinks
+are handled by the subgradient selection of ``Phi.grad``.
 
-Every solve descends in one metric, P = Z L^-1 Z: L is the 5-point
+**Metric.**  The base metric is P = Z L^-1 Z: L is the 5-point
 Laplacian on the interior nodes (inverted by products with the
-orthonormal DST-I matrix) and Z zeroes the fixed nodes.  The direction
-is P g, still a descent direction, and the step proposal is the BB
-quotient <s, y> / <y, P y> in that metric; for growth p >= 2 the
-iteration counts stay nearly flat as the grid is refined.  P is exactly
-zero on the fixed nodes, so no step moves them.  Under ``box`` the
-metric is two-metric (Bertsekas): the nodes on a bound whose gradient
-points out of the box are held as well, so P acts on the other nodes
-alone.  Without that, P g clipped to the box need not go downhill once
-some nodes sit on a bound, and the descent would stop short of the box
-minimum.
+orthonormal DST-I matrix) and Z zeroes the fixed nodes, so no step
+moves them.  The solve descends in the re-weighted metric
+P_w = D P D, D = diag(w^-1/2), where w is, per node, the mean over its
+four cells of the secant modulus |grad Phi(xi)| / |xi| (|xi| floored at
+``FLOOR`` times its maximum).  P_w is the inverse of a Laplacian with
+the local stiffness of Phi, so iteration counts stay nearly flat as the
+grid is refined for every growth p, not only p = 2.  Where w is
+constant on the free nodes (quadratic Phi) the solve keeps P itself.
+The start supplies the weights; a flat start (max |xi| = 0, or more
+than half of the cells below the floor) is cold: it descends in P and,
+the first time its window decrease or its certificate falls below
+``REWEIGHT_TOL``, re-weights once from the best iterate and restarts
+the step memory there.  Under ``box`` the metric is two-metric
+(Bertsekas): the nodes on a bound whose gradient points out of the box
+are held, so the metric acts on the other nodes alone.  Without that,
+a clipped step need not go downhill once some nodes sit on a bound.
 
-Every result says why the descent stopped: ``rel_decrease`` (the window
-rule), ``stationary`` (a projected trial step brings no first-order
-decrease: at a constrained optimum, or once the step is below the
-rounding of u), ``linesearch_exhausted`` (every backtrack failed the Armijo
-test, so nothing is certified and ``converged`` is False) or ``cap`` (on
-the partial result that :class:`IterationCapError` carries, once a solve
-runs past ``MAX_ITER`` iterations).
+**Search.**  Each iteration makes one metric product q = P_w g (g
+masked by the held nodes) and keeps it, so the BB quotient
+<s, y> / <y, P_w y> reads its denominator as <y, q_new - q_old>; a
+non-positive quotient falls back to twice the accepted step.  A trial
+is accepted by the nonmonotone Armijo test of Grippo, Lampariello and
+Lucidi: its energy must lie below the largest of the last ``MEMORY``
+accepted energies by ``ARMIJO`` times the first-order decrease.  The
+solve returns the best iterate it has seen, so the result never lies
+above the start.
+
+**Certificates.**  At each iterate v a certificate gap(v) bounds
+E(v) - min E from above:
+
+- under ``box``, the Frank-Wolfe gap sum_free max(g v, g (v - 1));
+- without the box, where w is a positive constant c, <g, P g> / (2c)
+  (the Hessian is at least c L; exact for linear psi);
+- otherwise there is none, and the result's ``gap`` is None.
+
+The result's ``gap`` is E(best) minus the largest E(v) - gap(v) over
+the iterates, so E - gap <= min E <= E up to the rounding of the energy
+sums; it closes even once the energies sit at that rounding.
+
+**Stop reasons.**  ``gap`` (the certificate is at most ``rel_tol``
+times |E|), ``rel_decrease`` (no certificate: the best energy fell by
+less than ``rel_tol``, relative, over ``WINDOW`` iterations),
+``stationary`` (a projected trial step brings no first-order decrease:
+at a constrained optimum, or once the step is below the rounding of u;
+``converged`` only if the certificate, where there is one, passes),
+``linesearch_exhausted`` (every backtrack failed the Armijo test, so
+nothing is certified and ``converged`` is False) or ``cap`` (on the
+partial result that :class:`IterationCapError` carries, once a solve
+runs past ``MAX_ITER`` iterations).  ``rel_decrease`` holds the window
+decrease, or gap / |E| on a ``gap`` exit, and 0.0 on the other exits.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +80,10 @@ __all__ = ["DescentResult", "IterationCapError", "NonDoublingError", "minimize_p
 
 ARMIJO = 1e-4
 MAX_BACKTRACKS = 60
+MEMORY = 10  # accepted energies the nonmonotone Armijo test looks back over
 WINDOW = 50  # iterations of the relative-decrease stopping rule
+FLOOR = 1e-6  # |xi| floor of the metric weights, relative to max |xi|
+REWEIGHT_TOL = 1e-2  # a cold solve re-weights once this close, relative
 MAX_ITER = 120_000  # iterations before IterationCapError; no solve comes near it
 
 
@@ -71,6 +105,8 @@ class DescentResult:
     converged: bool
     rel_decrease: float
     stop_reason: str
+    gap: float | None  # upper bound on objective - min, None without a certificate
+    evaluations: int  # energy evaluations, the start's and the backtracks' included
 
 
 def _poisson_inverse(fixed):
@@ -100,6 +136,28 @@ def _poisson_inverse(fixed):
     return apply
 
 
+def _secant_weights(phi, u, h):
+    """Per node, the mean over its four cells of |grad Phi(xi)| / |xi|.
+
+    |xi| is floored at ``FLOOR * max |xi|``: a cell below the floor is
+    evaluated at the floor in its own direction, a cell with xi = 0 at
+    (floor, 0).  Returns None for a flat field (max |xi| = 0, or more
+    than half of the cells below the floor).  Edge nodes get weight 1.
+    """
+    gx, gy = forward_gradient(u, h)
+    r = np.hypot(gx, gy)
+    floor = FLOOR * float(r.max())
+    low = r < floor
+    if floor == 0.0 or 2 * np.count_nonzero(low) > low.size:
+        return None
+    angle = np.arctan2(gy[low], gx[low])
+    gx[low], gy[low] = floor * np.cos(angle), floor * np.sin(angle)
+    modulus = np.hypot(*phi.grad(gx, gy)) / np.maximum(r, floor)
+    w = np.ones_like(u)
+    w[1:-1, 1:-1] = 0.25 * (modulus[:-1, :-1] + modulus[1:, :-1] + modulus[:-1, 1:] + modulus[1:, 1:])
+    return w
+
+
 def minimize_projected(phi, u0, fixed, h, psi=None, box=False, rel_tol=1e-8):
     """Minimize sum_cells Phi(grad u) h^2 + sum_nodes psi(u) h^2 from ``u0``.
 
@@ -107,10 +165,12 @@ def minimize_projected(phi, u0, fixed, h, psi=None, box=False, rel_tol=1e-8):
     The boolean node mask ``fixed`` holds its nodes at their ``u0``
     values and must cover the box edge; ``box`` clips every node to
     0 <= u <= 1, so fixed values must lie in [0, 1] there.  Rejects
-    non-doubling ``phi`` with :class:`NonDoublingError`.  Convergence is
-    declared when the objective drops by less than ``rel_tol``
-    (relative) over ``WINDOW`` iterations; running past ``MAX_ITER``
-    raises :class:`IterationCapError` with the partial result attached.
+    non-doubling ``phi`` with :class:`NonDoublingError`.  Returns the
+    best iterate seen.  A solve with a certificate stops once it is at
+    most ``rel_tol`` times |E|; one without stops once the best energy
+    drops by less than ``rel_tol`` (relative) over ``WINDOW``
+    iterations.  Running past ``MAX_ITER`` raises
+    :class:`IterationCapError` with the partial result attached.
     """
     if not phi.is_doubling():
         raise NonDoublingError("the grid-energy solve requires doubling growth")
@@ -118,12 +178,15 @@ def minimize_projected(phi, u0, fixed, h, psi=None, box=False, rel_tol=1e-8):
     if not (fixed[[0, -1]].all() and fixed[:, [0, -1]].all()):
         raise ValueError("the fixed nodes must cover the box edge")
     area = h * h
-    metric = _poisson_inverse(fixed)
+    poisson = _poisson_inverse(fixed)
+    evaluations = 0
 
     def project(u):
         return np.clip(u, 0.0, 1.0) if box else u
 
     def energy(u):
+        nonlocal evaluations
+        evaluations += 1
         gx, gy = forward_gradient(u, h)
         e = float(np.sum(phi.value(gx, gy)))
         if psi is not None:
@@ -137,60 +200,114 @@ def minimize_projected(phi, u0, fixed, h, psi=None, box=False, rel_tol=1e-8):
             g = g + psi[1](u)
         return g * area
 
+    def weighted(w):
+        """The metric for node weights w, and their value if constant."""
+        if w is None or fixed.all():
+            return poisson, None
+        wf = w[~fixed]
+        if wf.max() - wf.min() <= 1e-12 * wf.max():
+            return poisson, float(wf.max())
+        d = w**-0.5
+        return (lambda v: d * poisson(d * v)), None
+
     def descend(u, g):
+        """(q, direction): q = metric(masked g), zero on the held nodes."""
         if not box:
-            return metric(g)
+            q = metric(g)
+            return q, q
         # two-metric projection: nodes on a bound whose gradient pushes
         # outwards stay put, and the metric acts on the other nodes alone
         held = ((u <= 0.0) & (g > 0.0)) | ((u >= 1.0) & (g < 0.0))
-        return np.where(held, 0.0, metric(np.where(held, 0.0, g)))
+        q = metric(np.where(held, 0.0, g))
+        return q, np.where(held, 0.0, q)
+
+    def bound(u, e, g, q):
+        """Raise ``lower``, the bound below min E, by the certificate at u."""
+        nonlocal lower
+        if box:
+            # Frank-Wolfe: the largest <g, u - v> over the box, free nodes only
+            gf = np.where(fixed, 0.0, g)
+            lower = max(lower, e - float(np.sum(np.maximum(gf * u, gf * (u - 1.0)))))
+        elif c is not None and c > 0.0:
+            # the Hessian is at least c L, and on the free nodes (L^-1)_ff
+            # is at least (L_ff)^-1, so <g, P g> / 2c bounds E(u) - min E
+            lower = max(lower, e - 0.5 * float(np.vdot(g, q).real) / c)
+
+    def gap():
+        """E(best) - lower, or None before any certificate."""
+        return None if lower == -np.inf else max(best[1] - lower, 0.0)
+
+    def first_step(direction):
+        return 1.0 / max(float(np.sqrt(np.vdot(direction, direction).real)), 1.0)
+
+    def finish(it, reason, window=0.0):
+        e_b, cert = best[1], gap()
+        certified = cert is None or cert <= rel_tol * abs(e_b)
+        converged = reason in ("gap", "rel_decrease") or (reason == "stationary" and certified)
+        rel = cert / max(abs(e_b), 1e-300) if reason == "gap" else window
+        return DescentResult(best[0], e_b, it, converged, float(rel), reason, cert, evaluations)
 
     u = project(np.array(u0, dtype=float, copy=True))
     e = energy(u)
     g = gradient(u)
-    direction = descend(u, g)
-    step = 1.0 / max(float(np.sqrt(np.vdot(direction, direction).real)), 1.0)
-    history = [e]
+    w = _secant_weights(phi, u, h)
+    cold = w is None
+    metric, c = weighted(w)
+    q, direction = descend(u, g)
+    step = first_step(direction)
+    recent = deque([e], maxlen=MEMORY)
+    best, lower = (u, e, g, q), -np.inf
+    bound(u, e, g, q)
+    history = [e]  # the best energy after each iteration
     for it in range(1, MAX_ITER + 1):
         alpha = step
         for _ in range(MAX_BACKTRACKS):
             cand = project(u - alpha * direction)
             decrease = float(np.vdot(g, u - cand).real)
             if decrease <= 0.0:
-                return DescentResult(u, e, it, True, 0.0, "stationary")
+                return finish(it, "stationary")
             e_cand = energy(cand)
-            if e_cand <= e - ARMIJO * decrease:
+            # nonmonotone Armijo test against the largest recent energy
+            if e_cand <= max(recent) - ARMIJO * decrease:
                 break
             alpha *= 0.5
         else:
-            return DescentResult(u, e, it, False, 0.0, "linesearch_exhausted")
+            return finish(it, "linesearch_exhausted")
         g_cand = gradient(cand)
-        s = cand - u
-        y = g_cand - g
-        sy = float(np.vdot(s, y).real)
-        if sy > 0.0:
-            step = sy / float(np.vdot(y, metric(y)).real)
-        else:
-            step = alpha * 2.0
+        q_cand, d_cand = descend(cand, g_cand)
+        sy = float(np.vdot(cand - u, g_cand - g).real)
+        ypy = float(np.vdot(g_cand - g, q_cand - q).real)  # <y, P_w y> from the kept products
+        step = sy / ypy if sy > 0.0 and ypy > 0.0 else alpha * 2.0
         # cap growth relative to the accepted step: unbounded BB proposals on
         # degenerate energies would burn the whole backtracking budget
         step = float(np.clip(step, 1e-14, max(1e6 * alpha, 1e-14)))
-        u, e, g = cand, e_cand, g_cand
-        direction = descend(u, g)
-        history.append(e)
-        if len(history) > WINDOW:
-            prev = history[-WINDOW - 1]
-            rel = (prev - e) / max(abs(e), 1e-300)
-            if rel < rel_tol:
-                return DescentResult(u, e, it, True, float(rel), "rel_decrease")
-    result = DescentResult(
-        u=u,
-        objective=e,
-        iterations=MAX_ITER,
-        converged=False,
-        rel_decrease=float((history[-WINDOW - 1] - e) / max(abs(e), 1e-300))
-        if len(history) > WINDOW
-        else np.inf,
-        stop_reason="cap",
-    )
+        u, e, g, q, direction = cand, e_cand, g_cand, q_cand, d_cand
+        recent.append(e)
+        if e < best[1]:
+            best = (u, e, g, q)
+        bound(u, e, g, q)
+        history.append(best[1])
+        scale = max(abs(best[1]), 1e-300)
+        window = (history[-WINDOW - 1] - best[1]) / scale if len(history) > WINDOW else np.inf
+        if cold:
+            cert = gap()
+            residual = cert if cert is not None else 0.5 * float(np.vdot(best[2], best[3]).real)
+            if min(window, residual / scale) < REWEIGHT_TOL:
+                cold = False
+                metric, c = weighted(_secant_weights(phi, best[0], h))
+                if metric is not poisson:
+                    # restart the step memory at the best iterate, in P_w
+                    u, e, g = best[:3]
+                    q, direction = descend(u, g)
+                    step = first_step(direction)
+                    recent = deque([e], maxlen=MEMORY)
+                    best = (u, e, g, q)
+                bound(*best)
+        cert = gap()
+        if cert is not None:
+            if cert <= rel_tol * abs(best[1]):
+                return finish(it, "gap")
+        elif window < rel_tol:
+            return finish(it, "rel_decrease", window)
+    result = finish(MAX_ITER, "cap", window)
     raise IterationCapError(f"no convergence within {MAX_ITER} iterations", result)

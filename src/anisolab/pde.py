@@ -156,7 +156,7 @@ def solve_weak(phi, f_field, rel_tol=1e-9, u0=None):
     """Minimizer of sum(Phi(grad u) - f u) h^2, zero boundary.
 
     Returns the minimizer as a field carrying the descent's
-    ``iterations``, ``objective`` and ``stop_reason``; non-doubling
+    ``iterations``, ``objective``, ``stop_reason`` and ``gap``; non-doubling
     ``phi`` raises :class:`anisolab.descent.NonDoublingError`.
     """
     f_vals = f_field.values
@@ -169,6 +169,7 @@ def solve_weak(phi, f_field, rel_tol=1e-9, u0=None):
     out.iterations = res.iterations
     out.objective = res.objective
     out.stop_reason = res.stop_reason
+    out.gap = res.gap
     return out
 
 

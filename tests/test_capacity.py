@@ -72,6 +72,20 @@ def test_poisson_metric_is_symmetric_positive_and_zero_on_fixed_nodes(rng):
     assert np.all(pa[fixed] == 0.0) and np.all(pb[fixed] == 0.0)
 
 
+def test_secant_weights_are_the_secant_modulus():
+    # u = 2x + y has xi = (2, 1) on every cell, and |xi|^p has the secant
+    # modulus |grad Phi(xi)| / |xi| = p |xi|^(p - 2)
+    n = 9
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, n), indexing="ij")
+    w = descent._secant_weights(radial_power_fn(1.5), 2.0 * x + y, 1.0 / (n - 1))
+    assert np.allclose(w[1:-1, 1:-1], 1.5 * 5.0**-0.25, rtol=1e-12)
+    # a start flat on more than half of its cells has no weights: it is cold
+    bump = np.zeros((n, n))
+    bump[n // 2, n // 2] = 1.0
+    for flat in (bump, np.zeros((n, n))):
+        assert descent._secant_weights(radial_power_fn(1.5), flat, 1.0 / (n - 1)) is None
+
+
 def test_grid_energy_needs_the_box_edge_fixed():
     n = 9
     fixed = np.zeros((n, n), dtype=bool)
@@ -81,16 +95,17 @@ def test_grid_energy_needs_the_box_edge_fixed():
 
 
 def test_point_capacity_iterations_do_not_grow_with_the_grid():
-    # cold p = 3 solves on a single centre node: the Poisson metric keeps
-    # the iteration count flat under refinement
-    iterations = []
-    for n in (33, 129):
-        k = np.zeros((n, n), dtype=bool)
-        k[n // 2, n // 2] = True
-        omega = ~capacity._boundary_mask(n)
-        res = relative_capacity(radial_power_fn(3.0), PowerFn(3.0), 1.0, k, omega, n)
-        iterations.append(res.iterations)
-    assert iterations[1] <= 2 * iterations[0], iterations
+    # cold solves on a single centre node: the re-weighted Poisson metric
+    # keeps the iteration count flat under refinement, for p = 3 and p = 1.5
+    for p in (3.0, 1.5):
+        iterations = []
+        for n in (33, 129):
+            k = np.zeros((n, n), dtype=bool)
+            k[n // 2, n // 2] = True
+            omega = ~capacity._boundary_mask(n)
+            res = relative_capacity(radial_power_fn(p), PowerFn(p), 1.0, k, omega, n)
+            iterations.append(res.iterations)
+        assert iterations[1] <= 2 * iterations[0], (p, iterations)
 
 
 def test_empty_set_zero():
@@ -104,11 +119,20 @@ def test_empty_set_zero():
     assert sobolev_capacity(intro_exp_fn(), PC, 1.0, empty, n).value == 0.0
 
 
+def test_capacity_of_omega_itself_moves_no_node():
+    # K = Omega fixes every node: the start is the minimizer, certified exactly
+    n = 33
+    K = square_mask(n, 0.2, 0.8, 0.2, 0.8)
+    res = relative_capacity(PHI, PC, 1.0, K, K, n)
+    assert res.iterations == 1 and res.stop_reason == "stationary" and res.gap == 0.0
+    assert np.array_equal(res.minimizer.values, K.astype(float))
+
+
 def test_capacity_reports_stop_reason():
     n = 33
     res = sobolev_capacity(PHI, PC, 1.0, square_mask(n, 0.4, 0.6, 0.4, 0.6), n)
     assert res.iterations > 0
-    assert res.stop_reason in ("rel_decrease", "stationary")
+    assert res.stop_reason in ("rel_decrease", "stationary", "gap")
 
 
 def test_nested_monotonicity_tight():
@@ -116,7 +140,8 @@ def test_nested_monotonicity_tight():
     inner = square_mask(n, 0.42, 0.58, 0.42, 0.58)
     outer = square_mask(n, 0.35, 0.65, 0.35, 0.65)
     # the inner solve starts from the outer minimizer, which is feasible for
-    # it; descent never raises the energy, so C(inner) <= C(outer) exactly
+    # it; the descent returns its best iterate, never above the start, so
+    # C(inner) <= C(outer) exactly
     ro = sobolev_capacity(PHI, PC, 1.0, outer, n)
     ri = sobolev_capacity(PHI, PC, 1.0, inner, n, u0=ro.minimizer.values)
     assert ri.value <= ro.value + 1e-8

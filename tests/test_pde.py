@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
+from anisolab import descent
 from anisolab.aniso2d import intro_exp_fn, quadratic_fn, radial_power_fn
-from anisolab.descent import NonDoublingError
+from anisolab.descent import IterationCapError, NonDoublingError
 from anisolab.gridfield import GridField2D, divergence_of, forward_gradient
 from anisolab.pde import (
     ApproxSequence,
@@ -163,6 +164,32 @@ def test_torsion_matches_the_dense_five_point_solve():
     ref = np.linalg.solve(lap, np.ones(m * m)).reshape(m, m)
     err = np.max(np.abs(u.values[1:-1, 1:-1] - ref)) / np.max(ref)
     assert err <= 1e-12, err
+
+
+def test_torsion_certificate_is_the_exact_gap(monkeypatch, rng):
+    # quadratic growth and a linear psi: half the metric norm of the
+    # gradient, <g, P g> / 2, is exactly E(u) - min E, with the minimum from
+    # the dense five-point solve.  One iteration from a rough warm start
+    # leaves a wide bracket whose lower end is that minimum
+    n = 33
+    f = _unit_source(n)
+    m = n - 2
+    t = 2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
+    lap = (np.kron(t, np.eye(m)) + np.kron(np.eye(m), t)) / f.h**2
+    e_min = -0.5 * f.h**2 * float(np.sum(np.linalg.solve(lap, np.ones(m * m))))
+    monkeypatch.setattr(descent, "MAX_ITER", 1)
+    with pytest.raises(IterationCapError) as info:
+        solve_weak(quadratic_fn(), f, u0=rng.random((n, n)))
+    part = info.value.result
+    assert part.gap > 0.1 * abs(e_min)
+    assert part.objective - part.gap == pytest.approx(e_min, rel=1e-12)
+    monkeypatch.undo()
+    # the converged solve stops on the certificate; its bracket holds the
+    # minimum up to the rounding of the energy sums
+    u = solve_weak(quadratic_fn(), f)
+    slack = 1e-14 * abs(e_min)
+    assert u.stop_reason == "gap" and u.gap <= 1e-9 * abs(u.objective)
+    assert u.objective - u.gap - slack <= e_min <= u.objective + slack
 
 
 def test_truncation_never_raises_gradient_energy():
