@@ -8,12 +8,14 @@ family the capacity experiments need.
 
 The Young conjugate is computed exactly on sample grids: the max over the
 product grid factorizes into two 1-D discrete Legendre transforms (first
-over xi_1 for every (eta_1, xi_2), then over xi_2), each batched over rows
-in O(n + m) per row by a lower-hull scan merged with the sorted dual nodes
-(Lucet, Numer. Algorithms 16, 1997; Felzenszwalb and Huttenlocher, Theory
-of Computing 8, 2012).  Values and argmax indices match exhaustive
-maximization bit for bit, ties going to the lowest index; a maximizer on
-the primal boundary triggers box expansion, capped at four doublings.
+over xi_1 for every (eta_1, xi_2), then over xi_2), each batched over
+rows.  A finite row that passes a one-pass convexity test is merged with
+the sorted dual nodes in O(n + m) (Lucet, Numer. Algorithms 16, 1997;
+Felzenszwalb and Huttenlocher, Theory of Computing 8, 2012); any other
+row is maximized exhaustively in O(n m).  Values and argmax indices match
+exhaustive maximization bit for bit, ties going to the lowest index; a
+maximizer on the primal boundary triggers box expansion, capped at four
+doublings.
 """
 
 from __future__ import annotations
@@ -345,70 +347,35 @@ class SampledFn2D:
 
 # Relative slack of the float comparisons in _legendre_1d: 16 eps = 32 unit
 # roundoffs, several times the error of evaluating eta * x - v and of the
-# hull's chord and slope arithmetic (each a few roundoffs).
+# convexity test's chord and slope arithmetic (each a few roundoffs).
 _TOL = 16.0 * np.finfo(float).eps
 
-
-def _lower_chains(x, v, scale):
-    """Per row of ``v``, the primal indices kept by a monotone-chain scan
-    for the lower convex hull of the finite points (x[i], v[r, i]).
-
-    A point is popped only when it lies above the chord of its neighbours
-    by more than the float error bound, so no popped point can reach the
-    float maximum of eta * x - v for any eta; points on or near the hull,
-    collinear runs included, stay on the chain.  Returns (chain, size):
-    chain[r, :size[r]] are row r's kept indices in increasing order, and
-    the rest of chain is 0.  +inf samples are never pushed.
-
-    A finite row on which no consecutive triple fails the pop test (found
-    in one pass by :func:`_pops_none`) keeps every index: the scan, holding
-    every earlier index, would pop nothing there, so it skips such rows.
-    """
-    rows_n, n = v.shape
-    finite = np.isfinite(v)
-    whole = finite.all(axis=1) & _pops_none(x, v, scale)
-    chain = np.zeros((rows_n, n), dtype=np.int32)
-    chain[whole] = np.arange(n, dtype=np.int32)
-    size = np.where(whole, n, 0).astype(np.intp)
-    finite[whole] = False
-    if not finite.any():
-        return chain, size
-    for i in range(n):
-        rows = np.flatnonzero(finite[:, i])
-        pend = rows[size[rows] >= 2]
-        while pend.size:
-            b = chain[pend, size[pend] - 1]
-            a = chain[pend, size[pend] - 2]
-            va, vb, vc = v[pend, a], v[pend, b], v[pend, i]
-            gap = (vb - va) - (vc - va) * ((x[b] - x[a]) / (x[i] - x[a]))
-            slack = _TOL * (scale[pend] + np.abs(va) + np.abs(vb) + np.abs(vc))
-            pend = pend[gap > slack]
-            size[pend] -= 1
-            pend = pend[size[pend] >= 2]
-        chain[rows, size[rows]] = i
-        size[rows] += 1
-    return chain, size
+# Elements per temporary of one _legendre_1d block (256 KiB of float64).
+# The merge makes a dozen temporaries; on whole (rows, n) grids they come
+# to tens of MiB, which the allocator keeps in its heap after the call, so
+# the process's resident size would depend on how that heap fragments.
+_MERGE_BLOCK = 1 << 15
 
 
-def _pops_none(x, v, scale):
-    """Per row of ``v``, whether no consecutive triple (i - 2, i - 1, i)
-    fails the pop test of :func:`_lower_chains`.
+def _convex_rows(x, v, scale):
+    """Per row of ``v``, whether every sample is finite and no consecutive
+    triple (i - 2, i - 1, i) has its middle point above the chord of its
+    neighbours by more than the float error bound.
 
-    The test is the scan's own expression, so on a finite row the answer
-    is bit for bit what the scan would decide with the whole prefix on its
-    chain.  Rows go a block at a time, with temporaries near
-    ``_MERGE_BLOCK`` elements each.
+    On such a row no point is ruled out of the float maximum of
+    eta * x - v, which :func:`_merge_rows` relies on.  Rows go a block at
+    a time, with temporaries near ``_MERGE_BLOCK`` elements each.
     """
     rows_n, n = v.shape
     ratio = (x[1:-1] - x[:-2]) / (x[2:] - x[:-2])
-    out = np.ones(rows_n, dtype=bool)
+    out = np.isfinite(v).all(axis=1)
     step = max(1, _MERGE_BLOCK // n)
     with np.errstate(invalid="ignore"):
         for a in range(0, rows_n, step):
             va, vb, vc = v[a : a + step, :-2], v[a : a + step, 1:-1], v[a : a + step, 2:]
             gap = (vb - va) - (vc - va) * ratio
             slack = _TOL * (scale[a : a + step, None] + np.abs(va) + np.abs(vb) + np.abs(vc))
-            out[a : a + step] = ~np.any(gap > slack, axis=1)
+            out[a : a + step] &= ~np.any(gap > slack, axis=1)
     return out
 
 
@@ -420,9 +387,11 @@ def _legendre_1d(x, v, eta):
     gives; a row of +inf samples gives (-inf, 0).  ``x`` must increase
     strictly, ``eta`` must not decrease, ``v`` holds finite or +inf values.
 
-    Each row's chain (see :func:`_lower_chains`) is merged with the sorted
-    dual nodes by :func:`_merge_chains`, a block of rows at a time so that
-    the merge's temporaries stay near ``_MERGE_BLOCK`` elements each.
+    Rows that pass :func:`_convex_rows` are merged with the sorted dual
+    nodes by :func:`_merge_rows` in O(n + m) each; every other row is
+    maximized exhaustively over the full product in O(n m).  Rows go a
+    block at a time, so that temporaries stay near ``_MERGE_BLOCK``
+    elements each.
     """
     rows_n, n = v.shape
     m = len(eta)
@@ -430,29 +399,31 @@ def _legendre_1d(x, v, eta):
     scale = float(np.max(np.abs(eta)) * np.max(np.abs(x))) + np.where(
         np.isfinite(vmin), np.abs(vmin), 0.0
     )
-    chain, size = _lower_chains(x, v, scale)
+    convex = _convex_rows(x, v, scale)
     g = np.empty((rows_n, m))
     arg = np.empty((rows_n, m), dtype=np.int32)
+    rows = np.flatnonzero(convex)
     step = max(1, _MERGE_BLOCK // max(n, m))
-    for a in range(0, rows_n, step):
-        b = min(a + step, rows_n)
-        g[a:b], arg[a:b] = _merge_chains(x, v[a:b], eta, chain[a:b], size[a:b], scale[a:b])
+    for a in range(0, rows.size, step):
+        r = rows[a : a + step]
+        g[r], arg[r] = _merge_rows(x, v[r], eta, scale[r])
+    rows = np.flatnonzero(~convex)
+    step = max(1, _MERGE_BLOCK // (n * m))
+    for a in range(0, rows.size, step):
+        r = rows[a : a + step]
+        vals = eta[None, :, None] * x[None, None, :] - v[r, None, :]
+        arg[r] = np.argmax(vals, axis=2)
+        g[r] = np.max(vals, axis=2)
     return g, arg
 
 
-# Elements per temporary of one _merge_chains block (256 KiB of float64).
-# The merge makes a dozen temporaries; on whole (rows, n) grids they come
-# to tens of MiB, which the allocator keeps in its heap after the call, so
-# the process's resident size would depend on how that heap fragments.
-_MERGE_BLOCK = 1 << 15
+def _merge_rows(x, v, eta, scale):
+    """Lowest argmax and max of eta[k] * x[i] - v[r, i] for a block of rows
+    that pass :func:`_convex_rows`, given their scales from
+    :func:`_legendre_1d`.
 
-
-def _merge_chains(x, v, eta, chain, size, scale):
-    """Lowest argmax and max of eta[k] * x[i] - v[r, i] for the rows of one
-    block, given their chains and scales from :func:`_legendre_1d`.
-
-    Chain point p can hold the float maximum only for eta in
-    [s_{p-1} - w, s_p + w], with s the chain slopes and w their error
+    Point i can hold the float maximum only for eta in
+    [s_{i-1} - w, s_i + w], with s the chord slopes and w their error
     bounds, so a prefix max and a suffix min of those ends give every dual
     node a contiguous window of candidates, found by ``np.searchsorted``.
     The candidates are evaluated with the brute-force expression and the
@@ -462,43 +433,38 @@ def _merge_chains(x, v, eta, chain, size, scale):
     """
     rows_n, n = v.shape
     m = len(eta)
-    xc = x[chain]
-    vc = np.take_along_axis(v, chain, axis=1)
-    edge = np.arange(n - 1)[None, :] < (size[:, None] - 1)
     with np.errstate(all="ignore"):
-        dx = np.diff(xc, axis=1)
-        slope = np.diff(vc, axis=1) / dx
+        dx = np.diff(x)
+        slope = np.diff(v, axis=1) / dx
         err = _TOL * (
-            scale[:, None] + np.abs(vc[:, :-1]) + np.abs(vc[:, 1:]) + np.max(np.abs(x)) * np.abs(slope)
+            scale[:, None] + np.abs(v[:, :-1]) + np.abs(v[:, 1:]) + np.max(np.abs(x)) * np.abs(slope)
         ) / dx
         hi = np.full((rows_n, n), np.inf)
-        hi[:, :-1] = np.where(edge, slope + err, np.inf)
+        hi[:, :-1] = slope + err
         lo = np.full((rows_n, n), -np.inf)
-        lo[:, 1:] = np.where(edge, slope - err, np.inf)
+        lo[:, 1:] = slope - err
     hi = np.maximum.accumulate(hi, axis=1)
     lo = np.minimum.accumulate(lo[:, ::-1], axis=1)[:, ::-1]
-    # window of dual node k: chain positions with hi >= eta[k] and lo <= eta[k]
-    first = np.array([np.searchsorted(row, eta, side="left") for row in hi])
+    # window of dual node k: indices with hi >= eta[k] and lo <= eta[k]
+    first = np.array([np.searchsorted(row, eta, side="left") for row in hi], dtype=np.int32)
     last = np.array([np.searchsorted(row, eta, side="right") for row in lo]) - 1
     last = np.maximum(last, first)  # never an empty window
 
     r = np.arange(rows_n)[:, None]
-    arg = chain[r, first]
-    g = eta[None, :] * x[arg] - v[r, arg]
-    g_flat, arg_flat = g.reshape(-1), arg.reshape(-1)
+    g = eta[None, :] * x[first] - v[r, first]
+    g_flat, arg_flat = g.reshape(-1), first.reshape(-1)  # first turns into the argmax
     live = np.flatnonzero(last > first)
     rl, kl = np.divmod(live, m)
-    pos = first.reshape(-1)[live]
+    i = arg_flat[live]
     while live.size:
-        pos = pos + 1
-        i = chain[rl, pos]
+        i = i + 1
         val = eta[kl] * x[i] - v[rl, i]
         up = val > g_flat[live]
         g_flat[live[up]] = val[up]
         arg_flat[live[up]] = i[up]
-        more = pos < last.reshape(-1)[live]
-        live, rl, kl, pos = live[more], rl[more], kl[more], pos[more]
-    return g, arg
+        more = i < last.reshape(-1)[live]
+        live, rl, kl, i = live[more], rl[more], kl[more], i[more]
+    return g, first
 
 
 def _legendre_kernel(xs, ys, values, eta1, eta2):
@@ -523,7 +489,10 @@ def conjugate_of_samples(primal, dual_spec):
 
     Samples must be finite or +inf.  Returns (SampledFn2D, boundary_hit)
     where boundary_hit reports whether any argmax (the lowest index among
-    ties) landed on the primal box edge.
+    ties) landed on the primal box edge.  Each 1-D pass costs O(n + m) per
+    row on finite, discretely convex rows, as samples of a Young function
+    and their partial conjugates are; a nonconvex or partly +inf row costs
+    O(n m).
     """
     if not (primal.hx > 0.0 and primal.hy > 0.0):
         raise ValueError("primal grid spacings must be positive")

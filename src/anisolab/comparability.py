@@ -58,6 +58,7 @@ WITNESS_DROP_MIN = 0.5
 WITNESS_SAFETY = 0.25
 WITNESS_K_MIN = 2  # zones [s_k, t_{k+1}] are wide enough for clamping from here on
 PROBE_CHUNK = 1024  # maps per independent chunk of the probe; see essential_anisotropy_probe
+DET_MIN = 1e-6  # a linear map with |det| below this counts as singular
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,8 @@ class LinearMap2D:
     d: float
 
     def __post_init__(self):
-        if abs(self.det) < 1e-6:
-            raise ValueError("map too close to singular (|det| < 1e-6)")
+        if abs(self.det) < DET_MIN:
+            raise ValueError(f"map too close to singular (|det| < {DET_MIN:g})")
 
     @property
     def det(self):
@@ -371,12 +372,16 @@ def essential_anisotropy_probe(phi, mats):
 
     Both paths report the per-map ``fails`` (bool) and ``worst_drops``
     (the cycle-witness gap drops; zeros on the cloud path), with
-    ``method``, ``n_maps``, ``n_failing`` and ``all_fail``.
+    ``method``, ``n_maps``, ``n_failing`` and ``all_fail``.  A map with
+    |det| < ``DET_MIN`` raises ValueError, as :class:`LinearMap2D` does.
     """
     if not hasattr(phi, "terms"):
         raise ValueError(
             f"the probe needs a sum of directional terms; {type(phi).__name__} has none"
         )
+    singular = np.flatnonzero(np.abs(np.linalg.det(mats)) < DET_MIN)
+    if singular.size:
+        raise ValueError(f"map {singular[0]} is too close to singular (|det| < {DET_MIN:g})")
     forms = composed_forms(phi, mats)
     fails = np.zeros(len(mats), dtype=bool)
     drops = np.zeros(len(mats))

@@ -42,9 +42,6 @@ class GridField2D:
         """n x n nodes over [0, 1]^2."""
         return cls.zeros(n, 1.0 / (n - 1))
 
-    def copy(self):
-        return GridField2D(self.values.copy(), self.h)
-
     def as_sampled(self):
         return SampledFn2D(x0=0.0, y0=0.0, hx=self.h, hy=self.h, values=self.values)
 

@@ -88,9 +88,7 @@ def truncate(f, k):
     """Symmetric clamp to [-k, k], nodewise."""
     if k <= 0.0:
         raise ValueError("truncation level must be positive")
-    out = f.copy()
-    out.values = np.clip(f.values, -k, k)
-    return out
+    return GridField2D(np.clip(f.values, -k, k), f.h)
 
 
 def _kernel_profile(kind, r2_over_eps2):

@@ -288,35 +288,51 @@ def test_legendre_matches_brute_force_outside_slope_range(rng):
 
 
 def test_legendre_mixed_rows_match_brute_force(rng, monkeypatch):
-    # one block of rows of three kinds: strictly convex rows keep every
-    # index, a bump pops one, +inf samples are never pushed
+    # one block of rows of three kinds: strictly convex rows are merged,
+    # rows with a bump or with +inf samples are maximized exhaustively
     n, eta1, eta2 = 29, np.linspace(-6.0, 6.0, 23), np.linspace(-3.0, 3.0, 17)
     x = np.linspace(-2.0, 2.0, n)
     kinds = np.arange(30) % 3
     rows = np.empty((kinds.size, n))
-    bump = {}
     for r, kind in enumerate(kinds):
         rows[r] = rng.uniform(0.5, 3.0) * x**2 + rng.uniform(-1.0, 1.0) * x + rng.normal()
         if kind == 1:
-            bump[r] = int(rng.integers(1, n - 1))
-            rows[r, bump[r]] += 0.5
+            rows[r, rng.integers(1, n - 1)] += 0.5
         elif kind == 2:
             rows[r, rng.uniform(size=n) < 0.3] = np.inf
-    chain, size = aniso2d._lower_chains(x, rows, np.ones(kinds.size))
-    for r, kind in enumerate(kinds):
-        kept = chain[r, : size[r]]
-        if kind == 0:
-            assert np.array_equal(kept, np.arange(n))
-        elif kind == 1:
-            assert size[r] == n - 1 and bump[r] not in kept
-        else:
-            assert np.array_equal(kept, np.flatnonzero(np.isfinite(rows[r])))
+    assert np.array_equal(aniso2d._convex_rows(x, rows, np.ones(kinds.size)), kinds == 0)
     # _legendre_kernel's first pass runs _legendre_1d on exactly these rows,
     # one row per block under the small _MERGE_BLOCK
     ys = np.linspace(-1.0, 1.0, kinds.size)
     for block in (40, aniso2d._MERGE_BLOCK):
         monkeypatch.setattr(aniso2d, "_MERGE_BLOCK", block)
         _assert_matches_brute(x, ys, rows.T, eta1, eta2)
+
+
+def test_builtin_conjugates_merge_every_row(build6, monkeypatch):
+    # builtin Young functions and their partial conjugates are convex rows:
+    # none of them may fall back to the O(n m) exhaustive path
+    masks = []
+    convex_rows = aniso2d._convex_rows
+
+    def record(x, v, scale):
+        masks.append(convex_rows(x, v, scale))
+        return masks[-1]
+
+    monkeypatch.setattr(aniso2d, "_convex_rows", record)
+    spec = GridSpec2D.square(4.0, 129)
+    for phi in (
+        quadratic_fn(),
+        power_sum_fn(2, 4),
+        trudinger_fn(),
+        intro_exp_fn(),
+        radial_power_fn(3, 1 / 3),
+        aniso2d.constructed_triple_fn(build6),
+    ):
+        conjugate2d(phi, spec)
+    involution_error(quadratic_fn(), GridSpec2D.square(4.0, 65))
+    assert len(masks) >= 16  # two passes per transform, eight transforms at least
+    assert all(mask.all() for mask in masks)
 
 
 def test_legendre_exact_ties_go_to_lowest_index(rng):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +244,17 @@ def test_probe_rejects_a_bad_thread_count(build9, monkeypatch, threads):
     monkeypatch.setenv("ANISOLAB_THREADS", threads)
     with pytest.raises(ValueError, match=f"ANISOLAB_THREADS .* got {threads!r}"):
         essential_anisotropy_probe(constructed_triple_fn(build9), mats)
+
+
+@pytest.mark.parametrize("singular", [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
+def test_probe_rejects_a_singular_map(build9, singular):
+    # the singular map sits second, after a unimodular one, and on both paths
+    mats = np.array([np.eye(2), singular])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for phi in (constructed_triple_fn(build9), power_sum_fn(2, 3)):
+            with pytest.raises(ValueError, match="map 1 is too close to singular"):
+                essential_anisotropy_probe(phi, mats)
 
 
 def test_probe_power_sum_identity_passes():

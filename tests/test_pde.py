@@ -41,9 +41,7 @@ def test_truncate_basics():
 
 
 def _neg(f):
-    out = f.copy()
-    out.values = -out.values
-    return out
+    return GridField2D(-f.values, f.h)
 
 
 def test_mollify_mass_conservation():
