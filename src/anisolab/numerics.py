@@ -8,15 +8,18 @@ beyond exp(1000), so all structural arithmetic is carried on
 
 :func:`root_increasing` is the one scalar bracket walk and bisection: it
 places the construction's breakpoints, inverts 1-D functions in log t and
-finds Luxemburg norms in log lambda.  :func:`bisect_increasing_arrays`
-bisects given brackets lane by lane, one lane per ray of a sublevel set.
+finds Luxemburg norms in log lambda.  It stays on bisection on purpose: a
+different step would move every bit of the constructed triple.
+:func:`bisect_increasing_arrays` closes given brackets lane by lane, one
+lane per ray of a sublevel set, by safeguarded Illinois false position;
+it keeps the name, bracket and stop rule of the bisection it replaced.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-MAX_STEPS = 200  # bracket-walk steps, and halvings, of each root search
+MAX_STEPS = 200  # bracket-walk steps, and bracket-closing steps, of each root search
 
 
 class RangeError(ValueError):
@@ -129,28 +132,68 @@ def root_increasing(f, start, step, rtol=1e-12):
     return 0.5 * (lo + hi)
 
 
-def bisect_increasing_arrays(f, lo, hi, rtol=1e-12):
-    """Vectorized bisection: f maps arrays to arrays, nondecreasing per lane.
+def bisect_increasing_arrays(f, lo, hi, rtol=1e-12, f_lo=None, f_hi=None):
+    """Root of f per lane, on brackets with ``f(lo) < 0 <= f(hi)``; f maps
+    arrays to arrays and is nondecreasing in each lane.
+
+    ``f_lo`` and ``f_hi`` are f at the brackets, evaluated here when not
+    given.  Each step is Illinois false position, lane by lane: the secant
+    point of the bracket, held at least ``0.4 * rtol * max(1, |x|)`` inside
+    each end (so a secant that lands on the root closes the bracket on the
+    next step), and the value kept at one end halved when the other end is
+    replaced twice running.  A lane takes the midpoint instead when the
+    secant point is not finite, when that halving has been applied four
+    times running, when its own bracket already meets the stop rule, or
+    while its bracket is wider than ``w0 * 2**(-j / 4)`` after j steps (w0
+    the row's widest start bracket), which bounds any lane at four times the
+    halvings of a bisection.  The name stays from the bisection this
+    replaced, whose bracket, stop rule and result it keeps.
 
     Convergence is judged per row along the last axis: a row stops once
-    every lane's bracket is below ``rtol * max(1, |mid|)``.  A stopped row
-    is frozen at its midpoint (``lo = hi = mid``, and ``0.5 * (mid + mid)``
-    is exactly ``mid``), so each row ends bit for bit where a bisection of
-    that row alone would end; f still sees the full array.  A 1-D input is
-    one row.
+    every lane's bracket is below ``rtol * max(1, |mid|)``, and the
+    midpoints are returned.  A stopped row is frozen at its midpoint
+    (``lo = hi = mid``, and ``0.5 * (mid + mid)`` is exactly ``mid``); every
+    step depends only on the lane and its row, so each row ends bit for bit
+    where a solve of that row alone would end, though f sees the full
+    array.  A 1-D input is one row.
     """
     lo = np.array(lo, dtype=float, copy=True)
     hi = np.array(hi, dtype=float, copy=True)
-    for _ in range(MAX_STEPS):
+    f_lo = np.array(f(lo) if f_lo is None else f_lo, dtype=float, copy=True)
+    f_hi = np.array(f(hi) if f_hi is None else f_hi, dtype=float, copy=True)
+    run = np.zeros(lo.shape, dtype=np.int8)  # +k: lo replaced k times running, -k: hi
+    w0 = np.max(hi - lo, axis=-1, keepdims=True)
+    for j in range(MAX_STEPS):
         mid = 0.5 * (lo + hi)
-        width = hi - lo
-        done = np.all(width <= rtol * np.maximum(1.0, np.abs(mid)), axis=-1, keepdims=True)
+        x = hi - lo  # the widths, then the points to evaluate, in one buffer
+        secant = x > rtol * np.maximum(1.0, np.abs(mid))  # open lanes
+        done = ~np.any(secant, axis=-1, keepdims=True)
         if np.all(done):
             return mid
-        lo = np.where(done, mid, lo)
-        hi = np.where(done, mid, hi)
-        fm = f(mid)
-        take_lo = fm < 0.0
-        lo = np.where(take_lo, mid, lo)
-        hi = np.where(take_lo, hi, mid)
+        secant &= (np.abs(run) <= 4) & (x <= w0 * 2.0 ** (-j / 4))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x /= f_hi - f_lo
+            x *= f_hi
+        np.subtract(hi, x, out=x)
+        secant &= np.isfinite(x)
+        # an open lane is wider than twice the gap, so the held point is inside
+        gap = (0.4 * rtol) * np.maximum(1.0, np.abs(x))
+        np.maximum(x, lo + gap, out=x)
+        np.minimum(x, np.subtract(hi, gap, out=gap), out=x)
+        np.copyto(x, mid, where=~secant)
+        if np.any(done):
+            np.copyto(lo, mid, where=done)
+            np.copyto(hi, mid, where=done)
+        del mid, gap, secant  # f's own temporaries are the memory peak
+        fx = f(x)
+        below = fx < 0.0
+        above = ~below
+        np.copyto(lo, x, where=below)
+        np.copyto(f_lo, fx, where=below)
+        np.copyto(hi, x, where=above)
+        np.copyto(f_hi, fx, where=above)
+        del fx
+        run = np.where(below, np.maximum(run, 0) + 1, np.minimum(run, 0) - 1).clip(-5, 5)
+        np.multiply(f_hi, 0.5, out=f_hi, where=run >= 2)
+        np.multiply(f_lo, 0.5, out=f_lo, where=run <= -2)
     return 0.5 * (lo + hi)

@@ -3,10 +3,13 @@
 Sublevel sets of a convex function vanishing at the origin are convex and
 star-shaped about 0, so the boundary is a single radius per angle and the
 area is the polar integral (1/2) * integral of rho(theta)^2.  Radii come
-from bisection on log Phi along each ray, which keeps the machinery exact
-at levels whose radii overflow doubles.  A profile over many levels is
-one bisection with a row of rays per level; each row stops on its own,
-so its radii equal those of a one-level cast bit for bit.
+from a bracketed root search on log Phi in log r along each ray, which
+keeps the machinery exact at levels whose radii overflow doubles; the
+search steps by safeguarded false position, so a power function, whose
+log Phi is linear in log r, needs one secant step and one closing step.
+A profile over many levels is one search with a row of rays per level;
+each row stops on its own, so its radii equal those of a one-level cast
+bit for bit.
 
 The radial rearrangement maps each level t to the radius s(t) of the disk
 with the same sublevel area; the resulting monotone table is the
@@ -36,14 +39,14 @@ __all__ = [
 ]
 
 LOG_PI = float(np.log(np.pi))
-RAY_RTOL = 1e-10  # relative bracket width at which ray_radii_log stops bisecting
+RAY_RTOL = 1e-10  # relative bracket width at which ray_radii_log stops its root search
 
 
 def ray_radii_log(phi, log_t, n_angles):
     """log rho(theta_i) with Phi(rho * omega) = t, per uniform angle.
 
     ``log_t`` is one level or a 1-D array of levels; an array gives one row
-    of log radii per level, all solved in one bisection.  A log level that
+    of log radii per level, all solved in one root search.  A log level that
     is not finite (t <= 0, inf or nan) raises ValueError naming it.
     """
     log_t = np.asarray(log_t, dtype=float)
@@ -60,15 +63,17 @@ def ray_radii_log(phi, log_t, n_angles):
     lo = np.full((rows.shape[0], n_angles), -700.0)
     hi = np.broadcast_to(np.maximum(1.0, rows), lo.shape)
     for _ in range(64):
-        bad = f(hi) < 0.0
+        f_hi = f(hi)
+        bad = f_hi < 0.0
         if not np.any(bad):
             break
         hi = np.where(bad, hi + 100.0, hi)
     else:
         raise ValueError("ray not bracketed; Phi not coercive along some direction")
-    if np.any(f(lo) > 0.0):
+    f_lo = f(lo)
+    if np.any(f_lo > 0.0):
         raise ValueError("level too small to bracket above rho = exp(-700)")
-    logr = bisect_increasing_arrays(f, lo, hi, rtol=RAY_RTOL)
+    logr = bisect_increasing_arrays(f, lo, hi, rtol=RAY_RTOL, f_lo=f_lo, f_hi=f_hi)
     return logr[0] if log_t.ndim == 0 else logr
 
 
@@ -130,8 +135,17 @@ def level_profile(phi, log_t_grid, n_angles=2048):
 
 
 def phi_circ(phi, t_grid, n_angles=2048):
-    """Radial rearrangement table: s_j = sqrt(A(t_j)/pi), value t_j."""
-    log_t = np.log(np.asarray(t_grid, dtype=float))
+    """Radial rearrangement table: s_j = sqrt(A(t_j)/pi), value t_j.  A
+    level that is not positive and finite, or a grid that is not strictly
+    increasing, raises ValueError naming the level or the first pair."""
+    log_t = _log_levels(t_grid)
+    t = np.asarray(t_grid, dtype=float)
+    out_of_order = np.flatnonzero(~(t[1:] > t[:-1]))
+    if out_of_order.size:
+        i = int(out_of_order[0])
+        raise ValueError(
+            f"levels not strictly increasing: t[{i}] = {t[i]:g} >= t[{i + 1}] = {t[i + 1]:g}"
+        )
     prof = level_profile(phi, log_t, n_angles=n_angles)
     if np.any(np.diff(prof.log_area) <= 0.0):
         raise RuntimeError("sublevel areas not strictly increasing")
@@ -193,9 +207,10 @@ def _envelope_constant(build, log_t_grid, profile):
 
 def verify_growth_envelope(build, t_list, n_angles=2048):
     """Smallest C with  model_low/C <= A(t) <= C * model_up  over the list,
-    plus the same fit on a doubled log-range for the stability check."""
+    plus the same fit on a doubled log-range for the stability check.  A
+    level that is not positive and finite raises ValueError naming it."""
+    log_t = _log_levels(t_list)
     phi2d = constructed_triple_fn(build)
-    log_t = np.log(np.asarray(t_list, dtype=float))
     prof = level_profile(phi2d, log_t, n_angles=n_angles)
     c_fit = _envelope_constant(build, log_t, prof)
     log_t2 = np.linspace(log_t[0], 2.0 * log_t[-1] - log_t[0], 2 * len(log_t))

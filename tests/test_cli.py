@@ -153,6 +153,26 @@ def test_builtin_sublevel_names_a_bad_level_as_typed(tmp_path):
     assert not (tmp_path / "areas.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "t_lo, t_hi, message",
+    [
+        ("-1", "10", "error: --t-lo -1 must be positive and finite"),
+        ("1", "nan", "error: --t-hi nan must be positive and finite"),
+        ("10", "1", "error: levels not strictly increasing: t[0] = 10 >= t[1] = "),
+    ],
+)
+def test_phicirc_names_a_bad_level_range(tmp_path, t_lo, t_hi, message):
+    r = run_cli(
+        ["phicirc", "--phi", "quadratic", "--t-lo", t_lo, "--t-hi", t_hi, "--points", "5",
+         "--angles", "64", "--out", "table.json"],
+        tmp_path,
+    )
+    assert r.returncode == 1
+    assert message in r.stderr
+    assert "Warning" not in r.stderr
+    assert not (tmp_path / "table.json").exists()
+
+
 def test_a_triple_file_with_phi_reads_the_schedule(tmp_path, build9):
     # triple files once carried a serialized copy of the three functions
     # ("phi") beside the schedule; the reader ignores it, so a swapped pair

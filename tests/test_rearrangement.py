@@ -1,11 +1,21 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from anisolab.aniso2d import constructed_triple_fn, power_sum_fn, radial_power_fn
-from anisolab.numerics import bisect_increasing_arrays
+from anisolab import rearrangement
+from anisolab.aniso2d import (
+    RadialFn2D,
+    constructed_triple_fn,
+    intro_exp_fn,
+    power_sum_fn,
+    radial_power_fn,
+    trudinger_fn,
+)
+from anisolab.numerics import MAX_STEPS, bisect_increasing_arrays
 from anisolab.rearrangement import (
+    RAY_RTOL,
     _log_area,
     level_profile,
     phi_circ,
@@ -15,6 +25,7 @@ from anisolab.rearrangement import (
     verify_levelset_bounds,
 )
 from anisolab.tables import MonotoneTable
+from anisolab.young1d import PowerLogFn
 
 
 def test_disk_area():
@@ -97,6 +108,124 @@ def test_ray_radii_levels_match_one_level_at_a_time(case, build6):
         assert row.tobytes() == ray_radii_log(phi, float(lt), 256).tobytes()
 
 
+# The row bisection that false position replaced in bisect_increasing_arrays,
+# kept verbatim (it takes and ignores the end values) as the reference the
+# ray radii must stay within RAY_RTOL of.
+def _bisect_rows(f, lo, hi, rtol=1e-12, f_lo=None, f_hi=None):
+    lo = np.array(lo, dtype=float, copy=True)
+    hi = np.array(hi, dtype=float, copy=True)
+    for _ in range(MAX_STEPS):
+        mid = 0.5 * (lo + hi)
+        width = hi - lo
+        done = np.all(width <= rtol * np.maximum(1.0, np.abs(mid)), axis=-1, keepdims=True)
+        if np.all(done):
+            return mid
+        lo = np.where(done, mid, lo)
+        hi = np.where(done, mid, hi)
+        fm = f(mid)
+        take_lo = fm < 0.0
+        lo = np.where(take_lo, mid, lo)
+        hi = np.where(take_lo, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+class _Counted:
+    """Counts log_value_dir calls: each evaluates every ray of a cast."""
+
+    def __init__(self, phi):
+        self.phi, self.calls = phi, 0
+
+    def log_value_dir(self, ux, uy, logr):
+        self.calls += 1
+        return self.phi.log_value_dir(ux, uy, logr)
+
+
+def _cast(phi, log_t, n_angles):
+    """(log radii, log_value_dir calls) of one cast."""
+    counted = _Counted(phi)
+    return ray_radii_log(counted, log_t, n_angles), counted.calls
+
+
+def _reference_cast(phi, log_t, n_angles):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rearrangement, "bisect_increasing_arrays", _bisect_rows)
+        return _cast(phi, log_t, n_angles)
+
+
+_NINE_LEVELS = np.array([-760.0, -40.0, -3.0, 0.0, 0.7, 2.5, 30.0, 400.0, 2500.0])
+_SMOOTH_LEVELS = np.array([-20.0, -3.0, 0.0, 2.5, 30.0])
+
+
+def _ray_case(case, build6):
+    """(Phi, log levels) of one accuracy case."""
+    if case == "ellipse":
+        return power_sum_fn(2, 2, 1.0, 4.0), _SMOOTH_LEVELS
+    if case == "triple":
+        return constructed_triple_fn(build6), _NINE_LEVELS
+    if case == "triple_dilated":
+        return _Dilated(constructed_triple_fn(build6), 380.0), _NINE_LEVELS
+    if case == "trudinger":
+        return trudinger_fn(), _SMOOTH_LEVELS
+    if case == "intro_exp":
+        return intro_exp_fn(), np.linspace(-20.0, 50.0, 8)
+    return RadialFn2D(PowerLogFn(2, 1)), _SMOOTH_LEVELS
+
+
+@pytest.mark.parametrize(
+    "case", ["ellipse", "triple", "triple_dilated", "trudinger", "intro_exp", "radial_powerlog"]
+)
+def test_ray_radii_within_rtol_of_row_bisection(case, build6):
+    phi, log_t = _ray_case(case, build6)
+    rows = ray_radii_log(phi, log_t, 256)
+    ref, _ = _reference_cast(phi, log_t, 256)
+    assert np.all(np.abs(rows - ref) <= RAY_RTOL * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [power_sum_fn(2, 2), power_sum_fn(2, 2, 1.0, 4.0), radial_power_fn(1.7), radial_power_fn(3.0)],
+    ids=["disk", "ellipse", "radial_1.7", "radial_3"],
+)
+def test_power_casts_take_a_secant_step(phi):
+    # log Phi is linear in log r: after the two bracket values the first
+    # secant step lands on the root and at most two more steps close the
+    # bracket (44-45 calls under bisection)
+    for lt in _SMOOTH_LEVELS:
+        assert _cast(phi, lt, 256)[1] <= 6
+
+
+@pytest.mark.parametrize("case", ["triple", "triple_dilated"])
+def test_triple_casts_take_few_steps(case, build6):
+    phi, log_t = _ray_case(case, build6)
+    assert _cast(phi, log_t, 256)[1] <= 24
+
+
+def test_intro_exp_casts_take_no_more_than_bisection():
+    # log Phi grows like exp(log r): the secant gains least over halving here
+    for lt in np.linspace(-20.0, 50.0, 8):
+        assert _cast(intro_exp_fn(), lt, 256)[1] <= _reference_cast(intro_exp_fn(), lt, 256)[1] + 4
+
+
+class _DoublyExponential:
+    """log Phi = log r + expm1(exp(log r + ux / 2)): the secant steps stall."""
+
+    def log_value_dir(self, ux, uy, logr):
+        with np.errstate(over="ignore"):
+            return logr + np.expm1(np.exp(logr + 0.5 * ux)) + 0.0 * uy
+
+
+def test_doubly_exponential_rays_meet_the_stop_rule():
+    phi = _DoublyExponential()
+    theta = 2.0 * np.pi * np.arange(256) / 256
+    log_t = np.array([-5.0, 3.0, 50.0, 700.0, 1e5])
+    rows, calls = _cast(phi, log_t, 256)
+    assert calls < MAX_STEPS
+    half = 0.5 * RAY_RTOL * np.maximum(1.0, np.abs(rows))
+    below = phi.log_value_dir(np.cos(theta), np.sin(theta), rows - half) - log_t[:, None]
+    above = phi.log_value_dir(np.cos(theta), np.sin(theta), rows + half) - log_t[:, None]
+    assert np.all(below < 0.0) and np.all(above >= 0.0)
+
+
 def test_level_profile_matches_per_level_areas(build6):
     phi = constructed_triple_fn(build6)
     log_t = np.log(np.logspace(-3, 9, 9))
@@ -118,6 +247,25 @@ def test_unbracketable_level_in_array_raises():
         ray_radii_log(_Bounded(), np.array([-1.0, 0.5]), 16)
     with pytest.raises(ValueError, match="too small"):
         ray_radii_log(power_sum_fn(2, 2), np.array([0.0, -2000.0]), 16)
+
+
+@pytest.mark.parametrize("levels, named", [([1.0, -5.0, 3.0], "-5"), ([1.0, 0.0, 3.0], "0")])
+def test_phi_circ_and_envelope_name_a_bad_level(levels, named, build6):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for check in (
+            lambda: phi_circ(power_sum_fn(2, 2), levels, n_angles=64),
+            lambda: verify_growth_envelope(build6, levels, n_angles=64),
+        ):
+            with pytest.raises(ValueError, match=f"; level {named} must be positive and finite"):
+                check()
+
+
+def test_phi_circ_names_the_first_pair_out_of_order():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^levels not strictly increasing: t\[0\] = 3 >= t\[1\] = 2$"):
+            phi_circ(power_sum_fn(2, 2), [3.0, 2.0], n_angles=64)
 
 
 def test_phi_circ_radial_fixed_point():
