@@ -339,6 +339,8 @@ def criterion_pde(quick=False, seed=DEFAULT_SEED):
     tb = truncation_bounds_check(sols, k_list, phi15)
     out["C0"] = tb["C0"]
     out["C0_stable"] = tb["ok"]
+    out["ladder_iterations"] = [sol.iterations for sol in sols]
+    out["ladder_stop_reasons"] = [sol.stop_reason for sol in sols]
     out["pass"] = bool(out["pass"] and tb["ok"])
     # two-sequence uniqueness experiment, (f, G = 0), quadratic growth
     dens = GridField2D.unit_square(n)

@@ -119,6 +119,26 @@ class AnisoFn2D:
     def is_doubling(self):
         return all(is_doubling(fn) for _, _, fn in self.terms)
 
+    @property
+    def conjugate(self):
+        """Phi* as a callable (x, y) -> values, or None.
+
+        Two terms whose 1-D functions have closed-form conjugates give it:
+        their directions a_1, a_2 span the plane, so sigma = tau_1 a_1 +
+        tau_2 a_2 has one solution per cell and Phi*(sigma) =
+        psi_1*(tau_1) + psi_2*(tau_2).
+        """
+        if len(self.terms) != 2 or not all(hasattr(fn, "conjugate") for *_, fn in self.terms):
+            return None
+        (ax, ay, f1), (bx, by, f2) = self.terms
+        det = ax * by - ay * bx
+
+        def conjugate(x, y):
+            x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+            return f1.conjugate((by * x - bx * y) / det) + f2.conjugate((ax * y - ay * x) / det)
+
+        return conjugate
+
 
 class RadialFn2D:
     """Phi(xi) = psi(|xi|) for a 1-D Young function psi."""
@@ -154,6 +174,14 @@ class RadialFn2D:
 
     def is_doubling(self):
         return is_doubling(self.fn)
+
+    @property
+    def conjugate(self):
+        """Phi*(x, y) = psi*(|(x, y)|) as a callable, or None when psi has
+        no closed-form conjugate."""
+        if not hasattr(self.fn, "conjugate"):
+            return None
+        return lambda x, y: self.fn.conjugate(np.hypot(x, y))
 
 
 # -- built-ins ---------------------------------------------------------------

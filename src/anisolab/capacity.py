@@ -55,6 +55,7 @@ class CapacityResult:
     n: int
     stop_reason: str
     gap: float | None  # the solve's certificate: value - gap <= the grid minimum
+    evaluations: int  # the solve's energy evaluations, backtracks included
 
 
 def disk_mask(n, cx, cy, r):
@@ -94,7 +95,7 @@ def relative_capacity(phi, phicirc, kappa, k_mask, omega_mask, n, mode="full", u
     h = 1.0 / (n - 1)
     if not k_mask.any():
         # the zero field is feasible and has zero energy
-        return CapacityResult(0.0, GridField2D.zeros(n, h), 0, mode, n, "stationary", 0.0)
+        return CapacityResult(0.0, GridField2D.zeros(n, h), 0, mode, n, "stationary", 0.0, 0)
     zero_mask = (~omega_mask) | (_boundary_mask(n) & ~k_mask)
     psi = None
     if mode == "full":
@@ -114,6 +115,7 @@ def relative_capacity(phi, phicirc, kappa, k_mask, omega_mask, n, mode="full", u
         n=n,
         stop_reason=res.stop_reason,
         gap=res.gap,
+        evaluations=res.evaluations,
     )
 
 

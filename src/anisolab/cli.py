@@ -211,6 +211,7 @@ def cmd_capacity(args):
         "n": res.n,
         "stop_reason": res.stop_reason,
         "gap": res.gap,
+        "evaluations": res.evaluations,
     }
     _dump_json(payload, args.out)
     if args.field:

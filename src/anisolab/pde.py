@@ -153,9 +153,16 @@ def mollify_measure(measure, eps, kernel, base):
 def solve_weak(phi, f_field, rel_tol=1e-9, u0=None):
     """Minimizer of sum(Phi(grad u) - f u) h^2, zero boundary.
 
+    ``u0`` is the start (its edge is set to zero); None starts from zero.
     Returns the minimizer as a field carrying the descent's
-    ``iterations``, ``objective``, ``stop_reason`` and ``gap``; non-doubling
-    ``phi`` raises :class:`anisolab.descent.NonDoublingError`.
+    ``iterations``, ``evaluations``, ``objective``, ``stop_reason`` and
+    ``gap``.  Where Phi offers a conjugate (``quadratic_fn``,
+    ``power_sum_fn``, ``radial_power_fn``) the solve is certified by the
+    Fenchel dual bound of :mod:`anisolab.descent`: objective - gap <=
+    the grid minimum <= objective, and the solve stops (``"gap"``) once
+    gap <= ``rel_tol`` |objective|.  Any other Phi stops on the
+    descent's window rule (``"rel_decrease"``) and carries gap None.
+    Non-doubling ``phi`` raises :class:`anisolab.descent.NonDoublingError`.
     """
     f_vals = f_field.values
     edge = np.ones(f_vals.shape, dtype=bool)
@@ -165,6 +172,7 @@ def solve_weak(phi, f_field, rel_tol=1e-9, u0=None):
     res = minimize_projected(phi, start, edge, f_field.h, psi=psi, rel_tol=rel_tol)
     out = GridField2D(res.u, f_field.h)
     out.iterations = res.iterations
+    out.evaluations = res.evaluations
     out.objective = res.objective
     out.stop_reason = res.stop_reason
     out.gap = res.gap

@@ -23,6 +23,9 @@ shape out).  The class decorator :func:`_protocol` installs the four
 public methods from them into the class's own dict rather than a base
 class, so tools that wrap methods class by class (the benchmark's
 tracer, ``bench/tracer.py``) find all four names in every class.
+:class:`PowerFn` also gives its Young conjugate in closed form
+(``conjugate``); the 2-D types build Phi* from it for the dual bound
+that certifies weak solves (:mod:`anisolab.descent`).
 
 Breakpoints grow like exp(poly(k)) under the inductive gluing, far past
 double range, so every structural computation runs on (log t, log f(t))
@@ -140,6 +143,18 @@ class PowerFn:
         with np.errstate(invalid="ignore"):
             out = np.log(self.coef * self.p) + (self.p - 1.0) * logt
         return np.where(np.isneginf(logt), -np.inf, out)
+
+    def conjugate(self, tau):
+        """The Young conjugate sup_t (tau t - coef |t|**p), elementwise:
+        (p - 1) coef (|tau| / (coef p))**(p / (p - 1)), and for p = 1 the
+        indicator of |tau| <= coef (0 inside, +inf outside)."""
+        a = np.abs(np.asarray(tau, dtype=float))
+        if self.p == 1.0:
+            return _scalarize(np.where(a <= self.coef, 0.0, np.inf))
+        q = self.p / (self.p - 1.0)
+        with np.errstate(over="ignore"):
+            out = (self.p - 1.0) * self.coef * (a / (self.coef * self.p)) ** q
+        return _scalarize(out)
 
 
 @_protocol

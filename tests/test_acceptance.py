@@ -81,6 +81,8 @@ def test_criterion_8_pde():
     res = acceptance.criterion_pde()
     ok, detail = _report("8_pde", res)
     assert ok, detail
+    # the p = 1.5 ladder is certified by the dual bound
+    assert set(res["ladder_stop_reasons"]) == {"gap"}, res["ladder_stop_reasons"]
 
 
 def test_criterion_9_determinism(tmp_path):

@@ -138,6 +138,33 @@ def test_conjugate_power_analytic():
     assert np.max(np.abs(star.values - ref)) / np.max(ref) <= 0.01
 
 
+@pytest.mark.parametrize(
+    "phi",
+    [
+        radial_power_fn(1.5),
+        power_sum_fn(2, 4),
+        AnisoFn2D([(1.0, 0.0, PowerFn(2.0)), (1.0, -1.0, PowerFn(3.0, 0.5))], name="sheared"),
+    ],
+    ids=lambda phi: phi.name,
+)
+def test_closed_form_conjugates_match_the_discrete_legendre(phi):
+    # the discrete max over the primal grid never exceeds Phi*, and on a
+    # fine grid it comes within a percent of it
+    spec = GridSpec2D.square(2.0, 65)
+    star = conjugate2d(phi, spec, primal_spec=GridSpec2D.square(4.0, 257))
+    X, Y = np.meshgrid(star.x, star.y, indexing="ij")
+    exact = phi.conjugate(X, Y)
+    assert np.all(star.values <= exact + 1e-12 * np.max(exact))
+    assert np.max(exact - star.values) <= 0.01 * np.max(exact)
+
+
+def test_conjugate_is_none_without_a_closed_form(build6):
+    from anisolab.aniso2d import constructed_triple_fn
+
+    for phi in (trudinger_fn(), intro_exp_fn(), constructed_triple_fn(build6)):
+        assert phi.conjugate is None
+
+
 def test_conjugate_box_autoexpansion():
     spec = GridSpec2D.square(4.0, 65)
     tight = GridSpec2D.square(1.0, 65)

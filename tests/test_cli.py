@@ -278,6 +278,7 @@ def test_capacity_cli(tmp_path):
     assert abs(cap["value"] - target) / target <= 0.1
     assert cap["stop_reason"] in ("rel_decrease", "gap")
     assert 0.0 <= cap["gap"] <= 1e-8 * cap["value"]
+    assert cap["evaluations"] > cap["iterations"] > 0
     assert (tmp_path / "u.bin").exists()
 
 

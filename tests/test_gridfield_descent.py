@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from anisolab import capacity, descent, pde
-from anisolab.aniso2d import SampledFn2D, quadratic_fn, radial_power_fn
+from anisolab.aniso2d import SampledFn2D, power_sum_fn, quadratic_fn, radial_power_fn
 from anisolab.capacity import disk_mask, relative_capacity
 from anisolab.descent import IterationCapError, minimize_projected
 from anisolab.gridfield import GridField2D, divergence_of, forward_gradient
+from anisolab.pde import DiscreteMeasure
 from anisolab.young1d import PowerFn
 
 
@@ -134,9 +135,12 @@ def test_descent_objective_monotone(rng):
     assert energy(res.u) == pytest.approx(res.objective, rel=1e-12, abs=1e-15)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_descent_respects_projection():
     # a nodewise pull towards 2, -1 and 0.5 in turn: the box optimum is the
-    # clipped target on the free nodes, some on a bound and some inside
+    # clipped target on the free nodes, some on a bound and some inside.
+    # Phi = 0 gives zero secant weights, which the drift check must skip
+    # without a 0/0
     i, j = np.indices((N, N))
     target = np.array([2.0, -1.0, 0.5])[(i + j) % 3]
     psi = (lambda u: 0.5 * (u - target) ** 2, lambda u: u - target)
@@ -209,3 +213,79 @@ def test_solves_keep_their_fixed_nodes_bit_for_bit(rng):
     warm = pde.solve_weak(radial_power_fn(1.5), f, u0=1.0 + rng.random((n, n)))
     assert np.all(warm.values[capacity._boundary_mask(n)] == 0.0)
     assert np.any(warm.values != 0.0)
+
+
+def _point_source_solve(phi, rel_tol, edge_values):
+    """The weak solve of a unit point source at the centre of the 17 x 17
+    unit grid, with the box edge held at ``edge_values``."""
+    n = 17
+    base = GridField2D.unit_square(n)
+    f = DiscreteMeasure(atoms=[(0.5, 0.5, 1.0)]).node_values(base)
+    edge = capacity._boundary_mask(n)
+    u0 = np.where(edge, edge_values(*np.meshgrid(base.axis(), base.axis(), indexing="ij")), 0.0)
+    psi = (lambda u: -f * u, lambda u: -f)
+    return minimize_projected(phi, u0, edge, base.h, psi=psi, rel_tol=rel_tol)
+
+
+def _bracket_holds(res, e_ref):
+    """E - gap - slack <= E_ref <= E + slack, slack the rounding of the sums."""
+    slack = 1e-13 * abs(e_ref)
+    return res.objective - res.gap - slack <= e_ref <= res.objective + slack
+
+
+def _zero(x, y):
+    return 0.0 * x
+
+
+def _tilted(x, y):
+    return 0.3 * x - 0.2 * y * y
+
+
+CERTIFIED = [
+    (radial_power_fn(1.5), _zero),
+    (radial_power_fn(3.0), _zero),
+    (power_sum_fn(2, 4), _zero),
+    (radial_power_fn(3.0), _tilted),
+]
+
+
+@pytest.mark.parametrize(
+    "phi, edge_values", CERTIFIED, ids=[f"{p.name}-{e.__name__}" for p, e in CERTIFIED]
+)
+def test_dual_bound_brackets_the_minimum(phi, edge_values):
+    # p != 2 solves stop on the Fenchel gap, and its bracket holds the
+    # energy of a re-solve at rounding tolerance
+    res = _point_source_solve(phi, 1e-9, edge_values)
+    e_ref = _point_source_solve(phi, 1e-15, edge_values).objective
+    assert res.stop_reason == "gap" and res.converged
+    assert 0.0 <= res.gap <= 1e-9 * abs(res.objective)
+    assert _bracket_holds(res, e_ref)
+
+
+@pytest.mark.parametrize("mutation", ["halved_conjugate", "uncorrected_flux"])
+def test_bracket_catches_a_broken_dual_bound(monkeypatch, mutation):
+    phi = radial_power_fn(1.5)
+    e_ref = _point_source_solve(phi, 1e-15, _zero).objective
+    exact = descent._fenchel_sum
+
+    def broken(conjugate, cells, z, h):
+        if mutation == "halved_conjugate":
+            return exact(lambda x, y: 0.5 * conjugate(x, y), cells, z, h)
+        return exact(conjugate, cells, np.zeros_like(z), h)
+
+    monkeypatch.setattr(descent, "_fenchel_sum", broken)
+    assert not _bracket_holds(_point_source_solve(phi, 1e-9, _zero), e_ref)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_rough_warm_start_reweights_and_is_certified(seed):
+    # the secant weights of a rough start are poor; the solve re-weights
+    # once they drift and closes its certificate within a few thousand
+    # iterations (tens of thousands without the drift check)
+    n = 33
+    f = GridField2D(np.ones((n, n)), 1.0 / (n - 1))
+    u0 = 1.0 + np.random.default_rng(seed).random((n, n))
+    warm = pde.solve_weak(radial_power_fn(1.5), f, u0=u0)
+    assert warm.stop_reason == "gap" and warm.iterations <= 5000
+    assert warm.gap <= 1e-9 * abs(warm.objective)
+    assert warm.evaluations > warm.iterations

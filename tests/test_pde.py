@@ -165,10 +165,11 @@ def test_torsion_matches_the_dense_five_point_solve():
 
 
 def test_torsion_certificate_is_the_exact_gap(monkeypatch, rng):
-    # quadratic growth and a linear psi: half the metric norm of the
-    # gradient, <g, P g> / 2, is exactly E(u) - min E, with the minimum from
-    # the dense five-point solve.  One iteration from a rough warm start
-    # leaves a wide bracket whose lower end is that minimum
+    # quadratic growth and a linear psi: the dual gap, here half the
+    # metric norm of the gradient <g, P g> / 2, is exactly E(u) - min E,
+    # with the minimum from the dense five-point solve.  One iteration
+    # from a rough warm start leaves a wide bracket whose lower end is
+    # that minimum
     n = 33
     f = _unit_source(n)
     m = n - 2

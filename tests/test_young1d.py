@@ -290,3 +290,28 @@ def test_dispatch_equals_searchsorted_bit_for_bit(build9, rng):
                     got = getattr(f, kernel)(x)
                 assert got.shape == ref.shape and got.dtype == ref.dtype
                 assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_power_conjugate_is_the_dense_legendre_max(p):
+    fn = PowerFn(p, 0.7)
+    t = np.linspace(-20.0, 20.0, 100_001)  # holds every maximizer below
+    tau = np.linspace(-3.0, 3.0, 13)
+    dense = np.max(tau[:, None] * t - fn.value(np.abs(t)), axis=1)
+    assert np.allclose(fn.conjugate(tau), dense, rtol=1e-6, atol=1e-7)
+    assert isinstance(fn.conjugate(1.0), float)
+
+
+def test_power_conjugate_at_p_one_is_an_indicator():
+    fn = PowerFn(1.0, 0.7)
+    inside = np.array([-0.7, -0.3, 0.0, 0.5, 0.7])
+    outside = np.array([-0.8, 1.0])
+    for span in (10.0, 20.0):
+        t = np.linspace(-span, span, 4001)
+        dense = np.max(inside[:, None] * t - fn.value(np.abs(t)), axis=1)
+        assert np.allclose(dense, 0.0, atol=1e-14)
+        # outside the slope range the dense max grows with the span
+        dense = np.max(outside[:, None] * t - fn.value(np.abs(t)), axis=1)
+        assert np.allclose(dense, (np.abs(outside) - 0.7) * span)
+    assert np.array_equal(fn.conjugate(inside), np.zeros_like(inside))
+    assert np.all(np.isinf(fn.conjugate(outside)))
