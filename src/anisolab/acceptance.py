@@ -214,6 +214,7 @@ def criterion_probe(quick=False, seed=DEFAULT_SEED):
         ),
         "triple_maps_failing": probe["n_failing"],
         "triple_maps_total": probe["n_maps"],
+        "triple_maps_evaluated": probe["n_evaluated"],
         "trudinger_shear_equivalent": tr_sheared["equivalent"],
         "power_sum_identity_equivalent": ps_identity["equivalent"],
         "envelope_constants": [env["c_env_over_phi"], env["c_phi_over_env"]],

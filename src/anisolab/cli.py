@@ -190,7 +190,10 @@ def cmd_probe(args):
         for (theta, s, lam), fail, drop in zip(params, rep["fails"], rep["worst_drops"])
     ]
     _write_csv(args.out, ["theta_deg", "shear", "scale", "verdict", "worst_drop"], rows)
-    print(f"{rep['n_failing']}/{rep['n_maps']} maps fail the axis decomposition")
+    print(
+        f"{rep['n_failing']}/{rep['n_maps']} maps fail the axis decomposition"
+        f" ({rep['n_evaluated']} evaluated up to sign)"
+    )
     return 0
 
 

@@ -247,6 +247,7 @@ def _triple_axis_fails(build, forms, log_d):
     fails_d = np.zeros((M, D), dtype=bool)
     worst_drop = np.zeros(M)
     log2 = np.log(2.0)
+    phis = [build.phi[i] for i in range(3)] * 2  # the axis sum's six parts
     for m_idx in range(3):
         zones = per_index[m_idx]
         if len(zones) < 2:
@@ -263,51 +264,57 @@ def _triple_axis_fails(build, forms, log_d):
             logb = np.log(
                 np.maximum(np.abs(fm[:, 0] * u[:, 0]), np.abs(fm[:, 1] * u[:, 1]))
             )
-            # all six coefficient logs for the axis sum
-            logB_coef = [
-                [np.log(np.abs(forms[:, i, 0] * u[:, 0])) for i in range(3)],
-                [np.log(np.abs(forms[:, i, 1] * u[:, 1])) for i in range(3)],
+            # the six coefficient logs of the axis sum, shifted by log d once
+            # for all zones
+            coef_d = [
+                np.log(np.abs(forms[:, i, axis] * u[:, axis]))[:, None] + log_d[None, :]
+                for axis in (0, 1)
+                for i in range(3)
             ]
-        K = len(zones)
-        gaps = np.full((M, D, K), np.nan)
-        for kz, (logs_k, logh_k, logt_next) in enumerate(zones):
+        # per (map, d): the last usable gap, whether there is one, their
+        # number, the total drop and whether every step decreased
+        prev = np.full((M, D), np.nan)
+        have = np.zeros((M, D), dtype=bool)
+        count = np.zeros((M, D), dtype=np.int64)
+        drop = np.zeros((M, D))
+        dec = np.ones((M, D), dtype=bool)
+        for logs_k, logh_k, logt_next in zones:
             lo_l = np.maximum(logs_k + WITNESS_SAFETY - logc[0], logs_k + WITNESS_SAFETY - logc[1])
             hi_l = np.minimum(
                 logt_next - WITNESS_SAFETY - logc[0], logt_next - WITNESS_SAFETY - logc[1]
             )
-            lo_h = logh_k + log2 - logb[:, None] - log_d[None, :]
-            hi_h = logt_next - WITNESS_SAFETY - logb[:, None] - log_d[None, :]
-            lo = np.maximum(lo_l[:, None], lo_h)
-            hi = np.minimum(hi_l[:, None], hi_h)
+            lo = logh_k + log2 - logb[:, None] - log_d[None, :]
+            hi = logt_next - WITNESS_SAFETY - logb[:, None] - log_d[None, :]
+            np.maximum(lo_l[:, None], lo, out=lo)
+            np.minimum(hi_l[:, None], hi, out=hi)
             usable = lo <= hi
             with np.errstate(invalid="ignore"):
-                logr = np.where(usable, 0.5 * (lo + hi), 0.0)
+                logr = np.add(lo, hi, out=lo)
+                logr *= 0.5
+            np.copyto(logr, 0.0, where=~usable)
+            arg = np.add(logc[0][:, None], logr, out=hi)
             la = logaddexp_many(
-                build.phi[lights[0]].log_value(logc[0][:, None] + logr),
-                build.phi[lights[1]].log_value(logc[1][:, None] + logr),
+                build.phi[lights[0]].log_value(arg),
+                build.phi[lights[1]].log_value(np.add(logc[1][:, None], logr, out=arg)),
             )
-            parts = []
+            # a zero component (coef -inf) gives arg -inf, which log_value
+            # maps to -inf; logr is finite in every usable row but the
+            # rank-deficient ones, where la is NaN
             with np.errstate(invalid="ignore"):
-                for axis in (0, 1):
-                    for i in range(3):
-                        coef = logB_coef[axis][i][:, None]
-                        # a zero component (coef -inf) gives arg -inf, which
-                        # log_value maps to -inf; logr is finite in every usable
-                        # row but the rank-deficient ones, where la is NaN
-                        parts.append(build.phi[i].log_value(coef + log_d[None, :] + logr))
-                lb = logaddexp_many(*parts)
-                gaps[:, :, kz] = np.where(usable, la - lb, np.nan)
-        # strictly decreasing along the usable subsequence, with enough drop
-        dec = np.ones((M, D), dtype=bool)
-        drop = np.zeros((M, D))
-        count = np.isfinite(gaps).sum(axis=2)
-        prev = np.full((M, D), np.nan)
-        for kz in range(K):
-            cur = gaps[:, :, kz]
-            have_prev = np.isfinite(prev) & np.isfinite(cur)
-            dec &= ~have_prev | (cur < prev)
-            drop = np.where(have_prev, drop + (prev - cur), drop)
-            prev = np.where(np.isfinite(cur), cur, prev)
+                lb = logaddexp_many(
+                    *[phi.log_value(np.add(c, logr, out=arg)) for phi, c in zip(phis, coef_d)]
+                )
+                gap = np.subtract(la, lb, out=la)
+                # strictly decreasing along the usable subsequence, with
+                # enough drop
+                usable &= np.isfinite(gap)
+                both = have & usable
+                np.logical_and(dec, gap < prev, out=dec, where=both)
+                np.subtract(prev, gap, out=prev, where=both)  # the step; gap replaces it below
+                np.add(drop, prev, out=drop, where=both)
+            np.copyto(prev, gap, where=usable)
+            have |= usable
+            count += usable
         diverging = dec & (count >= 2) & (drop >= WITNESS_DROP_MIN)
         fails_d |= diverging
         worst_drop = np.maximum(worst_drop, drop.max(axis=1))
@@ -319,11 +326,18 @@ def _triple_axis_fails(build, forms, log_d):
 
 
 def default_probe_family(n_rot=360, n_shear=21, n_scale=21):
-    """Rotations x shears x unimodular scalings, row-major parameter order."""
+    """Rotations x shears x unimodular scalings, row-major parameter order.
+
+    The rotations run over theta = 0, 1, ..., n_rot - 1 degrees.  A map at
+    theta >= 180 is built as the exact negation of the map at theta - 180
+    (R(theta) = -R(theta - 180), to within 6e-15 in cos/sin), so the probe
+    evaluates one of the two.
+    """
     thetas = np.deg2rad(np.arange(n_rot))
     shears = np.linspace(-2.0, 2.0, n_shear)
     scales = np.exp(np.linspace(-2.0, 2.0, n_scale) * np.log(2.0))
-    c, s = np.cos(thetas), np.sin(thetas)
+    h = min(n_rot, 180)
+    c, s = np.cos(thetas[:h]), np.sin(thetas[:h])
     R = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
     S = np.zeros((n_shear, 2, 2))
     S[:, 0, 0] = S[:, 1, 1] = 1.0
@@ -331,9 +345,12 @@ def default_probe_family(n_rot=360, n_shear=21, n_scale=21):
     L = np.zeros((n_scale, 2, 2))
     L[:, 0, 0] = scales
     L[:, 1, 1] = 1.0 / scales
-    mats = ((R[:, None] @ S[None])[:, :, None] @ L[None, None]).reshape(-1, 2, 2)
+    mats = np.empty((n_rot, n_shear, n_scale, 2, 2))
+    np.matmul((R[:, None] @ S[None])[:, :, None], L[None, None], out=mats[:h])
+    for a in range(180, n_rot, 180):
+        np.negative(mats[a - 180 : min(a, n_rot - 180)], out=mats[a : a + 180])
     params = list(product(np.rad2deg(thetas).tolist(), shears.tolist(), scales.tolist()))
-    return mats, params
+    return mats.reshape(-1, 2, 2), params
 
 
 def canonical_shear():
@@ -356,24 +373,47 @@ def _worker_count():
     return int(raw)
 
 
+def _sign_classes(mats):
+    """Each map up to sign, once: (distinct, where) with ``distinct`` the
+    maps whose first nonzero entry is positive, in order of first
+    occurrence, and ``mats[m] = +-distinct[where[m]]`` exactly."""
+    flat = mats.reshape(len(mats), 4)
+    lead = flat[np.arange(len(flat)), np.argmax(flat != 0.0, axis=1)]
+    canon = np.where((lead < 0.0)[:, None], -flat, flat)
+    keys = np.ascontiguousarray(canon).view(np.dtype((np.void, 32))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return canon[first[order]].reshape(-1, 2, 2), rank[inverse]
+
+
 def essential_anisotropy_probe(phi, mats):
     """Axis-decomposition verdicts for Phi o T over the maps ``mats``
     (an (M, 2, 2) array, such as :func:`default_probe_family` gives).
 
-    For the constructed triple the batched cycle-witness path scans the
-    maps in chunks of ``PROBE_CHUNK`` (1,024: a (maps x 41 d) float
-    temporary is then 328 KiB, so a zone's dozen live ones stay in a
-    2 MiB L2 cache; on such a Xeon core 1,024 beat 512, 2,048 and
-    4,096); for other functions each map goes through the generic
-    cloud test; ``phi`` must be a sum of directional terms (a ``terms``
-    list).  Chunks are independent, row by row, so their size cannot
-    change a result; ANISOLAB_THREADS caps the pool, and the reduction
-    is indexed, so scheduling cannot change the result either.
+    Phi is even term by term and negation is exact through the composed
+    forms, the kernel directions and every |.|, so T and -T get byte-equal
+    verdicts: the maps are sign-normalised, each distinct one is evaluated
+    once, in order of first occurrence (neighbouring maps of a family land
+    on the same pieces of the triple), and the results are scattered back
+    to every input index.  For the constructed triple the batched
+    cycle-witness path scans the distinct maps in chunks of
+    ``PROBE_CHUNK`` (1,024: a (maps x 41 d) float temporary is then 328
+    KiB, so a zone's dozen live ones stay in a 2 MiB L2 cache; on such a
+    Xeon core 1,024 beat 512, 2,048 and 4,096); for other functions each
+    map goes through the generic cloud test; ``phi`` must be a sum of
+    directional terms (a ``terms`` list).  Chunks are independent, row by
+    row, so their size cannot change a result; ANISOLAB_THREADS caps the
+    pool, and the reduction is indexed, so scheduling cannot change the
+    result either.
 
     Both paths report the per-map ``fails`` (bool) and ``worst_drops``
     (the cycle-witness gap drops; zeros on the cloud path), with
-    ``method``, ``n_maps``, ``n_failing`` and ``all_fail``.  A map with
-    |det| < ``DET_MIN`` raises ValueError, as :class:`LinearMap2D` does.
+    ``method``, ``n_maps``, ``n_evaluated`` (the distinct maps up to
+    sign), ``n_failing`` and ``all_fail``.  A map with |det| < ``DET_MIN``
+    raises ValueError naming its input index, as :class:`LinearMap2D`
+    does.
     """
     if not hasattr(phi, "terms"):
         raise ValueError(
@@ -382,14 +422,16 @@ def essential_anisotropy_probe(phi, mats):
     singular = np.flatnonzero(np.abs(np.linalg.det(mats)) < DET_MIN)
     if singular.size:
         raise ValueError(f"map {singular[0]} is too close to singular (|det| < {DET_MIN:g})")
-    forms = composed_forms(phi, mats)
-    fails = np.zeros(len(mats), dtype=bool)
-    drops = np.zeros(len(mats))
+    distinct, where = _sign_classes(np.asarray(mats, dtype=float))
+    n = len(distinct)
+    forms = composed_forms(phi, distinct)
+    fails = np.zeros(n, dtype=bool)
+    drops = np.zeros(n)
     if hasattr(phi, "build"):
         method = "cycle-witness"
         log_d = np.log(DEFAULT_D_GRID)
         n_workers = _worker_count()
-        spans = [(a, min(a + PROBE_CHUNK, len(mats))) for a in range(0, len(mats), PROBE_CHUNK)]
+        spans = [(a, min(a + PROBE_CHUNK, n)) for a in range(0, n, PROBE_CHUNK)]
 
         def run_span(span):
             a, b = span
@@ -413,9 +455,11 @@ def essential_anisotropy_probe(phi, mats):
         for m, f in enumerate(forms):
             phi_t = AnisoFn2D([(fx, fy, fn) for (fx, fy), fn in zip(f, fns)], name=phi.name + "@T")
             fails[m] = not axis_decomposition_test(phi_t)["equivalent"]
+    fails, drops = fails[where], drops[where]
     return {
         "method": method,
         "n_maps": len(mats),
+        "n_evaluated": n,
         "n_failing": int(np.sum(fails)),
         "all_fail": bool(np.all(fails)),
         "fails": fails,

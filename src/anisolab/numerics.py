@@ -12,7 +12,8 @@ finds Luxemburg norms in log lambda.  It stays on bisection on purpose: a
 different step would move every bit of the constructed triple.
 :func:`bisect_increasing_arrays` closes given brackets lane by lane, one
 lane per ray of a sublevel set, by safeguarded Illinois false position;
-it keeps the name, bracket and stop rule of the bisection it replaced.
+it keeps the name, bracket and stop rule of the bisection it replaced,
+and evaluates only the rows not yet stopped.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 MAX_STEPS = 200  # bracket-walk steps, and bracket-closing steps, of each root search
+EXP_FLOOR = -700.0  # exp arguments clamped here are absorbed; below -708 exp is slow
 
 
 class RangeError(ValueError):
@@ -33,11 +35,16 @@ class BracketError(RuntimeError):
 def logaddexp_many(*logs):
     """log(sum(exp(l) for l in logs)), elementwise, overflow safe.
 
-    One streaming max-shift pass: ``shift`` is the elementwise maximum of
-    the parts (0 where that is not finite), the shifted exponentials are
+    One streaming max-shift pass (Blanchard, Higham & Higham, IMA J.
+    Numer. Anal. 41, 2021): ``shift`` is the elementwise maximum of the
+    parts (0 where that is not finite), the shifted exponentials are
     summed into one running array, and the result is ``shift + log(sum)``.
-    No stacked copy of the parts is made.  All ``-inf`` gives ``-inf``,
-    any ``+inf`` gives ``+inf``, NaN gives NaN; scalars give a scalar.
+    A shifted exponent is clamped at ``EXP_FLOOR`` before ``exp``, which
+    keeps ``exp`` off its slow underflow path: wherever a part is finite
+    the maximal one contributes exactly 1, which absorbs every term below
+    2**-1009, so the clamp moves no bit.  No stacked copy of the parts is
+    made.  All ``-inf`` gives ``-inf``, any ``+inf`` gives ``+inf``, NaN
+    gives NaN; scalars give a scalar.
     """
     if len(logs) == 1:
         return logs[0]
@@ -45,12 +52,21 @@ def logaddexp_many(*logs):
     for l in logs[2:]:
         top = np.maximum(top, l)
     shift = np.where(np.isfinite(top), top, 0.0)
-    # overflow only where a NaN part left shift at 0; log(0) is all -inf
-    with np.errstate(over="ignore", divide="ignore"):
-        total = np.exp(logs[0] - shift)
-        for l in logs[1:]:
-            total += np.exp(l - shift)
-        return shift + np.log(total)
+    total = np.empty_like(shift)
+    term = np.empty_like(shift)
+    # overflow only where a NaN part left shift at 0
+    with np.errstate(over="ignore"):
+        for k, l in enumerate(logs):
+            part = term if k else total
+            np.subtract(l, shift, out=part)
+            np.maximum(part, EXP_FLOOR, out=part)
+            np.exp(part, out=part)
+            if k:
+                total += part
+    np.log(total, out=total)
+    total += shift
+    np.copyto(total, -np.inf, where=top == -np.inf)
+    return total[()]
 
 
 def logsubexp(la, lb):
@@ -75,10 +91,18 @@ def log1p_exp(x):
     One expression for both signs, ``max(x, 0) + log1p(exp(-|x|))``,
     rather than a select that evaluates two branches.  ``-|x|`` is taken
     as ``minimum(x, -x)``, which returns x's own NaN, so a NaN comes back
-    with its bits, as do +-inf and +-0.
+    with its bits, as do +-inf and +-0.  ``-|x|`` is then raised to
+    ``EXP_FLOOR`` for x > 700 (``max(min(x, -x), min(x, EXP_FLOOR))`` is
+    still x for x <= 0): there the log1p term is below 2**-1009 either way
+    and ``max(x, 0) = x`` absorbs it, so no bit moves and ``exp`` stays off
+    its slow underflow path.
     """
     x = np.asarray(x, dtype=float)
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(np.minimum(x, -x)))
+    neg = np.minimum(x, -x, out=np.empty_like(x))
+    np.maximum(neg, np.minimum(x, EXP_FLOOR), out=neg)
+    np.log1p(np.exp(neg, out=neg), out=neg)
+    out = np.maximum(x, 0.0, out=np.empty_like(x))
+    out += neg
     if out.ndim == 0:
         return float(out)
     return out
@@ -133,43 +157,56 @@ def root_increasing(f, start, step, rtol=1e-12):
 
 
 def bisect_increasing_arrays(f, lo, hi, rtol=1e-12, f_lo=None, f_hi=None):
-    """Root of f per lane, on brackets with ``f(lo) < 0 <= f(hi)``; f maps
-    arrays to arrays and is nondecreasing in each lane.
+    """Root of f per lane, on brackets with ``f(lo) < 0 <= f(hi)``, for
+    ``(rows, lanes)`` arrays ``lo`` and ``hi`` (1-D: one row).
 
-    ``f_lo`` and ``f_hi`` are f at the brackets, evaluated here when not
-    given.  Each step is Illinois false position, lane by lane: the secant
-    point of the bracket, held at least ``0.4 * rtol * max(1, |x|)`` inside
-    each end (so a secant that lands on the root closes the bracket on the
-    next step), and the value kept at one end halved when the other end is
-    replaced twice running.  A lane takes the midpoint instead when the
-    secant point is not finite, when that halving has been applied four
-    times running, when its own bracket already meets the stop rule, or
-    while its bracket is wider than ``w0 * 2**(-j / 4)`` after j steps (w0
-    the row's widest start bracket), which bounds any lane at four times the
-    halvings of a bisection.  The name stays from the bisection this
-    replaced, whose bracket, stop rule and result it keeps.
+    ``f(x, rows)`` is nondecreasing in each lane; it gets the rows still
+    open as a 2-D array ``x`` and ``rows``, the input row index of each
+    row of ``x``.  ``f_lo`` and ``f_hi`` are f at the brackets, evaluated
+    here when not given.  Each step is Illinois false position, lane by
+    lane: the secant point of the bracket, held at least ``0.4 * rtol *
+    max(1, |x|)`` inside each end (so a secant that lands on the root
+    closes the bracket on the next step), and the value kept at one end
+    halved when the other end is replaced twice running.  A lane takes the
+    midpoint instead when the secant point is not finite, when that
+    halving has been applied four times running, when its own bracket
+    already meets the stop rule, or while its bracket is wider than ``w0 *
+    2**(-j / 4)`` after j steps (w0 the row's widest start bracket), which
+    bounds any lane at four times the halvings of a bisection.  The name
+    stays from the bisection this replaced, whose bracket, stop rule and
+    result it keeps.
 
-    Convergence is judged per row along the last axis: a row stops once
-    every lane's bracket is below ``rtol * max(1, |mid|)``, and the
-    midpoints are returned.  A stopped row is frozen at its midpoint
-    (``lo = hi = mid``, and ``0.5 * (mid + mid)`` is exactly ``mid``); every
-    step depends only on the lane and its row, so each row ends bit for bit
-    where a solve of that row alone would end, though f sees the full
-    array.  A 1-D input is one row.
+    Convergence is judged per row: a row stops once every lane's bracket is
+    below ``rtol * max(1, |mid|)``; its midpoints go to the result and the
+    row leaves the arrays, so f never sees it again.  Every step depends
+    only on the lane and its row, so each row ends bit for bit where a solve
+    of that row alone would end.  A lane that meets the stop rule before
+    its row does keeps stepping: its bits depend on when the row stops.
     """
-    lo = np.array(lo, dtype=float, copy=True)
-    hi = np.array(hi, dtype=float, copy=True)
-    f_lo = np.array(f(lo) if f_lo is None else f_lo, dtype=float, copy=True)
-    f_hi = np.array(f(hi) if f_hi is None else f_hi, dtype=float, copy=True)
+    shape = np.shape(lo)
+    lo = np.array(lo, dtype=float, copy=True).reshape(-1, shape[-1])
+    hi = np.array(hi, dtype=float, copy=True).reshape(lo.shape)
+    rows = np.arange(lo.shape[0])
+    f_lo = np.array(f(lo, rows) if f_lo is None else f_lo, dtype=float, copy=True)
+    f_hi = np.array(f(hi, rows) if f_hi is None else f_hi, dtype=float, copy=True)
+    f_lo, f_hi = f_lo.reshape(lo.shape), f_hi.reshape(lo.shape)
+    out = lo  # stopped rows are written into lo's first buffer, which compaction leaves
     run = np.zeros(lo.shape, dtype=np.int8)  # +k: lo replaced k times running, -k: hi
     w0 = np.max(hi - lo, axis=-1, keepdims=True)
     for j in range(MAX_STEPS):
         mid = 0.5 * (lo + hi)
         x = hi - lo  # the widths, then the points to evaluate, in one buffer
         secant = x > rtol * np.maximum(1.0, np.abs(mid))  # open lanes
-        done = ~np.any(secant, axis=-1, keepdims=True)
-        if np.all(done):
-            return mid
+        live = np.any(secant, axis=-1)
+        if not np.all(live):
+            if not np.any(live) and len(rows) == len(out):
+                return mid.reshape(shape)  # every row stops at this step
+            out[rows[~live]] = mid[~live]
+            if not np.any(live):
+                return out.reshape(shape)
+            lo, hi, f_lo, f_hi, run, w0, rows, mid, x, secant = (
+                a[live] for a in (lo, hi, f_lo, f_hi, run, w0, rows, mid, x, secant)
+            )
         secant &= (np.abs(run) <= 4) & (x <= w0 * 2.0 ** (-j / 4))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             x /= f_hi - f_lo
@@ -181,11 +218,8 @@ def bisect_increasing_arrays(f, lo, hi, rtol=1e-12, f_lo=None, f_hi=None):
         np.maximum(x, lo + gap, out=x)
         np.minimum(x, np.subtract(hi, gap, out=gap), out=x)
         np.copyto(x, mid, where=~secant)
-        if np.any(done):
-            np.copyto(lo, mid, where=done)
-            np.copyto(hi, mid, where=done)
         del mid, gap, secant  # f's own temporaries are the memory peak
-        fx = f(x)
+        fx = f(x, rows)
         below = fx < 0.0
         above = ~below
         np.copyto(lo, x, where=below)
@@ -196,4 +230,5 @@ def bisect_increasing_arrays(f, lo, hi, rtol=1e-12, f_lo=None, f_hi=None):
         run = np.where(below, np.maximum(run, 0) + 1, np.minimum(run, 0) - 1).clip(-5, 5)
         np.multiply(f_hi, 0.5, out=f_hi, where=run >= 2)
         np.multiply(f_lo, 0.5, out=f_lo, where=run <= -2)
-    return 0.5 * (lo + hi)
+    out[rows] = 0.5 * (lo + hi)
+    return out.reshape(shape)

@@ -8,8 +8,8 @@ keeps the machinery exact at levels whose radii overflow doubles; the
 search steps by safeguarded false position, so a power function, whose
 log Phi is linear in log r, needs one secant step and one closing step.
 A profile over many levels is one search with a row of rays per level;
-each row stops on its own, so its radii equal those of a one-level cast
-bit for bit.
+each row stops on its own and leaves the search, so its radii equal
+those of a one-level cast bit for bit.
 
 The radial rearrangement maps each level t to the radius s(t) of the disk
 with the same sublevel area; the resulting monotone table is the
@@ -55,22 +55,23 @@ def ray_radii_log(phi, log_t, n_angles):
         raise ValueError(f"log level {float(nonfinite[0])!r} is not finite: need 0 < t < inf")
     theta = 2.0 * np.pi * np.arange(n_angles) / n_angles
     ux, uy = np.cos(theta), np.sin(theta)
-    rows = log_t.reshape(-1, 1)
+    levels = log_t.reshape(-1)
+    every = np.arange(levels.size)
 
-    def f(logr):
-        return phi.log_value_dir(ux, uy, logr) - rows
+    def f(logr, rows):
+        return phi.log_value_dir(ux, uy, logr) - levels[rows, None]
 
-    lo = np.full((rows.shape[0], n_angles), -700.0)
-    hi = np.broadcast_to(np.maximum(1.0, rows), lo.shape)
+    lo = np.full((levels.size, n_angles), -700.0)
+    hi = np.broadcast_to(np.maximum(1.0, levels[:, None]), lo.shape)
     for _ in range(64):
-        f_hi = f(hi)
+        f_hi = f(hi, every)
         bad = f_hi < 0.0
         if not np.any(bad):
             break
         hi = np.where(bad, hi + 100.0, hi)
     else:
         raise ValueError("ray not bracketed; Phi not coercive along some direction")
-    f_lo = f(lo)
+    f_lo = f(lo, every)
     if np.any(f_lo > 0.0):
         raise ValueError("level too small to bracket above rho = exp(-700)")
     logr = bisect_increasing_arrays(f, lo, hi, rtol=RAY_RTOL, f_lo=f_lo, f_hi=f_hi)

@@ -62,6 +62,7 @@ def test_criterion_5_probe_discrimination():
     res = acceptance.criterion_probe()
     ok, detail = _report("5_probe", res)
     assert res["triple_maps_total"] == 360 * 21 * 21
+    assert res["triple_maps_evaluated"] == 180 * 21 * 21  # one of T and -T
     assert ok, detail
 
 

@@ -189,7 +189,7 @@ def test_a_triple_file_with_phi_reads_the_schedule(tmp_path, build9):
         assert [(type(a), vars(a)) for a in f.pieces] == [(type(b), vars(b)) for b in g.pieces]
     r = run_cli(["probe", "--phi", "triple.json", "--rotations", "8", "--out", "probe.csv"], tmp_path)
     assert r.returncode == 0, r.stderr
-    assert "3528/3528 maps fail" in r.stdout
+    assert "3528/3528 maps fail the axis decomposition (3528 evaluated up to sign)" in r.stdout
 
 
 def test_a_triple_file_off_the_construction_names_the_field(tmp_path, build9):

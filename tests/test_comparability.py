@@ -16,6 +16,7 @@ from anisolab.comparability import (
     LinearMap2D,
     axis_decomposition_test,
     canonical_shear,
+    composed_forms,
     default_probe_family,
     dominates,
     equivalent,
@@ -181,6 +182,66 @@ def test_probe_family_matches_loop(shape):
     assert mats.shape == (np.prod(shape), 2, 2)
     assert mats.tobytes() == ref_mats.tobytes()
     assert params == ref_params
+
+
+def test_probe_family_second_half_turn_negates_the_first():
+    mats, params = default_probe_family(360, 3, 3)
+    half = 180 * 3 * 3
+    assert mats[half:].tobytes() == (-mats[:half]).tobytes()
+    ref_mats, ref_params = _probe_family_loop(360, 3, 3)
+    assert mats[:half].tobytes() == ref_mats[:half].tobytes()
+    assert np.max(np.abs(mats - ref_mats)) <= 6e-15
+    assert params == ref_params
+
+
+def _signs_mix(mats):
+    """mats, some negated, with repeats, shuffled: 8 maps per 5 given."""
+    mix = np.concatenate([mats, -mats[::2], mats[1:4], -mats[2:3]])
+    return mix[np.random.default_rng(5).permutation(len(mix))]
+
+
+@pytest.mark.parametrize("chunk", [97, 1024])
+def test_probe_folds_signs_without_moving_a_bit_on_the_triple(build9, monkeypatch, chunk):
+    monkeypatch.setattr(comparability, "PROBE_CHUNK", chunk)
+    phi = constructed_triple_fn(build9)
+    mats, _ = default_probe_family(10, 5, 5)
+    reps = {}
+    for name, signed in (("mats", mats), ("-mats", -mats), ("mix", _signs_mix(mats))):
+        # every map on its own, unfolded: the cycle-witness kernel on all rows
+        ref_fails, ref_drops = comparability._triple_axis_fails(
+            build9, composed_forms(phi, signed), np.log(comparability.DEFAULT_D_GRID)
+        )
+        rep = reps[name] = essential_anisotropy_probe(phi, signed)
+        assert rep["n_maps"] == len(signed) and rep["n_evaluated"] == len(mats)
+        assert rep["fails"].tobytes() == ref_fails.tobytes()
+        assert rep["worst_drops"].tobytes() == ref_drops.tobytes()
+    assert reps["mats"]["worst_drops"].tobytes() == reps["-mats"]["worst_drops"].tobytes()
+
+
+def _positions(mix, mats):
+    """Index in mix of each map of mats (present, byte for byte)."""
+    keys = {m.tobytes(): i for i, m in enumerate(mix)}
+    return np.array([keys[m.tobytes()] for m in mats])
+
+
+@pytest.mark.parametrize("chunk", [97, 1024])
+def test_probe_folds_signs_without_moving_a_bit_on_the_cloud_path(monkeypatch, chunk):
+    monkeypatch.setattr(comparability, "PROBE_CHUNK", chunk)
+    phi = trudinger_fn()
+    mats = np.array([canonical_shear().as_array(), np.eye(2), [[0.8, -0.6], [0.6, 0.8]]])
+    mix = _signs_mix(mats)
+    fns = [fn for _, _, fn in phi.terms]
+    reports = []
+    for f in composed_forms(phi, mix):
+        terms = [(fx, fy, fn) for (fx, fy), fn in zip(f, fns)]
+        reports.append(axis_decomposition_test(AnisoFn2D(terms)))
+    rep = essential_anisotropy_probe(phi, mix)
+    assert rep["n_evaluated"] == len(mats)
+    assert rep["fails"].tolist() == [not r["equivalent"] for r in reports]
+    assert not rep["fails"][_positions(mix, mats[:1])[0]]  # the shear straightens it
+    # T and -T: the whole cloud report, every float of every witness, agrees
+    for i, j in zip(_positions(mix, mats[::2]), _positions(mix, -mats[::2])):
+        assert repr(reports[i]) == repr(reports[j])
 
 
 def test_probe_triple_small_family(build9):

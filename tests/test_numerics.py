@@ -154,6 +154,59 @@ def test_log1p_exp_equals_the_two_branch_form_bit_for_bit():
         assert np.array([out]).tobytes() == np.array([_log1p_exp_two_branch(v)]).tobytes()
 
 
+# The unclamped forms, kept as the references the clamped ones equal bit for bit.
+def _logaddexp_many_unclamped(*logs):
+    top = logs[0]
+    for l in logs[1:]:
+        top = np.maximum(top, l)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(over="ignore", divide="ignore"):
+        total = np.exp(logs[0] - shift)
+        for l in logs[1:]:
+            total += np.exp(l - shift)
+        return shift + np.log(total)
+
+
+def _log1p_exp_unclamped(x):
+    x = np.asarray(x, dtype=float)
+    return np.maximum(x, 0.0) + np.log1p(np.exp(np.minimum(x, -x)))
+
+
+def _clamp_cases():
+    rng = np.random.default_rng(11)
+    specials = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 700.0, -700.0, 709.5, -745.5])
+    for spread in (1.0, 50.0, 700.0, 1e4):
+        parts = rng.uniform(-spread, spread, (6, 400))
+        parts[rng.random(parts.shape) < 0.05] = -np.inf
+        parts[:, :9] = specials[rng.permuted(np.tile(np.arange(9), (6, 1)), axis=1)]
+        parts[:, 9] = -np.inf  # a column of all -inf
+        parts[:, 10] = parts[0, 10] - spread * np.arange(6)  # one part dominates
+        yield parts
+
+
+def test_log_sum_exp_clamps_move_no_bit():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for parts in _clamp_cases():
+            for k in (2, 3, 6):
+                got = logaddexp_many(*parts[:k])
+                assert got.tobytes() == _logaddexp_many_unclamped(*parts[:k]).tobytes()
+            # a broadcast scalar part
+            got = logaddexp_many(parts[0], 3.0, parts[1].reshape(20, 20)[:, :1])
+            ref = _logaddexp_many_unclamped(parts[0], 3.0, parts[1].reshape(20, 20)[:, :1])
+            assert got.shape == (20, 400) and got.tobytes() == ref.tobytes()
+            ref = _log1p_exp_unclamped(parts.ravel())
+            assert log1p_exp(parts.ravel()).tobytes() == ref.tobytes()
+        for a, b in [(1.0, 2.0), (-1e4, 1e4), (-np.inf, -np.inf), (-np.inf, 5.0), (np.nan, 1.0)]:
+            got = logaddexp_many(a, b)
+            assert isinstance(got, float) and np.ndim(got) == 0
+            assert np.array(got).tobytes() == np.array(_logaddexp_many_unclamped(a, b)).tobytes()
+        for v in (-1e4, -800.0, -1.0, 0.0, 650.0, 701.0, 1e4, np.inf, -np.inf, np.nan):
+            got = log1p_exp(v)
+            assert type(got) is float
+            assert np.array(got).tobytes() == np.array(_log1p_exp_unclamped(v)).tobytes()
+
+
 def test_logaddexp_many_edge_values():
     inf, nan = np.inf, np.nan
     assert logaddexp_many(-inf, -inf, -inf) == -inf

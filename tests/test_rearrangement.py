@@ -67,10 +67,11 @@ def test_bisect_rows_match_one_row_at_a_time():
 
     def solve(c, lo, hi):
         calls = []
+        k = np.reshape(c**3 + c, (-1, c.shape[-1]))
 
-        def f(x):
+        def f(x, rows):
             calls.append(1)
-            return x**3 + x - (c**3 + c)
+            return x**3 + x - k[rows]
 
         return bisect_increasing_arrays(f, lo, hi, rtol=1e-12), len(calls)
 
@@ -80,6 +81,32 @@ def test_bisect_rows_match_one_row_at_a_time():
     assert n_batched == max(n for _, n in rows)
     for i, (row, _) in enumerate(rows):
         assert batched[i].tobytes() == row.tobytes()
+
+
+def test_bisect_evaluates_only_open_rows():
+    # the rows of test_bisect_rows_match_one_row_at_a_time, one per lane count
+    c = np.array([[0.3, -2.0, 5.0], [1e3, 7.0, -1e3], [0.0, 1e-7, 2.0]])
+    lo = np.array([[-1e-3] * 3, [-1e3] * 3, [-1.0] * 3]) + np.minimum(c, 0.0)
+    hi = np.array([[1e-3] * 3, [1e3] * 3, [1.0] * 3]) + np.maximum(c, 0.0)
+    k = c**3 + c
+
+    def solve(lo, hi, rows_in):
+        seen = []
+
+        def f(x, rows):
+            assert x.shape == (len(rows), 3)
+            seen.append(rows_in[rows].tolist())
+            return x**3 + x - k[rows_in[rows]]
+
+        bisect_increasing_arrays(f, lo, hi, rtol=1e-12)
+        return seen
+
+    alone = [solve(lo[i], hi[i], np.array([i])) for i in range(3)]
+    batched = solve(lo, hi, np.arange(3))
+    # call j sees exactly the rows whose own solve makes more than j calls
+    assert batched == [[i for i in range(3) if len(alone[i]) > j] for j in range(len(batched))]
+    lanes = sum(3 * len(rows) for rows in batched)
+    assert lanes == sum(3 * len(calls) for calls in alone)
 
 
 class _Dilated:
@@ -109,8 +136,8 @@ def test_ray_radii_levels_match_one_level_at_a_time(case, build6):
 
 
 # The row bisection that false position replaced in bisect_increasing_arrays,
-# kept verbatim (it takes and ignores the end values) as the reference the
-# ray radii must stay within RAY_RTOL of.
+# kept (it takes and ignores the end values, and passes f every row index)
+# as the reference the ray radii must stay within RAY_RTOL of.
 def _bisect_rows(f, lo, hi, rtol=1e-12, f_lo=None, f_hi=None):
     lo = np.array(lo, dtype=float, copy=True)
     hi = np.array(hi, dtype=float, copy=True)
@@ -122,7 +149,7 @@ def _bisect_rows(f, lo, hi, rtol=1e-12, f_lo=None, f_hi=None):
             return mid
         lo = np.where(done, mid, lo)
         hi = np.where(done, mid, hi)
-        fm = f(mid)
+        fm = f(mid, np.arange(mid.shape[0]))
         take_lo = fm < 0.0
         lo = np.where(take_lo, mid, lo)
         hi = np.where(take_lo, hi, mid)
