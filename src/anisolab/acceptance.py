@@ -273,6 +273,7 @@ def criterion_capacity(quick=False, seed=DEFAULT_SEED):
     ann_err = abs(res.value - target) / target
     out["annulus_value"] = res.value
     out["annulus_error"] = ann_err
+    out["annulus_iterations"] = res.iterations
     out["pass"] = bool(out["pass"] and ann_err <= 0.05)
     # property suite on six configurations
     ns = 65 if quick else 129

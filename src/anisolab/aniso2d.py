@@ -116,6 +116,25 @@ class AnisoFn2D:
             return gx, gy
         return float(gx), float(gy)
 
+    def value_and_grad(self, x, y):
+        """(value, grad_x, grad_y), bit for bit what ``value`` and ``grad``
+        give, forming each term's s and |s| once."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        out = np.zeros(np.broadcast(x, y).shape)
+        gx = np.zeros_like(out)
+        gy = np.zeros_like(out)
+        for dx, dy, fn in self.terms:
+            s = dx * x + dy * y
+            val, der = fn.value_and_derivative(np.abs(s))
+            out = out + val
+            v = np.sign(s) * der
+            gx = gx + v * dx
+            gy = gy + v * dy
+        if out.ndim:
+            return out, gx, gy
+        return float(out), float(gx), float(gy)
+
     def is_doubling(self):
         return all(is_doubling(fn) for _, _, fn in self.terms)
 
@@ -171,6 +190,20 @@ class RadialFn2D:
         if np.ndim(gx):
             return gx, gy
         return float(gx), float(gy)
+
+    def value_and_grad(self, x, y):
+        """(value, grad_x, grad_y), bit for bit what ``value`` and ``grad``
+        give, from one hypot and one log per point."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        r = np.hypot(x, y)
+        out, der = self.fn.value_and_derivative(r)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scale = np.where(r > 0.0, der / np.where(r > 0, r, 1.0), 0.0)
+        gx, gy = scale * x, scale * y
+        if np.ndim(gx):
+            return out, gx, gy
+        return float(out), float(gx), float(gy)
 
     def is_doubling(self):
         return is_doubling(self.fn)

@@ -79,11 +79,13 @@ def ray_radii_log(phi, log_t, n_angles):
 
 
 def _log_area(logr):
-    """log of (1/2) * sum rho_i^2 * dtheta for one row of log radii."""
+    """log of (1/2) * sum rho_i^2 * dtheta along the last axis of log
+    radii: a float for one row, one value per level for (levels, angles).
+    Each row's value is bit for bit the one it gives alone."""
     two = 2.0 * logr
-    mx = float(np.max(two))
-    s = mx + np.log(np.sum(np.exp(two - mx)))
-    return s + np.log(np.pi / logr.size)
+    mx = np.max(two, axis=-1)
+    s = mx + np.log(np.sum(np.exp(two - mx[..., None]), axis=-1))
+    return s + np.log(np.pi / logr.shape[-1])
 
 
 def log_sublevel_area(phi, log_t, n_angles=2048):
@@ -132,7 +134,7 @@ def level_profile(phi, log_t_grid, n_angles=2048):
     """Log sublevel areas at every level of the grid, from one ray casting."""
     log_t = np.asarray(log_t_grid, dtype=float)
     logr = ray_radii_log(phi, log_t, n_angles)
-    return LevelSetProfile(log_t=log_t, log_area=np.array([_log_area(row) for row in logr]))
+    return LevelSetProfile(log_t=log_t, log_area=_log_area(logr))
 
 
 def phi_circ(phi, t_grid, n_angles=2048):

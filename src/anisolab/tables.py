@@ -6,9 +6,9 @@ powers), and extrapolates with the edge slopes.  It is a 1-D function of
 the single protocol of :mod:`anisolab.young1d`: it writes the kernels
 ``_log_value`` / ``_log_derivative`` (both ``-inf`` at log x = -inf) and
 that module's class decorator installs ``log_value``, ``log_derivative``,
-``value`` and ``derivative`` from them, so x < 0 raises ValueError, x = 0
-gives 0, and tables slot into the same modulars, solvers and conjugation
-paths.
+``value``, ``derivative`` and ``value_and_derivative`` from them, so
+x < 0 raises ValueError, x = 0 gives 0, and tables slot into the same
+modulars, solvers and conjugation paths.
 """
 
 from __future__ import annotations

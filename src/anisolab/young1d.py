@@ -15,14 +15,17 @@ follows one protocol, all methods elementwise-vectorized:
   continues another piece and keeps its anchor value and slope there;
 * ``value`` / ``derivative`` are exp of the log form: t < 0 raises
   ValueError, t = 0 gives 0, a scalar gives a float and an array keeps
-  its shape.
+  its shape;
+* ``value_and_derivative`` gives the pair (``value``, ``derivative``)
+  bit for bit from one check and one log of t, for callers that need
+  both on the same points (the 2-D ``value_and_grad``).
 
 Each type writes only its math, as the array kernels ``_log_value`` /
 ``_log_derivative`` (a float array of log t in, an array of the same
-shape out).  The class decorator :func:`_protocol` installs the four
+shape out).  The class decorator :func:`_protocol` installs the five
 public methods from them into the class's own dict rather than a base
 class, so tools that wrap methods class by class (the benchmark's
-tracer, ``bench/tracer.py``) find all four names in every class.
+tracer, ``bench/tracer.py``) find all five names in every class.
 :class:`PowerFn` also gives its Young conjugate in closed form
 (``conjugate``); the 2-D types build Phi* from it for the dual bound
 that certifies weak solves (:mod:`anisolab.descent`).
@@ -77,9 +80,9 @@ def _scalarize(x):
 
 
 def _protocol(cls):
-    """Install ``log_value``, ``log_derivative``, ``value`` and
-    ``derivative`` in ``cls`` from its kernels ``_log_value`` /
-    ``_log_derivative``."""
+    """Install ``log_value``, ``log_derivative``, ``value``,
+    ``derivative`` and ``value_and_derivative`` in ``cls`` from its
+    kernels ``_log_value`` / ``_log_derivative``."""
 
     def log_value(self, logt):
         """log f at log t, elementwise; a scalar gives a float."""
@@ -97,7 +100,13 @@ def _protocol(cls):
         """f'(t) for t >= 0, elementwise; overflow gives +inf."""
         return safe_exp(self._log_derivative(_as_log_args(t)))
 
-    for fn in (log_value, log_derivative, value, derivative):
+    def value_and_derivative(self, t):
+        """(f(t), f'(t)) from one log of t, each bit for bit what
+        ``value`` and ``derivative`` give."""
+        logt = _as_log_args(t)
+        return safe_exp(self._log_value(logt)), safe_exp(self._log_derivative(logt))
+
+    for fn in (log_value, log_derivative, value, derivative, value_and_derivative):
         fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
         setattr(cls, fn.__name__, fn)
     return cls

@@ -75,6 +75,9 @@ def test_criterion_6_rearrangement_sobolev_oracles():
 def test_criterion_7_capacity():
     res = acceptance.criterion_capacity()
     ok, detail = _report("7_capacity", res)
+    assert {"annulus_value", "annulus_error", "annulus_iterations"} <= res.keys()
+    # 77 in the metric of the whole unit box; Omega's box needs fewer
+    assert 0 < res["annulus_iterations"] < 77, res["annulus_iterations"]
     assert ok, detail
 
 

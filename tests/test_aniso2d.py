@@ -447,3 +447,23 @@ def test_from_binary_rejects_malformed_files(tmp_path, rng):
             SampledFn2D.from_binary(p)
         with pytest.raises(ValueError):
             GridField2D.from_binary(p)
+
+
+def test_value_and_grad_is_value_and_grad_bit_for_bit(build6):
+    from anisolab.aniso2d import constructed_triple_fn
+
+    phis = [radial_power_fn(p) for p in (1.0, 1.5, 2.0, 3.0)]
+    phis += [quadratic_fn(), power_sum_fn(2, 4), trudinger_fn(), intro_exp_fn()]
+    phis.append(constructed_triple_fn(build6))
+    # xi = 0, the axes, the diagonal (where x - y vanishes) and spread cells
+    ax = np.array([-7.0, -1.0, -0.3, 0.0, 1e-9, 0.3, 1.0, 7.0])
+    x, y = np.meshgrid(ax, ax, indexing="ij")
+    for phi in phis:
+        val, gx, gy = phi.value_and_grad(x, y)
+        rx, ry = phi.grad(x, y)
+        assert np.array_equal(val, phi.value(x, y)), phi.name
+        assert np.array_equal(gx, rx) and np.array_equal(gy, ry), phi.name
+        for a, b in ((0.0, 0.0), (0.3, 0.3), (-1.0, 0.3)):
+            out = phi.value_and_grad(a, b)
+            assert all(type(v) is float for v in out), phi.name
+            assert out == (phi.value(a, b), *phi.grad(a, b)), phi.name

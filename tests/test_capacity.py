@@ -72,6 +72,62 @@ def test_poisson_metric_is_symmetric_positive_and_zero_on_fixed_nodes(rng):
     assert np.all(pa[fixed] == 0.0) and np.all(pb[fixed] == 0.0)
 
 
+def test_poisson_metric_on_a_free_rectangle_inverts_its_stencil(rng):
+    # free nodes on rows 3..9 and columns 5..14: the metric solves the
+    # 5-point stencil on that 7 x 10 box with zero values around it
+    n = 18
+    fixed = np.ones((n, n), dtype=bool)
+    fixed[3:10, 5:15] = False
+    v = rng.normal(size=(n, n))
+    out = descent._poisson_inverse(fixed)(v)
+    assert np.all(out[fixed] == 0.0)
+    lap = 4.0 * out - np.roll(out, 1, 0) - np.roll(out, -1, 0) - np.roll(out, 1, 1) - np.roll(out, -1, 1)
+    assert np.max(np.abs(lap[~fixed] - v[~fixed])) <= 1e-12 * np.max(np.abs(v))
+
+
+def test_poisson_metric_on_the_annulus_is_symmetric_positive_and_zero_on_fixed_nodes(rng):
+    # the condenser K = disk 0.1 in Omega = disk 0.4: Omega's box is cropped
+    n = 33
+    fixed = disk_mask(n, 0.5, 0.5, 0.1) | ~disk_mask(n, 0.5, 0.5, 0.4) | capacity._boundary_mask(n)
+    metric = descent._poisson_inverse(fixed)
+    a, b = rng.normal(size=(2, n, n))
+    pa, pb = metric(a), metric(b)
+    scale = np.sqrt(np.vdot(a, pa) * np.vdot(b, pb))
+    assert abs(np.vdot(a, pb) - np.vdot(pa, b)) <= 1e-13 * scale
+    a_free = np.where(fixed, 0.0, a)
+    assert np.vdot(a_free, metric(a_free)) > 0.0
+    assert np.all(pa[fixed] == 0.0) and np.all(pb[fixed] == 0.0)
+
+
+def test_poisson_metric_with_the_edge_fixed_is_the_whole_box_inverse(rng):
+    # free nodes on every interior row and column: the factors of the
+    # whole interior, bit for bit
+    n = 21
+    m = n - 2
+    fixed = capacity._boundary_mask(n)
+    v = rng.normal(size=(n, n))
+    k = np.arange(1, m + 1)
+    s = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * m + 2)) / (m + 1))
+    lam = 4.0 * np.sin(0.5 * np.pi * k / (m + 1)) ** 2
+    weight = 1.0 / (lam[:, None] + lam[None, :])
+    inner = v[1:-1, 1:-1]
+    out = descent._poisson_inverse(fixed)(v)
+    assert np.array_equal(out[1:-1, 1:-1], s @ (weight * (s @ inner @ s)) @ s)
+    assert np.all(out[fixed] == 0.0)
+
+
+@pytest.mark.parametrize("p, mode, budget", [(2.0, "dirichlet-only", 37), (1.5, "full", 90)])
+def test_annulus_iteration_budget(p, mode, budget):
+    # 41 and 113 iterations in the metric of the whole unit box; the
+    # metric on Omega's box gets by with fewer
+    n = 65
+    k = disk_mask(n, 0.5, 0.5, 0.1)
+    omega = disk_mask(n, 0.5, 0.5, 0.4)
+    res = relative_capacity(radial_power_fn(p), PowerFn(p), 1.0, k, omega, n, mode=mode)
+    assert res.stop_reason == "gap"
+    assert res.iterations <= budget, res.iterations
+
+
 def test_secant_weights_are_the_secant_modulus():
     # u = 2x + y has xi = (2, 1) on every cell, and |xi|^p has the secant
     # modulus |grad Phi(xi)| / |xi| = p |xi|^(p - 2)

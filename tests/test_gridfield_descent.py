@@ -55,6 +55,9 @@ class _ZeroPhi:
     def grad(self, gx, gy):
         return np.zeros_like(gx), np.zeros_like(gy)
 
+    def value_and_grad(self, gx, gy):
+        return self.value(gx, gy), *self.grad(gx, gy)
+
 
 def _interior(v):
     return np.pad(v, 1)

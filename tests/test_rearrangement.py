@@ -261,6 +261,18 @@ def test_level_profile_matches_per_level_areas(build6):
     assert prof.log_area.tobytes() == np.array(ref).tobytes()
 
 
+@pytest.mark.parametrize("width", [256, 2048, 4096])
+def test_row_wise_log_area_is_each_row_alone(width):
+    # one reduction over (levels, angles) keeps every row's sum bit for bit
+    phi = radial_power_fn(1.3)
+    logr = ray_radii_log(phi, np.log(np.logspace(-8, 8, 24)), width)
+    spread = np.random.default_rng(width).normal(scale=40.0, size=(16, width))
+    for radii in (logr, spread):
+        areas = _log_area(radii)
+        assert areas.shape == (radii.shape[0],)
+        assert areas.tobytes() == np.array([_log_area(row) for row in radii]).tobytes()
+
+
 class _Bounded:
     """log Phi = min(log r, 0) on every ray: not coercive past level 1."""
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anisolab.construction import build_triple
 from anisolab.numerics import safe_exp
 from anisolab.tables import MonotoneTable
 from anisolab.young1d import (
@@ -196,7 +197,7 @@ def test_piece_evaluation_builds_no_closed_form(build6, monkeypatch):
         assert np.all(np.isfinite(f.log_derivative(logts)))
 
 
-PROTOCOL_NAMES = ("log_value", "log_derivative", "value", "derivative")
+PROTOCOL_NAMES = ("log_value", "log_derivative", "value", "derivative", "value_and_derivative")
 
 
 @pytest.mark.parametrize(
@@ -207,6 +208,45 @@ PROTOCOL_NAMES = ("log_value", "log_derivative", "value", "derivative")
 def test_protocol_methods_live_in_each_class_dict(cls):
     # the benchmark's tracer wraps cls.__dict__[name] class by class
     assert all(callable(cls.__dict__.get(name)) for name in PROTOCOL_NAMES)
+
+
+def _fused_cases():
+    """Every protocol type: closed forms, a linear piece, the three
+    functions of build_triple(2, 1, 3) and each of their pieces, a table."""
+    build = build_triple(2.0, 1.0, 3)
+    cases = {
+        "power": PowerFn(2.5, 3.0),
+        "power-p1": PowerFn(1.0, 2.0),
+        "powerlog": PowerLogFn(2, 1),
+        "powerlogbase": PowerLogBaseFn(2, -0.5, np.e),
+        "powerexp": PowerExpFn(2),
+        "linear": LinearPiece(np.log(2.0), 0.0, 0.0),
+        "table": MonotoneTable.from_values(_X, 2.0 * _X**2.5),
+    }
+    for k, f in enumerate(build.phi):
+        cases[f"triple-phi{k + 1}"] = f
+        for i, piece in enumerate(f.pieces):
+            cases[f"triple-phi{k + 1}-piece{i}"] = piece
+    return cases
+
+
+def test_value_and_derivative_is_value_and_derivative_bit_for_bit():
+    # 0, tiny, moderate, and arguments where value and derivative overflow to +inf
+    t = np.array([0.0, 1e-300, 0.5, 3.0, 40.0, 800.0, 1e200, 1e308])
+    for name, f in _fused_cases().items():
+        val, der = f.value_and_derivative(t)
+        assert np.isposinf(val[-1]), name
+        assert np.array_equal(val, f.value(t)) and np.array_equal(der, f.derivative(t)), name
+        grid = t.reshape(2, 4)
+        val, der = f.value_and_derivative(grid)
+        assert val.shape == der.shape == grid.shape
+        assert np.array_equal(val, f.value(grid)) and np.array_equal(der, f.derivative(grid)), name
+        for x in t:
+            val, der = f.value_and_derivative(x)
+            assert type(val) is float and type(der) is float, name
+            assert np.array_equal(val, f.value(x)) and np.array_equal(der, f.derivative(x)), (name, x)
+        with pytest.raises(ValueError):
+            f.value_and_derivative(np.array([1.0, -1e-300]))
 
 
 @pytest.mark.parametrize(
