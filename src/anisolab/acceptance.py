@@ -300,6 +300,7 @@ def criterion_capacity(quick=False, seed=DEFAULT_SEED):
     out["point_ratio_p15"] = v15[-1] / v15[0]
     out["point_ratio_p30"] = v30[-1] / v30[0]
     out["point_values"] = {"1.5": v15, "3.0": v30}
+    out["point_iterations"] = {"1.5": d15["iterations"], "3.0": d30["iterations"]}
     out["pass"] = bool(
         out["pass"]
         and d15["null_supported"]

@@ -17,7 +17,8 @@ start from the pointwise max/min of the pair's minimizers, which turns
 strong subadditivity into a property the descent preserves instead of a
 numerical coincidence.  Point capacities and the diffuse/singular split
 share one refinement ladder of nested grids: the coarsest rung starts
-cold, each finer one from the upsampled minimizer below it.
+from the zero field, each finer one from the upsampled minimizer below
+it.
 """
 
 from __future__ import annotations
@@ -176,25 +177,28 @@ def upsample_nested(values):
 def _cell_capacity_ladder(p, i, j, n_values):
     """Full-mode capacity (kappa = ``LADDER_KAPPA``) of the one-node set at
     node (i, j) of the coarsest grid relative to the open unit box, for
-    |xi|^p growth, on each of the nested grids ``n_values``.
+    |xi|^p growth, on each of the nested grids ``n_values``, and each
+    rung's iteration count.
 
     The node is followed as (2i, 2j) down the grids, so every rung marks
-    the same point.  The first rung starts cold, each later one from the
-    upsampled minimizer below it.
+    the same point.  The first rung starts from the zero field (a flat
+    start, no metric weights), each later one from the upsampled
+    minimizer below it.
     """
     if any(m != 2 * n - 1 for n, m in zip(n_values, n_values[1:])):
         raise ValueError(f"grid sizes {tuple(n_values)} are not nested (each next n is 2n - 1)")
     phi, phicirc = radial_power_fn(p), PowerFn(p)
-    u0, values = None, []
+    u0, values, iterations = None, [], []
     for n in n_values:
         k_mask = np.zeros((n, n), dtype=bool)
         k_mask[i, j] = True
         omega = ~_boundary_mask(n)
         res = relative_capacity(phi, phicirc, LADDER_KAPPA, k_mask, omega, n, u0=u0)
         values.append(res.value)
+        iterations.append(res.iterations)
         u0 = upsample_nested(res.minimizer.values)
         i, j = 2 * i, 2 * j
-    return values
+    return values, iterations
 
 
 def point_capacity_scaling(p_values, n_values=(33, 65, 129, 257)):
@@ -209,7 +213,7 @@ def point_capacity_scaling(p_values, n_values=(33, 65, 129, 257)):
     report = {}
     mid = n_values[0] // 2
     for p in p_values:
-        values = np.array(_cell_capacity_ladder(p, mid, mid, n_values))
+        values = np.array(_cell_capacity_ladder(p, mid, mid, n_values)[0])
         report[p] = {
             "n": list(n_values),
             "values": [float(v) for v in values],
@@ -226,15 +230,19 @@ def diffuse_singular_split(measure, p, n_values=(33, 65, 129)):
     own cell, from the same ladder as :func:`point_capacity_scaling`;
     collapsing trend means the atom charges a capacity-null point and goes
     to the singular part.  The density always belongs to the diffuse part.
+    ``details`` holds, per atom, the ladder's values and each rung's
+    iteration count.
     """
     # every atom is snapped, and checked, before the first solve
     nodes = list(measure.atom_nodes(GridField2D.unit_square(n_values[0])))
     diffuse_atoms, singular_atoms, details = [], [], []
     for atom, (i, j, _) in zip(measure.atoms, nodes):
-        values = _cell_capacity_ladder(p, i, j, n_values)
+        values, iterations = _cell_capacity_ladder(p, i, j, n_values)
         collapsing = values[-1] < 0.5 * values[0]
         (singular_atoms if collapsing else diffuse_atoms).append(atom)
-        details.append({"atom": atom, "values": values, "null_supported": collapsing})
+        details.append(
+            {"atom": atom, "values": values, "iterations": iterations, "null_supported": collapsing}
+        )
     return {
         "diffuse_atoms": diffuse_atoms,
         "singular_atoms": singular_atoms,

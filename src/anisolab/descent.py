@@ -30,17 +30,16 @@ times its maximum).  P_w is the inverse of a Laplacian with the local
 stiffness of Phi, so iteration counts stay nearly flat as the grid is
 refined for every growth p, not only p = 2.  Where w is constant on the
 free nodes (quadratic Phi) the solve keeps P itself.  The start
-supplies the weights; a flat start (max |xi| = 0, or more than half of
-the cells below the floor) is cold: it descends in P and, the first
-time its window decrease or its residual falls below ``REWEIGHT_TOL``,
-re-weights once from the best iterate and restarts the step memory
-there.  The residual is the certificate under ``box`` and 1/2 <g, q>
-without it.  A start that supplies weights may supply poor ones (a
-rough warm start): each time the residual has fallen
-``DRIFT_DROP``-fold since the last check, the weights are recomputed
-at the best iterate, and once the 90th percentile over the free nodes
-of |log(w_new / w)| exceeds ``DRIFT_LOG`` the solve switches to them
-and restarts its step memory, as the cold re-weight does.  Under
+supplies the weights, except a flat start (max |xi| = 0, or more than
+half of the cells below the floor), which descends in P.  One rule
+re-weights every solve, flat or warm, with the box or without: each
+time the metric decrement d = 1/2 <g, q> / |E| at the best iterate has
+fallen ``DRIFT_DROP``-fold since the last check (d = 1 at the start),
+the weights are recomputed at the best iterate.  The solve switches to
+them and restarts its step memory there when it had none or when they
+drifted (the 90th percentile over the free nodes of |log(w_new / w)|
+exceeds ``DRIFT_LOG``), and the first check that finds the weights
+holding is the last.  Under
 ``box`` the metric is two-metric (Bertsekas): the nodes on a bound
 whose gradient points out of the box are held, so the metric acts on
 the other nodes alone.  Without that, a clipped step need not go
@@ -114,8 +113,7 @@ MAX_BACKTRACKS = 60
 MEMORY = 10  # accepted energies the nonmonotone Armijo test looks back over
 WINDOW = 50  # iterations of the relative-decrease stopping rule
 FLOOR = 1e-6  # |xi| floor of the metric weights, relative to max |xi|
-REWEIGHT_TOL = 1e-2  # a cold solve re-weights once this close, relative
-DRIFT_DROP = 100.0  # residual decrease between two checks of the weights
+DRIFT_DROP = 100.0  # fall of the relative metric decrement between two checks of the weights
 DRIFT_LOG = float(np.log(4.0))  # weight drift (90th percentile of |log ratio|) that re-weights
 MAX_ITER = 120_000  # iterations before IterationCapError; 20x the slowest test solve
 
@@ -218,14 +216,16 @@ def _fenchel_sum(conjugate, cells, z, h):
 
 
 def _drifted(w, w_new, free):
-    """Whether the 90th percentile over the ``free`` nodes of
-    |log(w_new / w)| exceeds ``DRIFT_LOG``.  False for a flat field
-    (``w_new`` None) or a zero weight.  The percentile is the lower of
+    """Whether the metric should switch from weights w to ``w_new``:
+    True where a flat start (w None) gets its first weights, False for a
+    flat field (``w_new`` None) or a zero weight, and otherwise whether
+    the 90th percentile over the ``free`` nodes of |log(w_new / w)|
+    exceeds ``DRIFT_LOG``.  The percentile is the lower of
     the pair ``np.percentile`` interpolates, the k-th smallest value;
     it exceeds the bound exactly when at most k values lie within it,
     so a count decides without a sort."""
-    if w_new is None:
-        return False
+    if w is None or w_new is None:
+        return w_new is not None
     a, b = w[free], w_new[free]
     if a.min() <= 0.0 or b.min() <= 0.0:
         return False
@@ -327,11 +327,6 @@ def minimize_projected(phi, u0, fixed, h, psi=None, box=False, rel_tol=1e-8):
         """E(best) - lower, or None before any certificate."""
         return None if lower == -np.inf else max(best[1] - lower, 0.0)
 
-    def residual():
-        """What the re-weight rules watch: the certificate under the box,
-        1/2 <g, q> at the best iterate otherwise."""
-        return gap() if box else 0.5 * float(np.vdot(best[2], best[3]).real)
-
     def first_step(direction):
         return 1.0 / max(float(np.sqrt(np.vdot(direction, direction).real)), 1.0)
 
@@ -346,14 +341,13 @@ def minimize_projected(phi, u0, fixed, h, psi=None, box=False, rel_tol=1e-8):
     e, cells = evaluate(u)
     g, cells = gradient(u, cells)
     w = _secant_weights(phi, u, h)
-    cold = w is None
     metric = weighted(w)
     q, direction = descend(u, g)
     step = first_step(direction)
     recent = deque([e], maxlen=MEMORY)
     best, lower = (u, e, g, q), -np.inf
     bound(u, e, g, q, cells)
-    checked = residual()  # the residual at the last check of the weights
+    checked = 1.0  # the metric decrement at the last check of the weights, 0 once they hold
     history = [e]  # the best energy after each iteration
     for it in range(1, MAX_ITER + 1):
         alpha = step
@@ -392,17 +386,13 @@ def minimize_projected(phi, u0, fixed, h, psi=None, box=False, rel_tol=1e-8):
         elif window < rel_tol:
             return finish(it, "rel_decrease", window)
         new = metric
-        if cold:
-            if min(window, residual() / scale) < REWEIGHT_TOL:
-                cold = False
-                w = _secant_weights(phi, best[0], h)
-                new = weighted(w)
-                checked = residual()
-        elif w is not None and residual() <= checked / DRIFT_DROP:
-            checked = residual()
+        d = 0.5 * float(np.vdot(best[2], best[3]).real) / scale  # the relative metric decrement
+        if checked and d <= checked / DRIFT_DROP:
             w_new = _secant_weights(phi, best[0], h)
             if _drifted(w, w_new, free):
-                w, new = w_new, weighted(w_new)
+                checked, w, new = d, w_new, weighted(w_new)
+            else:
+                checked = 0.0  # the weights hold: no further checks
         if new is not metric:
             # restart the step memory at the best iterate, in the new metric
             metric = new
@@ -411,6 +401,5 @@ def minimize_projected(phi, u0, fixed, h, psi=None, box=False, rel_tol=1e-8):
             step = first_step(direction)
             recent = deque([e], maxlen=MEMORY)
             best = (u, e, g, q)
-            checked = residual()
     result = finish(MAX_ITER, "cap", window)
     raise IterationCapError(f"no convergence within {MAX_ITER} iterations", result)

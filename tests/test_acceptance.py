@@ -78,6 +78,10 @@ def test_criterion_7_capacity():
     assert {"annulus_value", "annulus_error", "annulus_iterations"} <= res.keys()
     # 77 in the metric of the whole unit box; Omega's box needs fewer
     assert 0 < res["annulus_iterations"] < 77, res["annulus_iterations"]
+    # one count per ladder rung, n = 33, 65, 129, 257
+    its = res["point_iterations"]
+    assert set(its) == {"1.5", "3.0"}, its
+    assert all(len(v) == 4 and min(v) > 0 for v in its.values()), its
     assert ok, detail
 
 
