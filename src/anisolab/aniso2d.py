@@ -176,8 +176,9 @@ class RadialFn2D:
     def log_value_dir(self, ux, uy, logr):
         ux = np.asarray(ux, dtype=float)
         uy = np.asarray(uy, dtype=float)
-        n = np.hypot(ux, uy)
-        out = self.fn.log_value(np.log(n) + np.asarray(logr, dtype=float))
+        with np.errstate(divide="ignore"):
+            logn = np.log(np.hypot(ux, uy))
+        out = self.fn.log_value(logn + np.asarray(logr, dtype=float))
         return out if np.ndim(out) else float(out)
 
     def grad(self, x, y):

@@ -38,12 +38,13 @@ fallen ``DRIFT_DROP``-fold since the last check (d = 1 at the start),
 the weights are recomputed at the best iterate.  The solve switches to
 them and restarts its step memory there when it had none or when they
 drifted (the 90th percentile over the free nodes of |log(w_new / w)|
-exceeds ``DRIFT_LOG``), and the first check that finds the weights
-holding is the last.  Under
-``box`` the metric is two-metric (Bertsekas): the nodes on a bound
-whose gradient points out of the box are held, so the metric acts on
-the other nodes alone.  Without that, a clipped step need not go
-downhill once some nodes sit on a bound.
+exceeds ``DRIFT_LOG``).  The first check that finds the weights
+holding, or finds weights that give the metric in use (constant ones,
+for quadratic Phi), is the last.  Under ``box`` the metric is
+two-metric (Bertsekas): the nodes on a bound whose gradient points out
+of the box are held, so the metric acts on the other nodes alone.
+Without that, a clipped step need not go downhill once some nodes sit
+on a bound.
 
 **Search.**  Each iteration makes one metric product q = P_w g (g
 masked by the held nodes) and keeps it, so the BB quotient
@@ -391,8 +392,8 @@ def minimize_projected(phi, u0, fixed, h, psi=None, box=False, rel_tol=1e-8):
             w_new = _secant_weights(phi, best[0], h)
             if _drifted(w, w_new, free):
                 checked, w, new = d, w_new, weighted(w_new)
-            else:
-                checked = 0.0  # the weights hold: no further checks
+            if new is metric:
+                checked = 0.0  # the weights hold, or give this metric: no further checks
         if new is not metric:
             # restart the step memory at the best iterate, in the new metric
             metric = new

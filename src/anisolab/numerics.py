@@ -7,13 +7,14 @@ beyond exp(1000), so all structural arithmetic is carried on
 (log t, log f(t)) pairs.
 
 :func:`root_increasing` is the one scalar bracket walk and bisection: it
-places the construction's breakpoints, inverts 1-D functions in log t and
-finds Luxemburg norms in log lambda.  It stays on bisection on purpose: a
-different step would move every bit of the constructed triple.
-:func:`bisect_increasing_arrays` closes given brackets lane by lane, one
-lane per ray of a sublevel set, by safeguarded Illinois false position;
-it keeps the name, bracket and stop rule of the bisection it replaced,
-and evaluates only the rows not yet stopped.
+places the construction's breakpoints and inverts 1-D functions in log t.
+It stays on bisection on purpose: a different step would move every bit
+of the constructed triple.  :func:`bisect_increasing_arrays` closes given
+brackets by safeguarded Illinois false position: lane by lane, one lane
+per ray of a sublevel set, and with one row and one lane the Luxemburg
+norms, whose bracket comes from convexity (:mod:`anisolab.sobolev`).  It
+keeps the name, bracket and stop rule of the bisection it replaced, and
+evaluates only the rows not yet stopped.
 """
 
 from __future__ import annotations

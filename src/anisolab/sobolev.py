@@ -13,10 +13,19 @@ diverges the table is spliced below its first node with a continuously
 matched tau^{3/2} piece, the simplest superlinear power that keeps the
 n = 2 head convergent; the splice changes nothing above the first node.
 
-Luxemburg norms are the usual infimum over lambda of a unit modular.
-The map lambda -> modular(U / lambda) is nonincreasing, so the norm is the
-root of the nondecreasing s -> 1 - modular(U e^-s), searched in
-s = log lambda from log max |U| by :func:`~anisolab.numerics.root_increasing`.
+Luxemburg norms are the usual infimum over lambda of a unit modular
+M(lambda) = modular(U / lambda).  In s = log lambda the norm is the root of
+f(s) = -log M(e^s), with the modular summed in the log domain
+(:func:`log_modular_vector`), so f is finite at every s for U != 0.  For
+convex Phi with Phi(0) = 0, Phi(t xi) >= t Phi(xi) for t >= 1, so
+f(s + tau) >= f(s) + tau for tau >= 0 (Rao and Ren, Theory of Orlicz
+Spaces, 1991): one value f0 at s0 = log max |U| puts the root between s0
+and s0 - f0, and the far end s0 - f0 +- log 2 has |f| >= log 2 with the
+sign a bracket needs.  log M is nearly linear in s, so the bracket is
+closed by the Illinois false position of
+:func:`~anisolab.numerics.bisect_increasing_arrays` in a few steps; its
+stop rule, a width of ``LUXEMBURG_RTOL * max(1, |s|)``, is the one the
+bisection it replaced used.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridfield import forward_gradient
-from .numerics import root_increasing
+from .numerics import bisect_increasing_arrays
 from .tables import MonotoneTable
 
 __all__ = [
@@ -37,7 +46,7 @@ __all__ = [
     "sobolev_conjugate",
     "classify_growth",
     "build_profile",
-    "modular_vector",
+    "log_modular_vector",
     "luxemburg_norm_vector",
     "luxemburg_norm_gradient",
 ]
@@ -169,8 +178,15 @@ def build_profile(table):
 # modulars and Luxemburg norms
 
 
-def modular_vector(gx, gy, phi, cell_area):
-    return float(np.sum(phi.value(gx, gy)) * cell_area)
+def log_modular_vector(gx, gy, phi, cell_area, logr=0.0):
+    """log of the modular sum_cells Phi(e^logr (gx, gy)) * cell_area, by a
+    log-sum-exp over the cells of ``phi.log_value_dir``: finite wherever
+    some cell is, however far its value is from the range of a double."""
+    logphi = phi.log_value_dir(gx, gy, logr)
+    top = float(np.max(logphi))
+    if not np.isfinite(top):
+        return top
+    return top + float(np.log(np.sum(np.exp(logphi - top)))) + float(np.log(cell_area))
 
 
 def luxemburg_norm_vector(gx, gy, phi, cell_area):
@@ -181,11 +197,20 @@ def luxemburg_norm_vector(gx, gy, phi, cell_area):
     if amax == 0.0:
         return 0.0
 
-    def excess(s):
-        scale = np.exp(-s)
-        return 1.0 - modular_vector(gx * scale, gy * scale, phi, cell_area)
+    def f(s, rows=None):
+        """-log M(e^s): nondecreasing in s = log lambda, zero at the norm."""
+        return np.full(np.shape(s), -log_modular_vector(gx, gy, phi, cell_area, -s))
 
-    return float(np.exp(root_increasing(excess, np.log(amax), np.log(4.0), rtol=LUXEMBURG_RTOL)))
+    # f grows at least as fast as s, so the root lies between s0 and s0 - f0,
+    # and f is at least log 2 in size, with the bracket's sign, at ``far``
+    s0 = np.log(amax)
+    f0 = f(s0)
+    far = s0 - f0 + np.copysign(np.log(2.0), -f0)
+    if f0 < 0.0:
+        s = bisect_increasing_arrays(f, [s0], [far], LUXEMBURG_RTOL, f_lo=f0)
+    else:
+        s = bisect_increasing_arrays(f, [far], [s0], LUXEMBURG_RTOL, f_hi=f0)
+    return float(np.exp(s[0]))
 
 
 def luxemburg_norm_gradient(field, phi):

@@ -175,6 +175,23 @@ def test_warm_started_capacity_checks_its_weights_once(monkeypatch):
     assert len(calls) <= 2, len(calls)
 
 
+def test_flat_started_quadratic_capacity_checks_its_weights_once(monkeypatch):
+    # constant secant weights give the metric a flat start already uses,
+    # so the first check is the last
+    n = 65
+    calls = []
+    weights = descent._secant_weights
+
+    def counted(*args):
+        calls.append(args)
+        return weights(*args)
+
+    monkeypatch.setattr(descent, "_secant_weights", counted)
+    res = sobolev_capacity(PHI, PC, 1.0, square_mask(n, 0.4, 0.6, 0.4, 0.6), n)
+    assert res.stop_reason == "gap"
+    assert len(calls) <= 2, len(calls)
+
+
 def test_grid_energy_needs_the_box_edge_fixed():
     n = 9
     fixed = np.zeros((n, n), dtype=bool)

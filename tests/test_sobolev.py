@@ -1,20 +1,56 @@
 import numpy as np
 import pytest
 
-from anisolab.aniso2d import power_sum_fn, quadratic_fn, radial_power_fn
+from anisolab import sobolev
+from anisolab.aniso2d import (
+    constructed_triple_fn,
+    intro_exp_fn,
+    power_sum_fn,
+    quadratic_fn,
+    radial_power_fn,
+    trudinger_fn,
+)
+from anisolab.construction import build_triple
 from anisolab.gridfield import GridField2D, forward_gradient
+from anisolab.numerics import root_increasing
 from anisolab.sobolev import (
     LUXEMBURG_RTOL,
     ClassificationError,
     build_H,
     build_profile,
     classify_growth,
+    log_modular_vector,
     luxemburg_norm_gradient,
     luxemburg_norm_vector,
-    modular_vector,
     sobolev_conjugate,
 )
 from anisolab.tables import MonotoneTable
+
+# Gradient scales and Young functions the Luxemburg-norm search is checked on
+SCALES = (1e-3, 1e-1, 1.0, 1e2, 1e4)
+
+
+def _norm_phis():
+    return [radial_power_fn(p) for p in (1.0, 1.5, 2.0, 3.0, 6.0)] + [
+        quadratic_fn(),
+        power_sum_fn(1.5, 3),
+        trudinger_fn(),
+        intro_exp_fn(),
+        constructed_triple_fn(build_triple(2.0, 1.0, 3)),
+    ]
+
+
+# The walk and bisection on 1 - modular(U e^-s) that the bracket and false
+# position on -log modular replaced, kept as the reference they must match
+# to within one bracket width.
+def _bisected_norm(gx, gy, phi, cell_area):
+    amax = float(max(np.max(np.abs(gx)), np.max(np.abs(gy))))
+
+    def excess(s):
+        scale = np.exp(-s)
+        return 1.0 - float(np.sum(phi.value(gx * scale, gy * scale)) * cell_area)
+
+    return float(np.exp(root_increasing(excess, np.log(amax), np.log(4.0), rtol=LUXEMBURG_RTOL)))
 
 
 def _power_table(p, lo=-8, hi=8, n=300):
@@ -115,15 +151,50 @@ def test_luxemburg_matches_lp(tent65):
 
 def test_luxemburg_norm_within_one_bracket_of_the_unit_modular(rng):
     # the search stops at a bracket of width LUXEMBURG_RTOL * max(1, |log lambda|)
-    # in log lambda around the crossing
+    # in log lambda around the crossing; the modular is summed in the value domain
     area = (1.0 / 32) ** 2
     for phi in (radial_power_fn(1.5), power_sum_fn(2, 3), quadratic_fn()):
         for scale in (1e-6, 1.0, 1e6):
             gx, gy = scale * rng.normal(size=(2, 33, 33))
             s = np.log(luxemburg_norm_vector(gx, gy, phi, area))
             w = LUXEMBURG_RTOL * max(1.0, abs(s))
-            assert modular_vector(gx * np.exp(-(s - w)), gy * np.exp(-(s - w)), phi, area) > 1.0
-            assert modular_vector(gx * np.exp(-(s + w)), gy * np.exp(-(s + w)), phi, area) <= 1.0
+            assert np.sum(phi.value(gx * np.exp(-(s - w)), gy * np.exp(-(s - w)))) * area > 1.0
+            assert np.sum(phi.value(gx * np.exp(-(s + w)), gy * np.exp(-(s + w)))) * area <= 1.0
+
+
+def test_luxemburg_norm_matches_the_bisection_in_at_most_twelve_modulars(rng, monkeypatch):
+    # one modular brackets the root and false position closes the bracket;
+    # the walk and bisection it replaced took 26-30 modulars to the same width
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return log_modular_vector(*args)
+
+    monkeypatch.setattr(sobolev, "log_modular_vector", counted)
+    area = (1.0 / 32) ** 2
+    for phi in _norm_phis():
+        for scale in SCALES:
+            gx, gy = scale * rng.normal(size=(2, 33, 33))
+            calls.clear()
+            s = np.log(luxemburg_norm_vector(gx, gy, phi, area))
+            assert len(calls) <= 12, (phi.name, scale, len(calls))
+            ref = np.log(_bisected_norm(gx, gy, phi, area))
+            assert abs(s - ref) <= LUXEMBURG_RTOL * max(1.0, abs(ref)), (phi.name, scale)
+
+
+def test_luxemburg_norm_of_a_power_is_a_root_of_its_modular(rng):
+    # for c |xi|^p, modular(U / lambda) = lambda^-p modular(U), so the norm
+    # is modular(U)^(1/p)
+    area = (1.0 / 32) ** 2
+    for p in (1.0, 1.5, 2.0, 3.0, 6.0):
+        for c in (0.5, 2.0):
+            for scale in SCALES:
+                gx, gy = scale * rng.normal(size=(2, 33, 33))
+                m = c * np.sum(np.hypot(gx, gy) ** p) * area
+                s = np.log(luxemburg_norm_vector(gx, gy, radial_power_fn(p, c), area))
+                ref = np.log(m) / p
+                assert abs(s - ref) <= LUXEMBURG_RTOL * max(1.0, abs(ref)), (p, c, scale)
 
 
 def test_luxemburg_zero_and_scaling():
@@ -149,11 +220,28 @@ def test_luxemburg_triangle_inequality(rng):
         assert nuv <= (nu + nv) * (1.0 + 1e-6)
 
 
-def test_modular_vector_power_sum():
+def test_log_modular_vector_power_sum():
     gx = np.full((4, 4), 2.0)
     gy = np.full((4, 4), 1.0)
-    out = modular_vector(gx, gy, power_sum_fn(2, 2), 0.25)
-    assert out == pytest.approx(16 * (4.0 + 1.0) * 0.25, rel=1e-12)
+    phi = power_sum_fn(2, 2)
+    out = log_modular_vector(gx, gy, phi, 0.25)
+    assert out == pytest.approx(np.log(16 * (4.0 + 1.0) * 0.25), rel=1e-12)
+    # logr scales the field by e^logr: Phi grows by e^(2 logr)
+    out = log_modular_vector(gx, gy, phi, 0.25, np.log(10.0))
+    assert out == pytest.approx(np.log(16 * (4.0 + 1.0) * 100.0 * 0.25), rel=1e-12)
+
+
+def test_log_modular_vector_past_the_range_of_a_double():
+    # at |U| = 1e200 the value-domain modular overflows; the log-domain one
+    # is the closed form
+    gx = np.full((4, 4), 2e200)
+    gy = np.full((4, 4), 1e200)
+    phi = power_sum_fn(2, 2)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.sum(phi.value(gx, gy)) * 0.25)
+    ref = np.log(16 * (4.0 + 1.0) * 0.25) + 400.0 * np.log(10.0)
+    assert log_modular_vector(gx, gy, phi, 0.25) == pytest.approx(ref, rel=1e-12)
+    assert log_modular_vector(0.0 * gx, 0.0 * gy, phi, 0.25) == -np.inf
 
 
 def test_luxemburg_gradient_of_tent(tent65):
