@@ -42,22 +42,8 @@ class GridField2D:
         """n x n nodes over [0, 1]^2."""
         return cls.zeros(n, 1.0 / (n - 1))
 
-    def as_sampled(self):
-        return SampledFn2D(x0=0.0, y0=0.0, hx=self.h, hy=self.h, values=self.values)
-
     def to_binary(self, path):
-        self.as_sampled().to_binary(path)
-
-    @classmethod
-    def from_binary(cls, path):
-        """Read :meth:`to_binary` output; a grid that is not square or not
-        at the origin raises ValueError."""
-        s = SampledFn2D.from_binary(path)
-        if s.nx != s.ny:
-            raise ValueError("grid fields are square")
-        if s.x0 != 0.0 or s.y0 != 0.0:
-            raise ValueError(f"{path}: origin ({s.x0!r}, {s.y0!r}) is not (0, 0)")
-        return cls(values=s.values, h=s.hx)
+        SampledFn2D(x0=0.0, y0=0.0, hx=self.h, hy=self.h, values=self.values).to_binary(path)
 
 
 def forward_gradient(values, h):

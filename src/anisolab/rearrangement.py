@@ -47,8 +47,11 @@ def ray_radii_log(phi, log_t, n_angles):
 
     ``log_t`` is one level or a 1-D array of levels; an array gives one row
     of log radii per level, all solved in one root search.  A log level that
-    is not finite (t <= 0, inf or nan) raises ValueError naming it.
+    is not finite (t <= 0, inf or nan), or ``n_angles`` below 1, raises
+    ValueError naming it.
     """
+    if n_angles < 1:
+        raise ValueError(f"n_angles {n_angles} must be at least 1")
     log_t = np.asarray(log_t, dtype=float)
     nonfinite = log_t[~np.isfinite(log_t)]
     if nonfinite.size:

@@ -5,13 +5,15 @@ From the radial rearrangement table the pipeline builds, in the plane
 
     H(t) = ( int_0^t (tau / table(tau))^(1/(n-1)) dtau )^((n-1)/n)
 
-by trapezoid quadrature on log-spaced nodes with an analytic head term,
-classifies tail growth from the integrand's log-log slope, and composes
-the Sobolev conjugate as table o H^{-1} (realized by re-indexing the
-table against H, no explicit inversion).  When the head integral
-diverges the table is spliced below its first node with a continuously
-matched tau^{3/2} piece, the simplest superlinear power that keeps the
-n = 2 head convergent; the splice changes nothing above the first node.
+exactly on the table's own nodes: the table is a power between nodes and
+below the first one, so each segment and the head integrate in closed
+form.  It classifies tail growth from the integrand's log-log slope and
+composes the Sobolev conjugate as table o H^{-1} on the same nodes
+(realized by re-indexing the table against H, no explicit inversion).
+When the head integral diverges the table is spliced below its first
+node with a continuously matched tau^{3/2} piece, the simplest
+superlinear power that keeps the n = 2 head convergent; the splice
+changes nothing above the first node.
 
 Luxemburg norms are the usual infimum over lambda of a unit modular
 M(lambda) = modular(U / lambda).  In s = log lambda the norm is the root of
@@ -53,11 +55,6 @@ __all__ = [
 
 DIM = 2  # the plane
 SPLICE_EXPONENT = 1.5  # head splice tau^{3/2}: superlinear, head-convergent for n = 2
-# build_H: start from H_NODES log-spaced nodes and double them, at most
-# H_MAX_DOUBLINGS times, until the top of H moves by at most H_RTOL
-H_NODES = 2048
-H_RTOL = 1e-6
-H_MAX_DOUBLINGS = 4
 # classify_growth fits the last TAIL_FRACTION of the table's log range; a
 # slope within GROWTH_MARGIN of -1 is inconclusive
 TAIL_FRACTION = 0.3
@@ -90,46 +87,34 @@ def _integrand_log(table, logtau):
 
 def _head_exponent(table):
     """Integrand log-log slope at the left edge of the table."""
-    return (1.0 - table._slopes[0]) / (DIM - 1.0)
-
-
-def _cumulative_H(table, nodes):
-    """H on `nodes` log-spaced points across the table's range."""
-    logtau = np.linspace(table.logx[0], table.logx[-1], nodes)
-    logI = _integrand_log(table, logtau)
-    q = _head_exponent(table)
-    spliced = bool(q <= -1.0 + 1e-12)
-    if spliced:
-        # replace the head with c tau^{3/2} matched at tau0 = first node
-        qs = (1.0 - SPLICE_EXPONENT) / (DIM - 1.0)
-        head = np.exp(_integrand_log(table, logtau[0]) + logtau[0]) / (qs + 1.0)
-    else:
-        head = np.exp(logI[0] + logtau[0]) / (q + 1.0)
-    # trapezoid of I(tau) dtau = I(tau) tau dlog(tau) on the log grid
-    g = np.exp(logI + logtau)
-    dlog = np.diff(logtau)
-    cum = head + np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * dlog)))
-    H = cum ** ((DIM - 1.0) / DIM)
-    return logtau, np.log(H), spliced
+    slope = (table.logy[1] - table.logy[0]) / (table.logx[1] - table.logx[0])
+    return (1.0 - slope) / (DIM - 1.0)
 
 
 def build_H(table):
-    """H table with node-doubling until top values agree to ``H_RTOL``.
+    """H on the table's nodes, each segment integrated in closed form.
 
     Fast-growing profiles have a convergent integral, so H saturates and
     the top of the table goes float-flat; those nodes are dropped to keep
     the table strictly increasing.
     """
-    nodes = H_NODES
-    logtau, logH, spliced = _cumulative_H(table, nodes)
-    for _ in range(H_MAX_DOUBLINGS):
-        logtau2, logH2, _ = _cumulative_H(table, 2 * nodes)
-        if abs(logH2[-1] - logH[-1]) <= H_RTOL:
-            break
-        nodes *= 2
-        logtau, logH = logtau2, logH2
+    u = table.logx
+    a = (u - table.logy) / (DIM - 1.0) + u  # log(I(tau) tau), linear in u per segment
+    q = _head_exponent(table)
+    spliced = bool(q <= -1.0 + 1e-12)
+    if spliced:
+        # replace the head with c tau^{3/2} matched at tau0 = first node
+        q = (1.0 - SPLICE_EXPONENT) / (DIM - 1.0)
+    head = np.exp(a[0]) / (q + 1.0)
+    # int of e^a du over a segment, taken from its larger end so that a
+    # steep segment does not overflow expm1
+    d = np.abs(np.diff(a))
+    ratio = np.divide(-np.expm1(-d), d, out=np.ones_like(d), where=d > 0.0)
+    segments = np.exp(np.maximum(a[:-1], a[1:])) * np.diff(u) * ratio
+    cum = head + np.concatenate(([0.0], np.cumsum(segments)))
+    logH = (DIM - 1.0) / DIM * np.log(cum)
     keep = np.concatenate(([True], np.diff(logH) > 0.0))
-    return MonotoneTable(logtau[keep], logH[keep]), spliced
+    return MonotoneTable(u[keep], logH[keep]), spliced
 
 
 def classify_growth(table):

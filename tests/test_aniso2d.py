@@ -24,7 +24,6 @@ from anisolab.aniso2d import (
     trudinger_fn,
     verify_young_inequality,
 )
-from anisolab.gridfield import GridField2D
 from anisolab.numerics import RangeError, logaddexp_many
 from anisolab.young1d import PowerFn
 
@@ -446,8 +445,6 @@ def test_from_binary_rejects_malformed_files(tmp_path, rng):
         p.write_bytes(data)
         with pytest.raises(ValueError):
             SampledFn2D.from_binary(p)
-        with pytest.raises(ValueError):
-            GridField2D.from_binary(p)
 
 
 def test_value_and_grad_is_value_and_grad_bit_for_bit(build6):

@@ -77,6 +77,40 @@ def test_phicirc_and_sobconj(tmp_path):
     assert (tmp_path / "tab.csv").read_text().startswith("s,t\n")
 
 
+def test_sobconj_tables_sit_on_the_input_nodes(tmp_path):
+    # H and phi_n are returned on the input table's nodes; a fast-growing
+    # profile's H saturates, and its float-flat top nodes are dropped
+    s = np.logspace(-8, 8, 77)
+    for p, flat_top in ((1.5, False), (3.0, True)):
+        (tmp_path / "tab.json").write_text(json.dumps({"s": s.tolist(), "t": (s**p).tolist()}))
+        r = run_cli(["sobconj", "--table", "tab.json", "--out", "prof.json"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        prof = json.loads((tmp_path / "prof.json").read_text())
+        H_s = np.array(prof["H"]["s"])
+        assert np.all(np.any(np.isclose(H_s[:, None], s, rtol=1e-14, atol=0.0), axis=1))
+        if flat_top:
+            half = len(s) // 2
+            assert np.allclose(H_s[:half], s[:half], rtol=1e-14, atol=0.0)
+            assert len(H_s) < len(s) and "phin" not in prof
+        else:
+            assert len(H_s) == len(prof["phin"]["s"]) == len(s)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["phicirc", "--phi", "quadratic", "--t-lo", "1", "--t-hi", "10", "--points", "5",
+         "--out", "out.json"],
+        ["sublevel", "--phi", "quadratic", "--levels", "1,10", "--out", "out.json"],
+    ],
+)
+def test_zero_angles_are_named(tmp_path, args):
+    r = run_cli([*args, "--angles", "0"], tmp_path)
+    assert r.returncode == 1
+    assert "error: n_angles 0 must be at least 1" in r.stderr
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_table_rejects_entries_without_finite_logs(tmp_path):
     (tmp_path / "bad.json").write_text(json.dumps({"s": [-1.0, 1.0, 2.0], "t": [1.0, 2.0, 3.0]}))
     r = run_cli(["table", "--table", "bad.json", "--out", "tab.csv"], tmp_path)

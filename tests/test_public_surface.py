@@ -19,9 +19,10 @@ ALLOWED_UNUSED = set()
 
 # Public methods no program code calls, each kept on purpose.
 ALLOWED_UNUSED_METHODS = {
-    # reads the grid files `to_binary` writes (the CLI's `--field` output),
-    # with the malformed-file checks every reader keeps
-    "GridField2D.from_binary",
+    # the one reader of the grid files the CLI writes (`conjugate --out
+    # *.bin`, `capacity --field`, `solve --fields-dir`), with the
+    # malformed-file checks every reader keeps
+    "SampledFn2D.from_binary",
 }
 
 

@@ -52,6 +52,12 @@ def test_ray_radii_reject_non_finite_log_levels(build6):
             ray_radii_log(power_sum_fn(2, 2), np.array([bad, 1.0]), 16)
 
 
+@pytest.mark.parametrize("n_angles", [0, -3])
+def test_ray_radii_reject_fewer_than_one_angle(n_angles):
+    with pytest.raises(ValueError, match=f"n_angles {n_angles} must be at least 1"):
+        ray_radii_log(power_sum_fn(2, 2), np.log([1.0, 10.0]), n_angles)
+
+
 def test_area_strictly_increasing(build6):
     phi = constructed_triple_fn(build6)
     ts = np.logspace(0.5, 7, 12)

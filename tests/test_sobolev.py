@@ -102,6 +102,54 @@ def test_H_splice_for_superquadratic_head():
     assert np.allclose(tab.value(x[5:]), ref, rtol=1e-10)
 
 
+# The table is a power between its nodes, so H at the nodes has a closed
+# form; build_H must match it to rounding.
+
+
+@pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 1.75])
+def test_H_exact_on_power_tables(p):
+    x = np.logspace(-8, 8, 200)
+    H, spliced = build_H(MonotoneTable.from_values(x, x**p))
+    assert not spliced
+    assert np.array_equal(H.logx, np.log(x))
+    ref = 0.5 * np.log(x ** (2.0 - p) / (2.0 - p))
+    assert np.max(np.abs(H.logy - ref)) <= 1e-12
+
+
+def test_H_exact_on_a_kinked_table():
+    # tau^1.25 below tau = 1 and tau^1.75 above, with the kink on a node
+    u = np.concatenate((np.linspace(-18.0, 0.0, 101)[:-1], np.linspace(0.0, 18.0, 101)))
+    H, spliced = build_H(MonotoneTable(u, np.where(u < 0.0, 1.25, 1.75) * u))
+    assert not spliced
+    t = np.exp(u)
+    integral = np.where(t < 1.0, t**0.75 / 0.75, 1.0 / 0.75 + (t**0.25 - 1.0) / 0.25)
+    assert np.max(np.abs(H.logy - 0.5 * np.log(integral))) <= 1e-12
+
+
+def test_H_exact_on_the_spliced_table():
+    x = np.logspace(-8, 8, 300)
+    tab = MonotoneTable.from_values(x, np.where(x < 1.0, x**3, x**1.5))
+    H, spliced = build_H(tab)
+    assert spliced
+    x, y = np.exp(tab.logx), np.exp(tab.logy)
+    # head: tau / (y0 (tau / x0)^1.5) integrates over (0, x0) to 2 x0^2 / y0
+    head = 2.0 * x[0] ** 2 / y[0]
+    # segment j: tau / phi_circ = x_j^m / y_j * tau^(1 - m), with m the table's slope
+    m = np.diff(tab.logy) / np.diff(tab.logx)
+    seg = x[:-1] ** m / y[:-1] * (x[1:] ** (2.0 - m) - x[:-1] ** (2.0 - m)) / (2.0 - m)
+    integral = head + np.concatenate(([0.0], np.cumsum(seg)))
+    assert np.max(np.abs(H.logy - 0.5 * np.log(integral))) <= 1e-12
+
+
+def test_H_of_a_steep_segment_stays_finite():
+    # the integrand grows by e^1151 across the one segment, past the range
+    # of a double, while the integral itself is about 8e299
+    H, spliced = build_H(MonotoneTable.from_values([1e-200, 1e200], [1e-200, 1e100]))
+    assert not spliced
+    ref = 0.5 * (np.log(1e-200) * (0.75 - 1.0) + 1.25 * np.log(1e200) - np.log(1.25))
+    assert abs(H.logy[-1] - ref) <= 1e-12
+
+
 def test_sobolev_conjugate_exponents():
     for p, expo in ((1.0, 2.0), (1.5, 6.0)):
         prof = build_profile(_power_table(p))
