@@ -104,6 +104,8 @@ def cmd_phicirc(args):
     for flag, t in (("--t-lo", args.t_lo), ("--t-hi", args.t_hi)):
         if not 0.0 < t < np.inf:
             raise ValueError(f"{flag} {t:g} must be positive and finite")
+    if args.points < 2:
+        raise ValueError(f"--points {args.points} must be at least 2")
     grid = np.logspace(np.log10(args.t_lo), np.log10(args.t_hi), args.points)
     table = phi_circ(phi, grid, n_angles=args.angles)
     table.save(args.out)

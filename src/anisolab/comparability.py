@@ -19,7 +19,6 @@ definite per-map verdict possible at a finite cycle count.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
@@ -364,15 +363,6 @@ def composed_forms(phi, mats):
     return np.einsum("mji,kj->mki", mats, dirs)
 
 
-def _worker_count():
-    """The probe's pool size from ANISOLAB_THREADS (unset: 1); anything
-    but a positive integer raises ValueError."""
-    raw = os.environ.get("ANISOLAB_THREADS", "1")
-    if not (raw.strip().isdecimal() and int(raw) >= 1):
-        raise ValueError(f"ANISOLAB_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
 def _sign_classes(mats):
     """Each map up to sign, once: (distinct, where) with ``distinct`` the
     maps whose first nonzero entry is positive, in order of first
@@ -404,9 +394,7 @@ def essential_anisotropy_probe(phi, mats):
     Xeon core 1,024 beat 512, 2,048 and 4,096); for other functions each
     map goes through the generic cloud test; ``phi`` must be a sum of
     directional terms (a ``terms`` list).  Chunks are independent, row by
-    row, so their size cannot change a result; ANISOLAB_THREADS caps the
-    pool, and the reduction is indexed, so scheduling cannot change the
-    result either.
+    row, so their size cannot change a result.
 
     Both paths report the per-map ``fails`` (bool) and ``worst_drops``
     (the cycle-witness gap drops; zeros on the cloud path), with
@@ -430,25 +418,9 @@ def essential_anisotropy_probe(phi, mats):
     if hasattr(phi, "build"):
         method = "cycle-witness"
         log_d = np.log(DEFAULT_D_GRID)
-        n_workers = _worker_count()
-        spans = [(a, min(a + PROBE_CHUNK, n)) for a in range(0, n, PROBE_CHUNK)]
-
-        def run_span(span):
-            a, b = span
-            return span, _triple_axis_fails(phi.build, forms[a:b], log_d)
-
-        if n_workers > 1 and len(spans) > 1:
-            # imported here: concurrent.futures also loads logging, start-up
-            # work that the one-worker default never needs
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                results = list(pool.map(run_span, spans))
-        else:
-            results = [run_span(s) for s in spans]
-        for (a, b), (f, w) in results:
-            fails[a:b] = f
-            drops[a:b] = w
+        for a in range(0, n, PROBE_CHUNK):
+            b = min(a + PROBE_CHUNK, n)
+            fails[a:b], drops[a:b] = _triple_axis_fails(phi.build, forms[a:b], log_d)
     else:
         method = "cloud"
         fns = [fn for _, _, fn in phi.terms]

@@ -95,8 +95,8 @@ def build_H(table):
     """H on the table's nodes, each segment integrated in closed form.
 
     Fast-growing profiles have a convergent integral, so H saturates and
-    the top of the table goes float-flat; those nodes are dropped to keep
-    the table strictly increasing.
+    the top of the table goes float-flat; H ends at its first node where
+    log H stops increasing, which keeps the table strictly increasing.
     """
     u = table.logx
     a = (u - table.logy) / (DIM - 1.0) + u  # log(I(tau) tau), linear in u per segment
@@ -113,8 +113,9 @@ def build_H(table):
     segments = np.exp(np.maximum(a[:-1], a[1:])) * np.diff(u) * ratio
     cum = head + np.concatenate(([0.0], np.cumsum(segments)))
     logH = (DIM - 1.0) / DIM * np.log(cum)
-    keep = np.concatenate(([True], np.diff(logH) > 0.0))
-    return MonotoneTable(u[keep], logH[keep]), spliced
+    rising = np.diff(logH) > 0.0
+    end = len(logH) if rising.all() else 1 + int(np.argmin(rising))
+    return MonotoneTable(u[:end], logH[:end]), spliced
 
 
 def classify_growth(table):

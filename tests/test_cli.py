@@ -10,8 +10,8 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-def run_cli(args, cwd, **env_vars):
-    env = dict(os.environ, PYTHONPATH=SRC, **env_vars)
+def run_cli(args, cwd):
+    env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run(
         [sys.executable, "-m", "anisolab", *args],
         cwd=cwd,
@@ -207,6 +207,18 @@ def test_phicirc_names_a_bad_level_range(tmp_path, t_lo, t_hi, message):
     assert not (tmp_path / "table.json").exists()
 
 
+@pytest.mark.parametrize("points", ["1", "0"])
+def test_phicirc_needs_two_points(tmp_path, points):
+    r = run_cli(
+        ["phicirc", "--phi", "quadratic", "--points", points, "--angles", "64",
+         "--out", "table.json"],
+        tmp_path,
+    )
+    assert r.returncode == 1
+    assert f"error: --points {points} must be at least 2" in r.stderr
+    assert not (tmp_path / "table.json").exists()
+
+
 def test_a_triple_file_with_phi_reads_the_schedule(tmp_path, build9):
     # triple files once carried a serialized copy of the three functions
     # ("phi") beside the schedule; the reader ignores it, so a swapped pair
@@ -285,19 +297,6 @@ def test_probe_csv(tmp_path):
     assert len(lines) == 1 + 12 * 3 * 3
     assert all(line.split(",")[3] == "fail" for line in lines[1:])
     assert "108/108" in r.stdout
-
-
-def test_probe_rejects_a_bad_thread_count(tmp_path):
-    run_cli(["construct", "--cycles", "4", "--out", "triple.json"], tmp_path)
-    r = run_cli(
-        ["probe", "--phi", "triple.json", "--rotations", "2", "--shears", "1",
-         "--scales", "1", "--out", "probe.csv"],
-        tmp_path,
-        ANISOLAB_THREADS="abc",
-    )
-    assert r.returncode == 1
-    assert "error: ANISOLAB_THREADS must be a positive integer, got 'abc'" in r.stderr
-    assert not (tmp_path / "probe.csv").exists()
 
 
 def test_capacity_cli(tmp_path):

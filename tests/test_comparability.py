@@ -1,4 +1,3 @@
-import concurrent.futures
 import warnings
 
 import numpy as np
@@ -252,30 +251,18 @@ def test_probe_triple_small_family(build9):
     assert rep["n_failing"] == rep["n_maps"] == 24 * 5 * 5
 
 
-def test_probe_thread_pool_matches_serial(build9, monkeypatch):
-    # 8,820 maps: more than two chunks of PROBE_CHUNK, so two workers really split them
+def test_probe_chunk_size_moves_no_bit(build9, monkeypatch):
+    # 8,820 maps: more than two chunks of PROBE_CHUNK
     phi = constructed_triple_fn(build9)
     mats, _ = default_probe_family(20, 21, 21)
     assert len(mats) > 2 * comparability.PROBE_CHUNK
-    pools = []
-
-    class _Pool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _Pool)
-    monkeypatch.setenv("ANISOLAB_THREADS", "2")
     ref = essential_anisotropy_probe(phi, mats)
-    assert pools == [2]
-    # rows are independent, so neither the pool nor the chunk size moves a bit
-    monkeypatch.setenv("ANISOLAB_THREADS", "1")
+    # rows are independent, so the chunk size does not move a bit
     for chunk in (4096, 1024, 97):
         monkeypatch.setattr(comparability, "PROBE_CHUNK", chunk)
         rep = essential_anisotropy_probe(phi, mats)
         assert rep["fails"].tobytes() == ref["fails"].tobytes()
         assert rep["worst_drops"].tobytes() == ref["worst_drops"].tobytes()
-    assert pools == [2]
 
 
 def _logaddexp_chain(*logs):
@@ -297,14 +284,6 @@ def test_probe_agrees_with_the_chained_log_sum_exp(build9, monkeypatch):
     assert np.array_equal(rep["fails"], ref["fails"])
     assert rep["n_failing"] == ref["n_failing"]
     np.testing.assert_allclose(rep["worst_drops"], ref["worst_drops"], rtol=0.0, atol=1e-10)
-
-
-@pytest.mark.parametrize("threads", ["abc", "0", "-3", ""])
-def test_probe_rejects_a_bad_thread_count(build9, monkeypatch, threads):
-    mats, _ = default_probe_family(2, 1, 1)
-    monkeypatch.setenv("ANISOLAB_THREADS", threads)
-    with pytest.raises(ValueError, match=f"ANISOLAB_THREADS .* got {threads!r}"):
-        essential_anisotropy_probe(constructed_triple_fn(build9), mats)
 
 
 @pytest.mark.parametrize("singular", [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from anisolab import descent
-from anisolab.aniso2d import intro_exp_fn, quadratic_fn, radial_power_fn
+from anisolab.aniso2d import constructed_triple_fn, intro_exp_fn, quadratic_fn, radial_power_fn
 from anisolab.descent import IterationCapError, NonDoublingError
 from anisolab.gridfield import GridField2D, divergence_of, forward_gradient
 from anisolab.pde import (
@@ -120,6 +120,13 @@ def test_decomposition_action_rejects_atoms_off_the_grid():
 def test_solve_weak_rejects_non_doubling():
     with pytest.raises(NonDoublingError):
         solve_weak(intro_exp_fn(), _unit_source(17))
+
+
+def test_solve_weak_on_the_six_cycle_triple(build6):
+    # every build of the triple is doubling, so the grid solve takes it
+    u = solve_weak(constructed_triple_fn(build6), _unit_source(17))
+    assert u.stop_reason == "rel_decrease"
+    assert u.objective < 0.0
 
 
 def test_solve_zero_datum_zero_solution():

@@ -150,6 +150,16 @@ def test_H_of_a_steep_segment_stays_finite():
     assert abs(H.logy[-1] - ref) <= 1e-12
 
 
+def test_H_ends_at_its_first_flat_node():
+    # H of t = s^3 saturates: log H first fails to rise after s = 7.85e5,
+    # and a later node that rises again by rounding is not kept
+    s = np.logspace(-8, 8, 77)
+    H, _ = build_H(MonotoneTable.from_values(s, s**3))
+    assert np.exp(H.logx[-1]) < 2.07e6
+    assert np.array_equal(H.logx, np.log(s)[: len(H.logx)])
+    assert np.all(np.diff(H.logy) > 0.0)
+
+
 def test_sobolev_conjugate_exponents():
     for p, expo in ((1.0, 2.0), (1.5, 6.0)):
         prof = build_profile(_power_table(p))

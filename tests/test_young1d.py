@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anisolab.aniso2d import constructed_triple_fn
 from anisolab.construction import build_triple
 from anisolab.numerics import safe_exp
 from anisolab.tables import MonotoneTable
@@ -12,7 +13,6 @@ from anisolab.young1d import (
     PowerLogBaseFn,
     PowerLogFn,
     check_convex,
-    doubling_indices,
     inverse1d_log,
     is_doubling,
 )
@@ -100,22 +100,30 @@ def test_convexity_negative_control():
     assert rep.worst_violation > 1e-3
 
 
-def test_doubling_indices_pure_power():
-    i, s = doubling_indices(PowerFn(3), np.log(10.0), np.log(1e6))
-    assert i == pytest.approx(3.0, abs=1e-9)
-    assert s == pytest.approx(3.0, abs=1e-9)
-
-
-def test_doubling_indices_powerlog_range():
-    i, s = doubling_indices(PowerLogFn(2, 1), np.log(10.0), np.log(1e6))
-    assert i >= 2.0
-    assert s <= 2.5
-
-
 def test_exponential_not_doubling():
     assert not is_doubling(PowerExpFn(2))
     assert is_doubling(PowerFn(2))
     assert is_doubling(PowerLogFn(2, 1))
+
+
+@pytest.mark.parametrize("cycles", range(10))
+def test_every_build_of_the_triple_is_doubling(cycles):
+    build = build_triple(2.0, 1.0, cycles)
+    assert all(is_doubling(f) for f in build.phi)
+    assert constructed_triple_fn(build).is_doubling()
+
+
+def test_a_piecewise_exponential_tail_is_not_doubling():
+    # t^2 up to t = 1, then t^2 e^(t - 1)
+    f = PiecewiseYoungFn1D([PowerFn(2), PowerExpFn(2, np.exp(-1.0))], [0.0])
+    assert not is_doubling(f)
+
+
+def test_an_exponential_head_continued_by_a_line_is_doubling():
+    # t^2 e^t up to t = 1, then its tangent line there
+    head = PowerExpFn(2)
+    line = LinearPiece(head.log_derivative(0.0), 0.0, head.log_value(0.0))
+    assert is_doubling(PiecewiseYoungFn1D([head, line], [0.0]))
 
 
 def test_nfunction_report(build6):
