@@ -88,7 +88,10 @@ def relative_capacity(phi, phicirc, kappa, k_mask, omega_mask, n, mode="full", u
 
     ``mode="dirichlet-only"`` drops the zero-order term (validation mode:
     for |xi|^2 the annulus value has the classical closed form).
+    ``kappa`` must be finite and >= 0.
     """
+    if not 0.0 <= kappa < np.inf:
+        raise ValueError(f"kappa {kappa:g} must be finite and >= 0")
     k_mask = np.asarray(k_mask, dtype=bool)
     omega_mask = np.asarray(omega_mask, dtype=bool)
     if np.any(k_mask & ~omega_mask):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import os
 import sys
@@ -58,26 +59,27 @@ def _write_csv(path, header, rows):
 
 def parse_phi(spec):
     """Parse a 2-D function spec: a path ending in .json (a saved triple)
-    or a builtin tag.
-
-    Builtins: quadratic, introexp, powersum:p1,p2, trudinger[:a,b,d,c],
-    radial:p.
-    """
+    or a builtin tag; a builtin given arguments it does not take raises
+    ValueError naming the spec it takes."""
     if spec.endswith(".json"):
         return constructed_triple_fn(TripleBuild.load(spec))
+    builtins = {
+        "quadratic": (quadratic_fn, "quadratic[:coef]"),
+        "introexp": (intro_exp_fn, "introexp"),
+        "powersum": (power_sum_fn, "powersum:p1,p2[,c1,c2]"),
+        "trudinger": (trudinger_fn, "trudinger[:a,b,d,c]"),
+        "radial": (radial_power_fn, "radial:p[,coef]"),
+    }
     tag, _, args = spec.partition(":")
-    vals = [float(v) for v in args.split(",")] if args else []
-    if tag == "quadratic":
-        return quadratic_fn(*vals)
-    if tag == "introexp":
-        return intro_exp_fn()
-    if tag == "powersum":
-        return power_sum_fn(*vals)
-    if tag == "trudinger":
-        return trudinger_fn(*vals)
-    if tag == "radial":
-        return radial_power_fn(*vals)
-    raise SystemExit(f"unknown phi spec {spec!r}")
+    if tag not in builtins:
+        raise SystemExit(f"unknown phi spec {spec!r}")
+    build, usage = builtins[tag]
+    try:
+        vals = [float(v) for v in args.split(",")] if args else []
+        inspect.signature(build).bind(*vals)
+    except (TypeError, ValueError):
+        raise ValueError(f"phi spec {spec!r}: expected {usage}") from None
+    return build(*vals)
 
 
 def cmd_construct(args):
@@ -226,10 +228,15 @@ def cmd_capacity(args):
 
 def cmd_solve(args):
     phi = parse_phi(args.phi)
+    if args.stages < 1:
+        raise ValueError(f"--stages {args.stages} must be at least 1")
     base = GridField2D.unit_square(args.n)
     kind, _, rest = args.measure.partition(":")
     if kind == "dirac":
-        x, y = (float(v) for v in rest.split(","))
+        try:
+            x, y = (float(v) for v in rest.split(","))
+        except ValueError:
+            raise ValueError(f"--measure {args.measure!r}: expected dirac:x,y") from None
         mu = DiscreteMeasure(atoms=[(x, y, 1.0)])
     elif kind == "square":
         half = float(rest) if rest else 0.2

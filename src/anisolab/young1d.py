@@ -13,22 +13,34 @@ follows one protocol, all methods elementwise-vectorized:
   ``-inf`` (t = 0) gives ``-inf``, except for the slope log coef of
   ``PowerFn`` with p = 1 and for ``LinearPiece``, which only ever
   continues another piece and keeps its anchor value and slope there;
-* ``value`` / ``derivative`` are exp of the log form: t < 0 raises
-  ValueError, t = 0 gives 0, a scalar gives a float and an array keeps
-  its shape;
+* ``value`` / ``derivative`` give f and f' at t: t < 0 raises
+  ValueError, t = 0 gives 0, overflow gives +inf, a scalar gives a
+  float and an array keeps its shape;
 * ``value_and_derivative`` gives the pair (``value``, ``derivative``)
-  bit for bit from one check and one log of t, for callers that need
-  both on the same points (the 2-D ``value_and_grad``).
+  bit for bit from one check and one kernel call, for callers that
+  need both on the same points (the 2-D ``value_and_grad``).
 
 Each type writes only its math, as the array kernels ``_log_value`` /
 ``_log_derivative`` (a float array of log t in, an array of the same
 shape out).  The class decorator :func:`_protocol` installs the five
 public methods from them into the class's own dict rather than a base
 class, so tools that wrap methods class by class (the benchmark's
-tracer, ``bench/tracer.py``) find all five names in every class.
-:class:`PowerFn` also gives its Young conjugate in closed form
-(``conjugate``); the 2-D types build Phi* from it for the dual bound
-that certifies weak solves (:mod:`anisolab.descent`).
+tracer, ``bench/tracer.py``) find all five names in every class.  The
+plain values are exp of the log form, except where a type also writes
+a value kernel ``_value_and_derivative`` (a checked float array of t
+in, the pair out); the plain three are then installed from it.
+:class:`PowerFn` writes one: a single power w = t**(p - 1) gives
+coef * (t * w) and coef * p * w, within 2 ulp, where exp(log coef +
+p log t) is off by hundreds of ulp at large |p log t|.  Its elements
+where w or t * w could overflow or underflow while the scaled result
+would not take the log kernels; bounds fixed at construction let one
+``t.max()`` per call clear the common case (and, only where coef or
+coef * p exceeds 1, a check of the least positive t).  The log-domain
+methods, the piecewise dispatch, which calls only the log kernels, and
+so the construction keep their bits.  :class:`PowerFn` also gives its
+Young conjugate in closed form (``conjugate``); the 2-D types build
+Phi* from it for the dual bound that certifies weak solves
+(:mod:`anisolab.descent`).
 
 :func:`is_doubling` decides Delta_2 exactly from the tail.  A convex
 Young function is doubling iff t f'(t)/f(t) stays bounded
@@ -69,12 +81,16 @@ CONVEX_SPAN = (-6.0, 6.0)  # check_convex's log-t range, widened to the breakpoi
 CONVEX_SLACK = 1e-8  # check_convex's allowed log-slope decrease (nats)
 
 
-def _as_log_args(t):
+def _as_args(t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("arguments must be >= 0; evenness is folded by the caller")
+    return t
+
+
+def _as_log_args(t):
     with np.errstate(divide="ignore"):
-        return np.log(t)
+        return np.log(_as_args(t))
 
 
 def _scalarize(x):
@@ -85,7 +101,8 @@ def _scalarize(x):
 def _protocol(cls):
     """Install ``log_value``, ``log_derivative``, ``value``,
     ``derivative`` and ``value_and_derivative`` in ``cls`` from its
-    kernels ``_log_value`` / ``_log_derivative``."""
+    kernels ``_log_value`` / ``_log_derivative``, the last three from
+    ``_value_and_derivative`` where ``cls`` writes that kernel."""
 
     def log_value(self, logt):
         """log f at log t, elementwise; a scalar gives a float."""
@@ -108,6 +125,22 @@ def _protocol(cls):
         ``value`` and ``derivative`` give."""
         logt = _as_log_args(t)
         return safe_exp(self._log_value(logt)), safe_exp(self._log_derivative(logt))
+
+    if "_value_and_derivative" in cls.__dict__:
+
+        def value(self, t):
+            """f(t) for t >= 0, elementwise; overflow gives +inf."""
+            return _scalarize(self._value_and_derivative(_as_args(t))[0])
+
+        def derivative(self, t):
+            """f'(t) for t >= 0, elementwise; overflow gives +inf."""
+            return _scalarize(self._value_and_derivative(_as_args(t))[1])
+
+        def value_and_derivative(self, t):
+            """(f(t), f'(t)) from one kernel call, each bit for bit what
+            ``value`` and ``derivative`` give."""
+            val, der = self._value_and_derivative(_as_args(t))
+            return _scalarize(val), _scalarize(der)
 
     for fn in (log_value, log_derivative, value, derivative, value_and_derivative):
         fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
@@ -145,6 +178,44 @@ class PowerFn:
             raise ValueError("coefficient must be positive")
         self.p = float(p)
         self.coef = float(coef)
+        self._slope = self.coef * self.p
+        # The value kernel's range of t: above t_hi, t**(p - 1), t**p or
+        # a scaled result could pass 2**1023; below t_lo (0 where no
+        # scale exceeds 1 or the intermediate is exact: t * w at p = 1,
+        # w at p = 1 or 2) one could drop under 2**-1021 while its
+        # scaled result would not.
+        top, bottom = np.log(2.0**1023), np.log(2.0**-1021)
+        log_hi, log_lo = (top - np.log(max(1.0, self.coef))) / self.p, -np.inf
+        if self.p > 1.0:
+            log_hi = min(log_hi, (top - np.log(max(1.0, self._slope))) / (self.p - 1.0))
+            if self.coef > 1.0:
+                log_lo = bottom / self.p
+            if self._slope > 1.0 and self.p != 2.0:
+                log_lo = max(log_lo, bottom / (self.p - 1.0))
+        self._t_hi, self._t_lo = np.exp(log_hi), np.exp(log_lo)
+
+    def _power_pair(self, t):
+        w = t ** (self.p - 1.0)
+        return self.coef * (t * w), self._slope * w
+
+    def _value_and_derivative(self, t):
+        """(coef t**p, coef p t**(p - 1)) from one power w = t**(p - 1),
+        as (coef * (t * w), coef * p * w).  Elements outside 0 and
+        [t_lo, t_hi] (NaN too) take the log kernels; in the common case
+        one ``t.max()`` finds none."""
+        hi, lo = self._t_hi, self._t_lo
+        if t.max(initial=0.0) <= hi and (
+            lo == 0.0 or np.min(t, where=t > 0.0, initial=np.inf) >= lo
+        ):
+            return self._power_pair(t)
+        near = (t <= hi) & ((t >= lo) | (t == 0.0))
+        val, der = np.empty_like(t), np.empty_like(t)
+        val[near], der[near] = self._power_pair(t[near])
+        far = ~near
+        logt = np.log(t[far])
+        val[far] = safe_exp(self._log_value(logt))
+        der[far] = safe_exp(self._log_derivative(logt))
+        return val, der
 
     def _log_value(self, logt):
         return np.log(self.coef) + self.p * logt

@@ -294,6 +294,18 @@ def test_k_outside_omega_rejected():
         relative_capacity(PHI, PC, 1.0, K, Om, n)
 
 
+@pytest.mark.parametrize("kappa", [np.nan, -1.0, np.inf])
+def test_a_bad_kappa_is_named(kappa):
+    n = 17
+    E = square_mask(n, 0.4, 0.6, 0.4, 0.6)
+    for solve in (
+        lambda: sobolev_capacity(PHI, PC, kappa, E, n),
+        lambda: relative_capacity(PHI, PC, kappa, E, np.ones((n, n), bool), n, mode="dirichlet-only"),
+    ):
+        with pytest.raises(ValueError, match=f"kappa {kappa:g} must be finite and >= 0"):
+            solve()
+
+
 def test_minimizer_in_unit_interval():
     n = 65
     E = square_mask(n, 0.4, 0.6, 0.4, 0.6)

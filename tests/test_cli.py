@@ -327,6 +327,35 @@ def test_solve_cli(tmp_path):
     assert rep["l1_gaps"][-1] < rep["l1_gaps"][0]
 
 
+@pytest.mark.parametrize("kappa", ["nan", "-1"])
+def test_capacity_names_a_bad_kappa(tmp_path, kappa):
+    r = run_cli(
+        ["capacity", "--phi", "radial:2", "--kappa", kappa, "--n", "17", "--out", "cap.json"],
+        tmp_path,
+    )
+    assert r.returncode == 1
+    assert f"error: kappa {kappa} must be finite and >= 0" in r.stderr
+    assert not (tmp_path / "cap.json").exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--stages", "0"], "error: --stages 0 must be at least 1"),
+        (["--measure", "dirac:0.5"], "error: --measure 'dirac:0.5': expected dirac:x,y"),
+        (["--phi", "radial"], "error: phi spec 'radial': expected radial:p[,coef]"),
+    ],
+    ids=["stages", "dirac", "radial"],
+)
+def test_solve_names_a_bad_argument(tmp_path, args, message):
+    base = {"--phi": "quadratic", "--stages": "2", "--n": "17", "--out": "solve.json"}
+    base.update(zip(args[::2], args[1::2]))
+    r = run_cli(["solve", *(x for kv in base.items() for x in kv)], tmp_path)
+    assert r.returncode == 1
+    assert message in r.stderr
+    assert not (tmp_path / "solve.json").exists()
+
+
 def test_solve_rejects_an_atom_on_the_box_edge(tmp_path):
     # the zero-boundary solve never sees mass on the edge, so nothing is run
     r = run_cli(

@@ -1,7 +1,9 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
-from anisolab.aniso2d import constructed_triple_fn
+from anisolab.aniso2d import constructed_triple_fn, quadratic_fn
 from anisolab.construction import build_triple
 from anisolab.numerics import safe_exp
 from anisolab.tables import MonotoneTable
@@ -173,16 +175,42 @@ PROTOCOL_CASES = {
 }
 
 
+def _decimal_power_pair(f, t):
+    """(coef t**p, coef p t**(p - 1)) of a PowerFn at each t, rounded
+    from 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        c, p = Decimal(f.coef), Decimal(f.p)
+        pairs = []
+        for x in np.ravel(t):
+            x = Decimal(float(x))
+            w = x ** (p - 1) if f.p != 1.0 else Decimal(1)
+            pairs.append((float(c * x * w), float(c * p * w)))
+    val, der = np.array(pairs).T
+    return val.reshape(np.shape(t)), der.reshape(np.shape(t))
+
+
+def _ulps(got, ref):
+    return np.abs(got - ref) / np.spacing(ref)
+
+
 @pytest.mark.parametrize("name", sorted(PROTOCOL_CASES))
 def test_one_protocol_edge_rules(name, build6):
     f = PROTOCOL_CASES[name](build6)
     t = np.array([[0.0, 0.5], [3.0, 40.0]])
     with np.errstate(divide="ignore"):
         logt = np.log(t)
-    for plain, log_fn in ((f.value, f.log_value), (f.derivative, f.log_derivative)):
+    # a type with a value kernel is held to a decimal reference, every
+    # other one to exp of its log form bit for bit
+    value_kernel = "_value_and_derivative" in type(f).__dict__
+    refs = _decimal_power_pair(f, t) if value_kernel else (None, None)
+    for plain, log_fn, ref in zip((f.value, f.derivative), (f.log_value, f.log_derivative), refs):
         out = plain(t)
         assert out.shape == t.shape
-        assert np.array_equal(out, safe_exp(log_fn(logt)))
+        if value_kernel:
+            assert np.all(_ulps(out, ref) <= 2.0)
+        else:
+            assert np.array_equal(out, safe_exp(log_fn(logt)))
         assert type(plain(3.0)) is float and plain(3.0) == out[1, 0]
         assert log_fn(-np.inf) == -np.inf
         with pytest.raises(ValueError):
@@ -273,10 +301,62 @@ def test_one_piece_function_equals_its_form_bit_for_bit(form):
             assert type(whole(x)) is float
             assert np.array_equal(whole(x), bare(x))
             assert np.array_equal(whole(np.array(x)), bare(np.array(x)))
+    # the piecewise function's plain values are exp of its pieces' log
+    # kernels, whatever value kernel the form has of its own
     ts = np.exp(logts[:3])
+    with np.errstate(divide="ignore"):
+        log_ts = np.log(ts)
     for name in ("value", "derivative"):
-        assert np.array_equal(getattr(f, name)(ts), getattr(form, name)(ts))
-        assert getattr(f, name)(ts[1]) == getattr(form, name)(ts[1])
+        via_log = safe_exp(getattr(form, f"log_{name}")(log_ts))
+        assert np.array_equal(getattr(f, name)(ts), via_log)
+        assert getattr(f, name)(ts[1]) == via_log[1]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 3.0, 6.0])
+def test_power_values_are_within_two_ulp_of_a_decimal_reference(p, rng):
+    for coef in (1.0, 1.0 / p, 0.6, 3.0, 1e-3):
+        f = PowerFn(p, coef)
+        t = 10.0 ** rng.uniform(-40.0, 40.0 / p, 60)
+        val, der = _decimal_power_pair(f, t)
+        assert np.all(_ulps(f.value(t), val) <= 2.0), coef
+        assert np.all(_ulps(f.derivative(t), der) <= 2.0), coef
+
+
+@pytest.mark.parametrize(
+    "f, t",
+    [
+        (PowerFn(2.5, 0.5), [2e123, 2.5e123]),  # t**p overflows, coef t**p does not
+        (PowerFn(2.0, 1e-100), [1e160, 1e200]),
+        (PowerFn(2.0, 1e100), [1e-170, 1e-200]),  # t * t underflows, coef t * t does not
+        (PowerFn(6.0, 1e200), [1e-60, 1e-80]),
+    ],
+    ids=["high-p2.5", "high-p2", "low-p2", "low-p6"],
+)
+def test_power_guard_keeps_the_scaled_result(f, t):
+    for mix in (t, [0.0, 1.0] + t):  # alone, and beside elements the power takes
+        mix = np.array(mix)
+        val, der = f.value_and_derivative(mix)
+        with np.errstate(divide="ignore"):
+            logt = np.log(mix)
+        ref_val, ref_der = safe_exp(f.log_value(logt)), safe_exp(f.log_derivative(logt))
+        assert np.all(np.isfinite(val) & np.isfinite(der))
+        assert np.all(val[mix > 0] >= np.finfo(float).tiny)
+        assert np.all(der[mix > 0] >= np.finfo(float).tiny)
+        assert np.allclose(val, ref_val, rtol=1e-13, atol=0.0)
+        assert np.allclose(der, ref_der, rtol=1e-13, atol=0.0)
+        assert np.array_equal(val, f.value(mix)) and np.array_equal(der, f.derivative(mix))
+
+
+def test_in_range_grid_takes_no_log_kernel(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("log kernel used on an in-range grid")
+
+    for name in ("_log_value", "_log_derivative"):
+        monkeypatch.setattr(PowerFn, name, refuse)
+    x, y = np.meshgrid(np.linspace(-3.0, 3.0, 41), np.linspace(-1.0, 1.0, 21), indexing="ij")
+    val, gx, gy = quadratic_fn(1.0).value_and_grad(x, y)
+    assert np.array_equal(val, x * x + y * y)
+    assert np.array_equal(gx, 2.0 * x) and np.array_equal(gy, 2.0 * y)
 
 
 # The piece dispatch that the threshold-mask walk replaced, kept as the
