@@ -429,7 +429,7 @@ def run_all(quick=False, seed=DEFAULT_SEED):
         # wall-clock values stay out of the summary so reruns are byte-identical
         for key in [k for k in res if k.endswith("seconds")]:
             timings[f"{name}.{key}"] = res.pop(key)
-        res["within_budget"] = bool(seconds <= RUNTIME_BUDGETS[name])
+        timings[f"{name}.within_budget"] = bool(seconds <= RUNTIME_BUDGETS[name])
         summary["criteria"][name] = res
     det = criterion_determinism(seed=seed)
     timings["9_determinism"] = det.pop("seconds")

@@ -368,10 +368,10 @@ class SampledFn2D:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["x", "y", "value"])
-            xs, ys = self.x, self.y
-            for i in range(self.nx):
-                for j in range(self.ny):
-                    w.writerow([repr(xs[i]), repr(ys[j]), repr(self.values[i, j])])
+            ys = self.y.tolist()
+            for x, row in zip(self.x.tolist(), self.values.tolist()):
+                for y, v in zip(ys, row):
+                    w.writerow([repr(x), repr(y), repr(v)])
 
     def to_binary(self, path):
         """nx, ny (int64 LE), x0, y0, h (float64 LE), then row-major float64."""

@@ -191,7 +191,7 @@ def cmd_probe(args):
     rep = essential_anisotropy_probe(phi, mats)
     rows = [
         (theta, s, lam, "fail" if fail else "pass", float(drop))
-        for (theta, s, lam), fail, drop in zip(params, rep["fails"], rep["worst_drops"])
+        for (theta, s, lam), fail, drop in zip(params.tolist(), rep["fails"], rep["worst_drops"])
     ]
     _write_csv(args.out, ["theta_deg", "shear", "scale", "verdict", "worst_drop"], rows)
     print(

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import product
 
 import numpy as np
 
@@ -325,7 +324,8 @@ def _triple_axis_fails(build, forms, log_d):
 
 
 def default_probe_family(n_rot=360, n_shear=21, n_scale=21):
-    """Rotations x shears x unimodular scalings, row-major parameter order.
+    """Rotations x shears x unimodular scalings, row-major: (M, 2, 2) maps
+    and an (M, 3) array of their (theta in degrees, shear, scale).
 
     The rotations run over theta = 0, 1, ..., n_rot - 1 degrees.  A map at
     theta >= 180 is built as the exact negation of the map at theta - 180
@@ -348,8 +348,8 @@ def default_probe_family(n_rot=360, n_shear=21, n_scale=21):
     np.matmul((R[:, None] @ S[None])[:, :, None], L[None, None], out=mats[:h])
     for a in range(180, n_rot, 180):
         np.negative(mats[a - 180 : min(a, n_rot - 180)], out=mats[a : a + 180])
-    params = list(product(np.rad2deg(thetas).tolist(), shears.tolist(), scales.tolist()))
-    return mats.reshape(-1, 2, 2), params
+    params = np.stack(np.meshgrid(np.rad2deg(thetas), shears, scales, indexing="ij"), axis=-1)
+    return mats.reshape(-1, 2, 2), params.reshape(-1, 3)
 
 
 def canonical_shear():

@@ -23,6 +23,7 @@ import numpy as np
 
 MAX_STEPS = 200  # bracket-walk steps, and bracket-closing steps, of each root search
 EXP_FLOOR = -700.0  # exp arguments clamped here are absorbed; below -708 exp is slow
+ROOT_RTOL = 1e-12  # relative bracket width at which the root searches stop
 
 
 class RangeError(ValueError):
@@ -119,7 +120,7 @@ def safe_exp(logv):
     return out
 
 
-def root_increasing(f, start, step, rtol=1e-12):
+def root_increasing(f, start, step, rtol=ROOT_RTOL):
     """Root of a nondecreasing scalar function, searched from ``start``.
 
     Walks right (where ``f(start) < 0``) or left in steps doubling from
@@ -157,7 +158,7 @@ def root_increasing(f, start, step, rtol=1e-12):
     return 0.5 * (lo + hi)
 
 
-def bisect_increasing_arrays(f, lo, hi, rtol=1e-12, f_lo=None, f_hi=None):
+def bisect_increasing_arrays(f, lo, hi, rtol=ROOT_RTOL, f_lo=None, f_hi=None):
     """Root of f per lane, on brackets with ``f(lo) < 0 <= f(hi)``, for
     ``(rows, lanes)`` arrays ``lo`` and ``hi`` (1-D: one row).
 

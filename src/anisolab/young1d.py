@@ -49,6 +49,22 @@ for every type here that ratio is bounded near 0 and on bounded
 intervals, so only the growth at infinity decides, and only a tail of
 :class:`PowerExpFn` (the last piece, for a piecewise function) fails.
 
+:func:`check_convex` decides convexity exactly, from no samples: a
+continuous function convex on each piece is convex iff log f' does not
+fall at its joints (Rockafellar, Convex Analysis, 1970, section 24).
+The closed forms are convex by their constructors' guards: ``PowerFn``
+(p >= 1), ``PowerExpFn`` and ``LinearPiece`` by their form, and
+``PowerLogFn`` (p >= 1, alpha > 0) as, with L = log(1 + t),
+(1+t)^2 t^(2-p) L^(2-alpha) f'' = p(p-1) L^2 (1+t)^2 + alpha t [2pL(1+t)
++ t(alpha-1-L)] >= alpha t g with g = 2L + t(L-1) > 0 (g(0) = 0, g' =
+1/(1+t) + L > 0); ``PowerLogBaseFn`` (delta >= 0) likewise, with M =
+log(base + t) >= L for L and base + t for 1 + t.  A piecewise function
+is checked at its breakpoints, a :class:`~anisolab.tables.MonotoneTable`
+(y_j (t/x_j)**m_j on each segment) at its log-log slopes, which must
+start at 1 or more and never fall.  A fall counts only beyond
+``ROOT_RTOL * max(1, |log f'|)``, the relative width in log t to which
+:func:`~anisolab.numerics.root_increasing` places the breakpoints.
+
 Breakpoints grow like exp(poly(k)) under the inductive gluing, far past
 double range, so every structural computation runs on (log t, log f(t))
 pairs; plain values are produced only on demand, and one that overflows
@@ -61,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import log1p_exp, logsubexp, root_increasing, safe_exp
+from .numerics import ROOT_RTOL, log1p_exp, logsubexp, root_increasing, safe_exp
 
 __all__ = [
     "PowerFn",
@@ -75,10 +91,6 @@ __all__ = [
     "is_doubling",
     "ConvexityReport",
 ]
-
-CONVEX_SAMPLES = 64  # check_convex's log-t samples per piece
-CONVEX_SPAN = (-6.0, 6.0)  # check_convex's log-t range, widened to the breakpoints
-CONVEX_SLACK = 1e-8  # check_convex's allowed log-slope decrease (nats)
 
 
 def _as_args(t):
@@ -269,11 +281,15 @@ class PowerLogFn:
 
 @_protocol
 class PowerLogBaseFn:
-    """t**p * log(base+t)**delta with base > 1 (Trudinger-style factor)."""
+    """t**p * log(base+t)**delta with base > 1 and delta >= 0
+    (Trudinger-style factor); a negative delta need not give a Young
+    function."""
 
     def __init__(self, p, delta, base):
         if p < 1.0 or base <= 1.0:
             raise ValueError("need p >= 1 and base > 1")
+        if delta < 0.0:
+            raise ValueError(f"delta {delta!r} must be >= 0")
         if p == 1.0 and delta <= 0.0:
             raise ValueError("p == 1 requires delta > 0 for superlinearity")
         self.p = float(p)
@@ -296,12 +312,9 @@ class PowerLogBaseFn:
             t1 = np.log(self.p) + (self.p - 1.0) * logt + self.delta * loglg
             if self.delta == 0.0:
                 out = t1
-            elif self.delta > 0.0:
+            else:
                 t2 = np.log(self.delta) + self.p * logt + (self.delta - 1.0) * loglg - lbt
                 out = np.logaddexp(t1, t2)
-            else:
-                t2 = np.log(-self.delta) + self.p * logt + (self.delta - 1.0) * loglg - lbt
-                out = logsubexp(t1, t2)
         return np.where(np.isneginf(logt), -np.inf, out)
 
 
@@ -447,56 +460,39 @@ def inverse1d_log(f, logy):
 @dataclass
 class ConvexityReport:
     ok: bool
-    worst_logt: float = np.nan
-    worst_violation: float = 0.0  # log-slope decrease observed (nats)
-    samples: int = 0
+    worst_logt: float = np.nan  # the joint where log f' falls most
+    worst_violation: float = 0.0  # that fall in nats, 0 where log f' never falls
 
 
-def _sample_logts(f):
-    """Log-t sample grid: dense inside each piece plus breakpoint straddles."""
-    if isinstance(f, PiecewiseYoungFn1D) and len(f.breakpoints_logt):
-        edges = np.concatenate(
-            (
-                [min(CONVEX_SPAN[0], f.breakpoints_logt[0] - 3.0)],
-                f.breakpoints_logt,
-                [f.breakpoints_logt[-1] + 3.0],
-            )
-        )
-    else:
-        edges = np.array(CONVEX_SPAN, dtype=float)
-    chunks = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        chunks.append(np.linspace(a, b, CONVEX_SAMPLES, endpoint=False))
-    chunks.append(edges[-1:])
-    return np.unique(np.concatenate(chunks))
+def _joint_report(logt, left, right):
+    """Report on log f' going from ``left`` to ``right`` at ``logt``."""
+    left = np.asarray(left, dtype=float)
+    drop = left - np.asarray(right, dtype=float)
+    if not drop.size:
+        return ConvexityReport(ok=True)
+    worst = int(np.argmax(drop))
+    ok = bool(np.all(drop <= ROOT_RTOL * np.maximum(1.0, np.abs(left))))
+    return ConvexityReport(ok, float(logt[worst]), float(max(drop[worst], 0.0)))
 
 
 def check_convex(f):
-    """Convexity via nondecreasing difference quotients of sampled secants.
-
-    Quotients are compared on the log scale, where relative slack in the
-    value domain maps to additive slack in nats.
-    """
-    logts = _sample_logts(f)
-    logfs = f.log_value(logts)
-    # log of (f(t_{i+1}) - f(t_i)) / (t_{i+1} - t_i)
-    with np.errstate(invalid="ignore"):
-        log_slopes = logsubexp(logfs[1:], logfs[:-1]) - logsubexp(logts[1:], logts[:-1])
-    good = np.isfinite(log_slopes)
-    ls = log_slopes[good]
-    pos = logts[1:][good]
-    if len(ls) < 2:
-        return ConvexityReport(ok=True, samples=len(logts))
-    drops = ls[:-1] - ls[1:]  # positive where the slope decreased
-    worst = int(np.argmax(drops))
-    slack = CONVEX_SLACK + 64.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(ls[:-1]))
-    ok = bool(np.all(drops <= slack))
-    return ConvexityReport(
-        ok=ok,
-        worst_logt=float(pos[worst]),
-        worst_violation=float(max(drops[worst], 0.0)),
-        samples=len(logts),
-    )
+    """Convexity decided exactly at the joints of ``f`` (see the module
+    docstring); a table is read from its ``logx``/``logy``."""
+    if isinstance(f, PiecewiseYoungFn1D):
+        bad = [rep for rep in map(check_convex, f.pieces) if not rep.ok]
+        if bad:
+            return bad[0]
+        b = f.breakpoints_logt
+        left = [piece.log_derivative(x) for piece, x in zip(f.pieces, b)]
+        right = [piece.log_derivative(x) for piece, x in zip(f.pieces[1:], b)]
+        return _joint_report(b, left, right)
+    if hasattr(f, "logx"):
+        # log f' = log m_j + log y_j - log x_j right of node j; the slopes
+        # rise from 1 (checked at node 0) and never fall
+        logm = np.log(np.diff(f.logy) / np.diff(f.logx))
+        secant = f.logy[:-1] - f.logx[:-1]
+        return _joint_report(f.logx[:-1], secant + np.append(0.0, logm[:-1]), secant + logm)
+    return ConvexityReport(ok=True)
 
 
 def is_doubling(f):

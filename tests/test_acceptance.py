@@ -93,6 +93,19 @@ def test_criterion_8_pde():
     assert set(res["ladder_stop_reasons"]) == {"gap"}, res["ladder_stop_reasons"]
 
 
+def test_summary_keeps_wall_clock_flags_in_timings(monkeypatch):
+    def slow(quick, seed):
+        return {"pass": True, "seconds": 9.0, "build_seconds": 1.0}
+
+    monkeypatch.setattr(acceptance, "CRITERIA", {"1_construction": slow})
+    monkeypatch.setattr(acceptance, "criterion_determinism", lambda seed: {"pass": True, "seconds": 0.5})
+    summary, timings = acceptance.run_all()
+    assert summary["criteria"]["1_construction"] == {"pass": True}
+    # 9 s exceeds the 5 s budget
+    assert timings["1_construction.within_budget"] is False
+    assert timings["1_construction.build_seconds"] == 1.0
+
+
 def test_criterion_9_determinism(tmp_path):
     env = dict(os.environ, PYTHONPATH=SRC)
     outs = []

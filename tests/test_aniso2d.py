@@ -239,6 +239,11 @@ def test_sampled_roundtrips(tmp_path):
     lines = c.read_text().strip().split("\n")
     assert lines[0] == "x,y,value"
     assert len(lines) == 1 + 33 * 33
+    # plain shortest round-trip floats, bit for bit
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(rows[:, 0], np.repeat(s.x, 33))
+    assert np.array_equal(rows[:, 1], np.tile(s.y, 33))
+    assert np.array_equal(rows[:, 2], s.values.ravel())
 
 
 def _brute_legendre(xs, ys, values, eta1, eta2):

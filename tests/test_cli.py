@@ -54,6 +54,12 @@ def test_missing_triple_file_is_named(tmp_path):
     assert "No such file or directory: 'missing.json'" in r.stderr
 
 
+def test_negative_trudinger_delta_is_named(tmp_path):
+    r = run_cli(["solve", "--phi", "trudinger:3,1.01,-5,1.01", "--out", "r.json"], tmp_path)
+    assert r.returncode == 1
+    assert "error: delta -5.0 must be >= 0" in r.stderr
+
+
 def test_probe_of_a_function_without_terms_says_why(tmp_path):
     r = run_cli(["probe", "--phi", "radial:2", "--out", "p.csv"], tmp_path)
     assert r.returncode == 1

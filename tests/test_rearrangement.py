@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -36,6 +37,16 @@ def test_ellipse_area():
     assert sublevel_area(power_sum_fn(2, 2, 1.0, 4.0), 1.0) == pytest.approx(
         np.pi / 2.0, rel=1e-9
     )
+
+
+@pytest.mark.parametrize("p, q, t", [(1.5, 3, 10.0), (1.2, 3, 1e5), (1, 1, 1.0), (1.2, 3, 1e-3)])
+def test_sublevel_area_recast_meets_the_exact_area(p, q, t):
+    # |{|x|^p + |y|^q <= t}| = 4 t^(1/p + 1/q) G(1 + 1/p) G(1 + 1/q) / G(1 + 1/p + 1/q);
+    # at (1.2, 3, 1e5) the set's aspect ratio is about 320 and the first
+    # 2,048-angle cast is 1e-2 off
+    a, b = 1.0 / p, 1.0 / q
+    exact = 4.0 * t ** (a + b) * math.gamma(1.0 + a) * math.gamma(1.0 + b) / math.gamma(1.0 + a + b)
+    assert sublevel_area(power_sum_fn(p, q), t) == pytest.approx(exact, rel=1e-6)
 
 
 def test_bad_level_rejected():

@@ -8,6 +8,7 @@ from anisolab.construction import build_triple
 from anisolab.numerics import safe_exp
 from anisolab.tables import MonotoneTable
 from anisolab.young1d import (
+    ConvexityReport,
     LinearPiece,
     PiecewiseYoungFn1D,
     PowerExpFn,
@@ -102,6 +103,52 @@ def test_convexity_negative_control():
     assert rep.worst_violation > 1e-3
 
 
+@pytest.mark.parametrize("p, alpha", [(2, 1), (1.5, 0.5), (3, 2), (1.1, 1), (2, 0.3)])
+def test_convexity_of_every_build(p, alpha):
+    # (2, 0.3) from 9 cycles on: log f' falls 0.11 nats at log s ~ 2.9e12
+    # in phi1, within the breakpoints' placement
+    for cycles in range(13):
+        for f in build_triple(p, alpha, cycles).phi:
+            rep = check_convex(f)
+            assert rep.ok, (cycles, rep)
+
+
+def test_convexity_of_closed_forms():
+    for f in (PowerFn(1.0), PowerFn(2.5, 3.0), PowerLogFn(1, 0.3), PowerLogFn(2, 1),
+              PowerLogBaseFn(2, 0.0, np.e), PowerLogBaseFn(1, 0.5, 1.5), PowerExpFn(2),
+              LinearPiece(np.log(2.0), 0.0, 0.0)):
+        assert check_convex(f) == ConvexityReport(ok=True)
+
+
+def test_convexity_of_tables():
+    x = np.logspace(-3, 3, 25)  # holds x = 1
+    assert check_convex(MonotoneTable.from_values(x, 2.0 * x**2.5)).ok
+    assert check_convex(MonotoneTable.from_values(x, x)).ok
+    # slope 3 then 2 at x = 1
+    rep = check_convex(MonotoneTable.from_values(x, np.minimum(x**2, x**3)))
+    assert not rep.ok and rep.worst_logt == 0.0
+    assert rep.worst_violation == pytest.approx(np.log(1.5), rel=1e-12)
+    # slope 0.9 < 1 throughout
+    rep = check_convex(MonotoneTable.from_values(x, x**0.9))
+    assert not rep.ok and rep.worst_logt == np.log(x[0])
+    assert rep.worst_violation == pytest.approx(-np.log(0.9), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1, 1.01, 1.5, 2, 3, 6])
+def test_log_derivative_rises_where_the_docstring_proves_convexity(p):
+    logt = np.linspace(-30.0, 30.0, 20001)
+    for a in (0.01, 0.3, 1, 5, 50):
+        fns = [PowerLogFn(p, a)] + [PowerLogBaseFn(p, a, b) for b in (1.001, 1.5, np.e, 10)]
+        for f in fns:
+            assert np.all(np.diff(f.log_derivative(logt)) >= 0.0), (type(f).__name__, a)
+
+
+def test_negative_log_power_rejected():
+    # t**1.01 log(1.01 + t)**-5 falls from 3.1e6 at t = 0.01 to 6.0 at t = 1
+    with pytest.raises(ValueError, match="delta -5 must be >= 0"):
+        PowerLogBaseFn(1.01, -5, 1.01)
+
+
 def test_exponential_not_doubling():
     assert not is_doubling(PowerExpFn(2))
     assert is_doubling(PowerFn(2))
@@ -162,7 +209,7 @@ _X = np.logspace(-3, 3, 25)
 PROTOCOL_CASES = {
     "power": lambda b: PowerFn(2.5, 3.0),
     "powerlog": lambda b: PowerLogFn(2, 1),
-    "powerlogbase": lambda b: PowerLogBaseFn(2, -0.5, np.e),
+    "powerlogbase": lambda b: PowerLogBaseFn(2, 0.5, np.e),
     "powerexp": lambda b: PowerExpFn(2),
     "table": lambda b: MonotoneTable.from_values(_X, 2.0 * _X**2.5),
     "piecewise-build6": lambda b: b.phi[0],
@@ -254,7 +301,7 @@ def _fused_cases():
         "power": PowerFn(2.5, 3.0),
         "power-p1": PowerFn(1.0, 2.0),
         "powerlog": PowerLogFn(2, 1),
-        "powerlogbase": PowerLogBaseFn(2, -0.5, np.e),
+        "powerlogbase": PowerLogBaseFn(2, 0.5, np.e),
         "powerexp": PowerExpFn(2),
         "linear": LinearPiece(np.log(2.0), 0.0, 0.0),
         "table": MonotoneTable.from_values(_X, 2.0 * _X**2.5),
