@@ -108,7 +108,6 @@ def criterion_construction(quick=False, seed=DEFAULT_SEED):
             and env["min_matches_lower_envelope"]
             and env["max_matches_upper_envelope"]
             and margins_ok
-            and build_seconds < RUNTIME_BUDGETS["1_construction"]
         ),
         "margins": margins,
         "build_seconds": build_seconds,

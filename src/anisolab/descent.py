@@ -59,11 +59,12 @@ accepted trial's gradient (and dual bound) reads those cells instead of
 evaluating Phi again.  The solve returns the best iterate it has seen,
 so the result never lies above the start.
 
-**Certificates.**  At each accepted iterate v a lower bound LB(v) on
-min E is taken:
+**Certificates.**  A certificate is a lower bound LB(v) on min E at an
+accepted iterate v:
 
 - under ``box``, E(v) minus the Frank-Wolfe gap
-  sum_free max(g v, g (v - 1));
+  sum_free max(g v, g (v - 1)), taken at every accepted iterate; it
+  costs one sum over the nodes and no metric product;
 - without the box, where the fixed nodes are exactly the box edge and
   Phi offers its conjugate (``phi.conjugate``, a callable, not None),
   the Fenchel dual bound (Ekeland and Temam 1976; Repin 2008)
@@ -77,12 +78,22 @@ min E is taken:
   Phi(G v) + Phi*(sigma) - sigma . G v, which vanishes at the minimizer;
   for quadratic Phi it is <g, P g> / 2c.  A check costs one metric
   product (none when the solve's metric is P itself), one forward
-  gradient and one Phi* evaluation;
+  gradient and one Phi* evaluation, so it is taken only where it can
+  stop the solve: at the start, and then at an accepted iterate once
+  the predicted gap kappa <g, q> / 2 is at most ``rel_tol`` |E(v)|
+  (``EPS`` |E(v)|, the rounding unit of E, where ``rel_tol`` is below
+  ``EPS``: a prediction cannot resolve a smaller gap).  Here
+  <g, q> / 2 is the metric decrement the iteration already holds, and
+  kappa is the ratio of E - LB to it at the last check, re-estimated at
+  every check.  A stop on anything but the gap first checks the last
+  accepted iterate, if the prediction skipped it;
 - otherwise there is none, and the result's ``gap`` is None.
 
 The result's ``gap`` is E(best) minus the largest LB(v) over the
-iterates, so E - gap <= min E <= E up to the rounding of the energy
-sums; it closes even once the energies sit at that rounding.
+checked iterates, so E - gap <= min E <= E up to the rounding of the
+energy sums; it closes even once the energies sit at that rounding.
+``checks`` counts the certificates taken, the start's included (0
+without one).
 
 **Stop reasons.**  ``gap`` (the certificate is at most ``rel_tol``
 times |E|), ``rel_decrease`` (no certificate, that is, a Phi without a
@@ -117,6 +128,7 @@ FLOOR = 1e-6  # |xi| floor of the metric weights, relative to max |xi|
 DRIFT_DROP = 100.0  # fall of the relative metric decrement between two checks of the weights
 DRIFT_LOG = float(np.log(4.0))  # weight drift (90th percentile of |log ratio|) that re-weights
 MAX_ITER = 120_000  # iterations before IterationCapError; 20x the slowest test solve
+EPS = float(np.finfo(float).eps)  # the rounding unit; a predicted gap below EPS |E| is due
 
 
 class NonDoublingError(ValueError):
@@ -139,6 +151,7 @@ class DescentResult:
     stop_reason: str
     gap: float | None  # upper bound on objective - min, None without a certificate
     evaluations: int  # energy evaluations, the start's and the backtracks' included
+    checks: int  # certificate evaluations, the start's included
 
 
 def _poisson_inverse(fixed):
@@ -310,19 +323,35 @@ def minimize_projected(phi, u0, fixed, h, psi=None, box=False, rel_tol=1e-8):
         return q, np.where(held, 0.0, q)
 
     def bound(u, e, g, q, cells):
-        """Raise ``lower``, the bound below min E, by the certificate at u."""
-        nonlocal lower
+        """Raise ``lower``, the bound below min E, by the certificate at u;
+        a Fenchel check also re-estimates ``kappa``."""
+        nonlocal lower, kappa, checks, pending
+        pending = None
         if box:
             # Frank-Wolfe: the largest <g, u - v> over the box, free nodes only
+            checks += 1
             gf = np.where(fixed, 0.0, g)
             lower = max(lower, e - float(np.sum(np.maximum(gf * u, gf * (u - 1.0)))))
         elif cells is not None:
             # G^T G z = g / h^2 on the free nodes, so the flux
             # sigma = grad Phi(G u) - G z has G^T sigma = -psi'(u) there
+            checks += 1
             lb = _fenchel_sum(conjugate, cells, q if metric is poisson else poisson(g), h)
             if psi is not None:
                 lb += float(np.sum(psi[0](u)))
-            lower = max(lower, lb * area)
+            lb *= area
+            lower = max(lower, lb)
+            dec = 0.5 * float(np.vdot(g, q).real)
+            kappa = (e - lb) / dec if dec > 0.0 else 0.0
+
+    def due(e, g, q):
+        """Whether the certificate is taken at an accepted iterate: always
+        off the Fenchel path (the box's bound is cheap), and on it once
+        the predicted gap kappa <g, q> / 2 is at most
+        max(``rel_tol``, ``EPS``) |E|."""
+        if conjugate is None:
+            return True
+        return kappa * 0.5 * float(np.vdot(g, q).real) <= max(rel_tol, EPS) * abs(e)
 
     def gap():
         """E(best) - lower, or None before any certificate."""
@@ -332,11 +361,15 @@ def minimize_projected(phi, u0, fixed, h, psi=None, box=False, rel_tol=1e-8):
         return 1.0 / max(float(np.sqrt(np.vdot(direction, direction).real)), 1.0)
 
     def finish(it, reason, window=0.0):
+        if pending is not None:
+            bound(*pending)  # the last accepted iterate, before a stop on anything but the gap
         e_b, cert = best[1], gap()
         certified = cert is None or cert <= rel_tol * abs(e_b)
         converged = reason in ("gap", "rel_decrease") or (reason == "stationary" and certified)
         rel = cert / max(abs(e_b), 1e-300) if reason == "gap" else window
-        return DescentResult(best[0], e_b, it, converged, float(rel), reason, cert, evaluations)
+        return DescentResult(
+            best[0], e_b, it, converged, float(rel), reason, cert, evaluations, checks
+        )
 
     u = project(np.array(u0, dtype=float, copy=True))
     e, cells = evaluate(u)
@@ -347,6 +380,7 @@ def minimize_projected(phi, u0, fixed, h, psi=None, box=False, rel_tol=1e-8):
     step = first_step(direction)
     recent = deque([e], maxlen=MEMORY)
     best, lower = (u, e, g, q), -np.inf
+    kappa, checks, pending = 0.0, 0, None
     bound(u, e, g, q, cells)
     checked = 1.0  # the metric decrement at the last check of the weights, 0 once they hold
     history = [e]  # the best energy after each iteration
@@ -376,7 +410,10 @@ def minimize_projected(phi, u0, fixed, h, psi=None, box=False, rel_tol=1e-8):
         recent.append(e)
         if e < best[1]:
             best = (u, e, g, q)
-        bound(u, e, g, q, cells)
+        if due(e, g, q):
+            bound(u, e, g, q, cells)
+        else:
+            pending = (u, e, g, q, cells)
         history.append(best[1])
         scale = max(abs(best[1]), 1e-300)
         window = (history[-WINDOW - 1] - best[1]) / scale if len(history) > WINDOW else np.inf

@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .descent import minimize_projected
 from .gridfield import GridField2D, forward_gradient
@@ -112,7 +111,12 @@ def mollify_measure(measure, eps, kernel, base):
     warning; an atom that does not bin to an interior node of ``base``
     raises ValueError, as in :meth:`DiscreteMeasure.atom_nodes`), and
     the density is convolved with the same kernel: that is what an
-    approximation sequence of smooth data does.
+    approximation sequence of smooth data does.  The density's kernel is
+    the normalized patch of radius kr = ceil(eps / h) + 1 nodes; the
+    convolution is one zero-padded ``rfft2`` product of side n + 2 kr,
+    long enough for the linear convolution, so nothing wraps around, of
+    which the centre n x n is kept.  Density beyond the grid counts as
+    zero, so mass within kr nodes of the edge is partly lost.
     """
     if eps < 2.0 * base.h:
         raise ValueError("mollification scale must be at least two grid cells")
@@ -140,9 +144,10 @@ def mollify_measure(measure, eps, kernel, base):
         OX, OY = np.meshgrid(off, off, indexing="ij")
         patch = _kernel_profile(kernel, (OX**2 + OY**2) / (eps * eps))
         patch = patch / (float(np.sum(patch)) * h * h)
-        padded = np.pad(measure.density.values, kr, mode="constant")
-        windows = sliding_window_view(padded, patch.shape)
-        out += np.einsum("ijkl,kl->ij", windows, patch) * h * h
+        # the patch is even, so the convolution is the windowed sum over it
+        m = n + 2 * kr
+        spec = np.fft.rfft2(measure.density.values, (m, m)) * np.fft.rfft2(patch, (m, m))
+        out += np.fft.irfft2(spec, (m, m))[kr : kr + n, kr : kr + n] * h * h
     return GridField2D(out, h)
 
 
@@ -155,13 +160,16 @@ def solve_weak(phi, f_field, rel_tol=1e-9, u0=None):
 
     ``u0`` is the start (its edge is set to zero); None starts from zero.
     Returns the minimizer as a field carrying the descent's
-    ``iterations``, ``evaluations``, ``objective``, ``stop_reason`` and
-    ``gap``.  Where Phi offers a conjugate (``quadratic_fn``,
-    ``power_sum_fn``, ``radial_power_fn``) the solve is certified by the
-    Fenchel dual bound of :mod:`anisolab.descent`: objective - gap <=
-    the grid minimum <= objective, and the solve stops (``"gap"``) once
-    gap <= ``rel_tol`` |objective|.  Any other Phi stops on the
-    descent's window rule (``"rel_decrease"``) and carries gap None.
+    ``iterations``, ``evaluations``, ``checks``, ``objective``,
+    ``stop_reason`` and ``gap``.  Where Phi offers a conjugate
+    (``quadratic_fn``, ``power_sum_fn``, ``radial_power_fn``) the solve
+    is certified by the Fenchel dual bound of :mod:`anisolab.descent`:
+    objective - gap <= the grid minimum <= objective, and the solve stops
+    (``"gap"``) once gap <= ``rel_tol`` |objective|.  ``checks`` counts
+    the bounds taken: the start's, those where the predicted gap has
+    closed, and one at the last iterate before any other stop.  Any
+    other Phi stops on the descent's window rule (``"rel_decrease"``)
+    and carries gap None and no checks.
     Non-doubling ``phi`` raises :class:`anisolab.descent.NonDoublingError`.
     """
     f_vals = f_field.values
@@ -173,6 +181,7 @@ def solve_weak(phi, f_field, rel_tol=1e-9, u0=None):
     out = GridField2D(res.u, f_field.h)
     out.iterations = res.iterations
     out.evaluations = res.evaluations
+    out.checks = res.checks
     out.objective = res.objective
     out.stop_reason = res.stop_reason
     out.gap = res.gap

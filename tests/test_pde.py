@@ -93,6 +93,56 @@ def test_mollify_density_smoothing():
     assert np.sum(smoothed.values) * base.cell_area == pytest.approx(mass, rel=1e-6)
 
 
+def _windowed_sum(density, eps, kernel, h):
+    """The density convolved with the normalized kernel patch of radius
+    ceil(eps / h) + 1 nodes, as a direct sum over the patch's offsets."""
+    kr = int(np.ceil(eps / h)) + 1
+    off = np.arange(-kr, kr + 1) * h
+    r2 = (off[:, None] ** 2 + off[None, :] ** 2) / eps**2
+    if kernel == "gaussian":
+        patch = np.exp(-4.0 * r2)
+    else:
+        patch = np.zeros_like(r2)
+        inside = r2 < 1.0
+        patch[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
+    patch /= patch.sum()
+    n = density.shape[0]
+    padded = np.pad(density, kr)
+    out = np.zeros_like(density)
+    for a in range(2 * kr + 1):
+        for b in range(2 * kr + 1):
+            out += patch[a, b] * padded[a : a + n, b : b + n]
+    return out
+
+
+@pytest.mark.parametrize("n", [33, 49, 65])
+def test_mollified_density_is_the_windowed_sum(n, rng):
+    base = GridField2D.unit_square(n)
+    dens = GridField2D(rng.standard_normal((n, n)), base.h)
+    mu = DiscreteMeasure(atoms=[], density=dens)
+    for kernel in ("gaussian", "bump"):
+        for eps in (2.0 * base.h, 0.1, 0.25, 0.5):
+            got = mollify_measure(mu, eps, kernel, base).values
+            want = _windowed_sum(dens.values, eps, kernel, base.h)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (kernel, eps)
+
+
+def test_mollified_interior_density_keeps_its_mass():
+    n = 65
+    base = GridField2D.unit_square(n)
+    ax = base.axis()
+    X, Y = np.meshgrid(ax, ax, indexing="ij")
+    inside = (np.abs(X - 0.5) <= 0.1) & (np.abs(Y - 0.4) <= 0.15)
+    dens = GridField2D(np.where(inside, 1.0 + X, 0.0), base.h)
+    mu = DiscreteMeasure(atoms=[], density=dens)
+    mass = np.sum(dens.values) * base.cell_area
+    for kernel in ("gaussian", "bump"):
+        for eps in (2.0 * base.h, 0.125, 0.2):
+            # the patch, ceil(eps / h) + 1 nodes wide, stays inside the grid
+            out = mollify_measure(mu, eps, kernel, base).values
+            assert np.sum(out) * base.cell_area == pytest.approx(mass, rel=1e-13), (kernel, eps)
+
+
 def test_atom_outside_grid_rejected():
     base = GridField2D.unit_square(17)
     mu = DiscreteMeasure(atoms=[(1.5, 0.5, 1.0)])
@@ -209,18 +259,24 @@ def test_truncation_never_raises_gradient_energy():
         assert e_t <= e_0 + 1e-12
 
 
-def test_truncation_bounds_quick():
-    n = 65
+def _dirac_ladder(n):
+    """The truncation ladder's warm-started p = 1.5 solves of a mollified
+    Dirac mass, as criterion 8 runs them in quick mode."""
     base = GridField2D.unit_square(n)
     mu = DiscreteMeasure(atoms=[(0.5, 0.5, 1.0)])
-    phi = radial_power_fn(1.5)
     sols = []
     prev = None
     for eps in (0.25, 0.125, 0.0625):
         hf = mollify_measure(mu, eps, "gaussian", base)
-        sol = solve_weak(phi, hf, rel_tol=1e-9, u0=prev)
+        sol = solve_weak(radial_power_fn(1.5), hf, rel_tol=1e-9, u0=prev)
         prev = sol.values.copy()
         sols.append(sol)
+    return sols
+
+
+def test_truncation_bounds_quick():
+    phi = radial_power_fn(1.5)
+    sols = _dirac_ladder(65)
     umax1 = float(np.max(sols[0].values))
     rep = truncation_bounds_check(sols, [0.1 * umax1, 0.2 * umax1, 0.4 * umax1], phi)
     assert rep["ok"], rep["per_stage"]
@@ -230,6 +286,63 @@ def test_truncation_bounds_quick():
 
     sat = luxemburg_norm_gradient(truncate(sols[-1], big_k), phi)
     assert sat / big_k < rep["C0"] / 10.0
+
+
+def test_ladder_solves_take_few_certificates():
+    # the Fenchel bound is taken at the start and where the predicted gap
+    # has closed, not at every iterate, and each solve still stops on it
+    for n in (33, 65):
+        for sol in _dirac_ladder(n):
+            assert sol.stop_reason == "gap"
+            assert sol.gap <= 1e-9 * abs(sol.objective)
+            assert 2 <= sol.checks, sol.checks
+            assert 4 * sol.checks <= sol.iterations + 1, (sol.checks, sol.iterations)
+
+
+@pytest.mark.parametrize("n", [11, 13])
+def test_a_tolerance_below_rounding_still_gets_checks(monkeypatch, n):
+    # no gap is predicted to fall to rel_tol = 0, but one below the energy's
+    # rounding unit is due, and the computed gap closes there at once
+    monkeypatch.setattr(descent, "MAX_ITER", 1000)
+    u = solve_weak(quadratic_fn(), _unit_source(n), rel_tol=0.0)
+    assert u.stop_reason == "gap" and u.gap == 0.0
+    assert u.iterations <= 2
+
+
+class _LooseConjugate:
+    """Phi with its conjugate raised by 1: the dual bound stays valid but
+    its gap never closes, so the solve runs until it is stationary."""
+
+    def __init__(self, phi):
+        self.phi = phi
+
+    def __getattr__(self, name):
+        return getattr(self.phi, name)
+
+    def conjugate(self, x, y):
+        return self.phi.conjugate(x, y) + 1.0
+
+
+def test_a_stationary_exit_is_checked_at_its_last_iterate(monkeypatch):
+    accepted, checked = [], []
+    divergence, fenchel = descent.divergence_of, descent._fenchel_sum
+
+    def accept(ax, ay, h, n):
+        accepted.append(ax)  # the gradient is taken only at accepted iterates
+        return divergence(ax, ay, h, n)
+
+    def check(conjugate, cells, z, h):
+        checked.append(cells[2])
+        return fenchel(conjugate, cells, z, h)
+
+    monkeypatch.setattr(descent, "divergence_of", accept)
+    monkeypatch.setattr(descent, "_fenchel_sum", check)
+    u = solve_weak(_LooseConjugate(quadratic_fn()), _unit_source(9))
+    assert u.stop_reason == "stationary" and u.gap > 1e-9 * abs(u.objective)
+    assert u.checks == len(checked) < len(accepted)
+    assert checked[-1] is accepted[-1]
+    # the last check is the one the exit takes: the prediction did not ask for it
+    assert checked[-2] is not accepted[-1]
 
 
 def test_uniqueness_identical_sequences_zero_gap():
