@@ -15,6 +15,13 @@ log-weighted segment.  The resulting gap decreases between consecutive
 leading cycles of the same index by at least the log-ratio of the zone
 scales, uniformly over the constant grids, which is what makes a
 definite per-map verdict possible at a finite cycle count.
+
+Along that kernel direction u of the leader f_m, |f_mx u_x| = |f_my u_y|
+= |f_mx f_my| / |f_m|, so the leader's parts of the axis sum on the two
+axes are one number: the sum is 2 phi_m(b r) beside the four light
+parts, one leader evaluation where the axis-by-axis form made two.  The
+two computed coefficients agree to a few ulp, and the larger is b, the
+coefficient that already places the leader's radius in its zone.
 """
 
 from __future__ import annotations
@@ -231,6 +238,25 @@ def _witness_cycles(build):
     return per_index
 
 
+def _axis_sum_parts(build, forms, u, m_idx, logb, log_d):
+    """The parts of the axis sum Phi(x, 0) + Phi(0, y) at x = r d u, u the
+    kernel direction of the leader f_m, as (phi, log coef, added log):
+    the part is log phi(coef r d) plus the added log.  The leader's two
+    axis parts are one (see the module docstring), 2 phi_m(b r d) with
+    log b = ``logb``; it comes first, then the light functions' parts on
+    the x axis and on the y axis.
+    """
+    coef_b = logb[:, None] + log_d[None, :]
+    parts = [(build.phi[m_idx], coef_b, np.log(2.0))]
+    with np.errstate(divide="ignore"):
+        for axis in (0, 1):
+            for i in range(3):
+                if i != m_idx:
+                    logc = np.log(np.abs(forms[:, i, axis] * u[:, axis]))
+                    parts.append((build.phi[i], logc[:, None] + log_d[None, :], 0.0))
+    return parts
+
+
 def _triple_axis_fails(build, forms, log_d):
     """Vectorized per-map refutation of the axis decomposition.
 
@@ -245,7 +271,6 @@ def _triple_axis_fails(build, forms, log_d):
     fails_d = np.zeros((M, D), dtype=bool)
     worst_drop = np.zeros(M)
     log2 = np.log(2.0)
-    phis = [build.phi[i] for i in range(3)] * 2  # the axis sum's six parts
     for m_idx in range(3):
         zones = per_index[m_idx]
         if len(zones) < 2:
@@ -262,13 +287,9 @@ def _triple_axis_fails(build, forms, log_d):
             logb = np.log(
                 np.maximum(np.abs(fm[:, 0] * u[:, 0]), np.abs(fm[:, 1] * u[:, 1]))
             )
-            # the six coefficient logs of the axis sum, shifted by log d once
-            # for all zones
-            coef_d = [
-                np.log(np.abs(forms[:, i, axis] * u[:, axis]))[:, None] + log_d[None, :]
-                for axis in (0, 1)
-                for i in range(3)
-            ]
+        # the axis sum's parts, their coefficient logs shifted by log d once
+        # for all zones
+        axis_parts = _axis_sum_parts(build, forms, u, m_idx, logb, log_d)
         # per (map, d): the last usable gap, whether there is one, their
         # number, the total drop and whether every step decreased
         prev = np.full((M, D), np.nan)
@@ -289,7 +310,8 @@ def _triple_axis_fails(build, forms, log_d):
             with np.errstate(invalid="ignore"):
                 logr = np.add(lo, hi, out=lo)
                 logr *= 0.5
-            np.copyto(logr, 0.0, where=~usable)
+            if not usable.all():
+                np.copyto(logr, 0.0, where=~usable)
             arg = np.add(logc[0][:, None], logr, out=hi)
             la = logaddexp_many(
                 build.phi[lights[0]].log_value(arg),
@@ -299,9 +321,13 @@ def _triple_axis_fails(build, forms, log_d):
             # maps to -inf; logr is finite in every usable row but the
             # rank-deficient ones, where la is NaN
             with np.errstate(invalid="ignore"):
-                lb = logaddexp_many(
-                    *[phi.log_value(np.add(c, logr, out=arg)) for phi, c in zip(phis, coef_d)]
-                )
+                parts = []
+                for phi, coef, add in axis_parts:
+                    part = phi.log_value(np.add(coef, logr, out=arg))
+                    if add:
+                        part += add
+                    parts.append(part)
+                lb = logaddexp_many(*parts)
                 gap = np.subtract(la, lb, out=la)
                 # strictly decreasing along the usable subsequence, with
                 # enough drop

@@ -4,7 +4,11 @@ The log-domain helpers work elementwise on numpy arrays as well as on
 python floats.  They keep sums and differences of hugely scaled positive
 quantities representable: the construction module produces breakpoints
 beyond exp(1000), so all structural arithmetic is carried on
-(log t, log f(t)) pairs.
+(log t, log f(t)) pairs.  Two of them skip work that cannot move a
+bit: :func:`log1p_exp` returns arguments of 53 log 2 and more as they
+are, since its log1p term is below half their ulp, and
+:func:`logaddexp_many`, where its running maximum is finite everywhere,
+shifts by that maximum with no select and no ``-inf`` repair.
 
 :func:`root_increasing` is the one scalar bracket walk and bisection: it
 places the construction's breakpoints and inverts 1-D functions in log t.
@@ -24,6 +28,8 @@ import numpy as np
 MAX_STEPS = 200  # bracket-walk steps, and bracket-closing steps, of each root search
 EXP_FLOOR = -700.0  # exp arguments clamped here are absorbed; below -708 exp is slow
 ROOT_RTOL = 1e-12  # relative bracket width at which the root searches stop
+# x at and above which log1p(exp(-x)) < half an ulp of x: -log(eps/2) = 53 log 2
+LOG1P_EXP_ABSORBED = float(-np.log(np.finfo(float).eps / 2.0))
 
 
 class RangeError(ValueError):
@@ -41,19 +47,29 @@ def logaddexp_many(*logs):
     Numer. Anal. 41, 2021): ``shift`` is the elementwise maximum of the
     parts (0 where that is not finite), the shifted exponentials are
     summed into one running array, and the result is ``shift + log(sum)``.
-    A shifted exponent is clamped at ``EXP_FLOOR`` before ``exp``, which
-    keeps ``exp`` off its slow underflow path: wherever a part is finite
-    the maximal one contributes exactly 1, which absorbs every term below
-    2**-1009, so the clamp moves no bit.  No stacked copy of the parts is
-    made.  All ``-inf`` gives ``-inf``, any ``+inf`` gives ``+inf``, NaN
-    gives NaN; scalars give a scalar.
+    The running maximum is kept in one buffer, written in place while a
+    part has its shape and widened by a new array when a part broadcasts
+    it.  Where that maximum is finite everywhere, the common case, it is
+    the shift itself, and no element needs the all ``-inf`` repair at the
+    end; otherwise non-finite maxima shift by 0 and all ``-inf`` is
+    written back as ``-inf``.  A shifted exponent is clamped at
+    ``EXP_FLOOR`` before ``exp``, which keeps ``exp`` off its slow
+    underflow path: wherever a part is finite the maximal one contributes
+    exactly 1, which absorbs every term below 2**-1009, so the clamp moves
+    no bit.  No stacked copy of the parts is made.  All ``-inf`` gives
+    ``-inf``, any ``+inf`` gives ``+inf``, NaN gives NaN; scalars give a
+    scalar.
     """
     if len(logs) == 1:
         return logs[0]
     top = np.maximum(logs[0], logs[1])
     for l in logs[2:]:
-        top = np.maximum(top, l)
-    shift = np.where(np.isfinite(top), top, 0.0)
+        if top.ndim and np.shape(l) == top.shape:
+            np.maximum(top, l, out=top)
+        else:
+            top = np.maximum(top, l)
+    finite = np.isfinite(top)
+    shift = top if finite.all() else np.where(finite, top, 0.0)
     total = np.empty_like(shift)
     term = np.empty_like(shift)
     # overflow only where a NaN part left shift at 0
@@ -67,7 +83,8 @@ def logaddexp_many(*logs):
                 total += part
     np.log(total, out=total)
     total += shift
-    np.copyto(total, -np.inf, where=top == -np.inf)
+    if shift is not top:
+        np.copyto(total, -np.inf, where=top == -np.inf)
     return total[()]
 
 
@@ -98,8 +115,18 @@ def log1p_exp(x):
     still x for x <= 0): there the log1p term is below 2**-1009 either way
     and ``max(x, 0) = x`` absorbs it, so no bit moves and ``exp`` stays off
     its slow underflow path.
+
+    When every element is at least ``LOG1P_EXP_ABSORBED`` = -log(eps/2)
+    = 53 log 2 (about 36.74), x itself comes back, not a copy, bit for
+    bit what the sum gives: there x >= 32, so half an ulp of x is at least
+    2**-48, while the term log1p(exp(-x)) <= exp(-x) <= 2**-53 (as
+    computed, within an ulp of that) is far below it, and x + term rounds
+    to x; +inf gives +inf either way.  An array with a NaN, or with one
+    element below the threshold, takes the sum.
     """
     x = np.asarray(x, dtype=float)
+    if np.min(x, initial=np.inf) >= LOG1P_EXP_ABSORBED:
+        return float(x) if x.ndim == 0 else x
     neg = np.minimum(x, -x, out=np.empty_like(x))
     np.maximum(neg, np.minimum(x, EXP_FLOOR), out=neg)
     np.log1p(np.exp(neg, out=neg), out=neg)

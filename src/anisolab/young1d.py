@@ -235,9 +235,8 @@ class PowerFn:
     def _log_derivative(self, logt):
         if self.p == 1.0:
             return np.full_like(logt, np.log(self.coef))
-        with np.errstate(invalid="ignore"):
-            out = np.log(self.coef * self.p) + (self.p - 1.0) * logt
-        return np.where(np.isneginf(logt), -np.inf, out)
+        # p > 1, so logt = -inf gives (p - 1) * -inf = -inf with no select
+        return np.log(self.coef * self.p) + (self.p - 1.0) * logt
 
     def conjugate(self, tau):
         """The Young conjugate sup_t (tau t - coef |t|**p), elementwise:
@@ -263,10 +262,11 @@ class PowerLogFn:
         self.alpha = float(alpha)
 
     def _log_value(self, logt):
+        # logt = -inf gives log(t + 1) = 0 and p * -inf + alpha * log 0 =
+        # -inf under the guards p >= 1, alpha > 0, so no select is needed
         lg = log1p_exp(logt)  # log(t+1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = self.p * logt + self.alpha * np.log(lg)
-        return np.where(np.isneginf(logt), -np.inf, out)
+        with np.errstate(divide="ignore"):
+            return self.p * logt + self.alpha * np.log(lg)
 
     def _log_derivative(self, logt):
         # d/dt [t^p L^a] = p t^{p-1} L^a + a t^p L^{a-1} / (t+1),  L = log(t+1)

@@ -286,6 +286,38 @@ def test_probe_agrees_with_the_chained_log_sum_exp(build9, monkeypatch):
     np.testing.assert_allclose(rep["worst_drops"], ref["worst_drops"], rtol=0.0, atol=1e-10)
 
 
+# The six-part axis sum that the five-part one replaced, kept as a
+# reference: every function on each axis, the leader twice.
+def _six_part_axis_sum(build, forms, u, m_idx, logb, log_d):
+    with np.errstate(divide="ignore"):
+        return [
+            (build.phi[i], np.log(np.abs(forms[:, i, axis] * u[:, axis]))[:, None] + log_d, 0.0)
+            for axis in (0, 1)
+            for i in range(3)
+        ]
+
+
+def test_probe_agrees_with_the_six_part_axis_sum(build9, monkeypatch):
+    phi = constructed_triple_fn(build9)
+    mats, _ = default_probe_family(10, 21, 21)
+    forms = composed_forms(phi, mats)
+    # along the kernel direction of f_m the leader's two axis coefficients
+    # are one number: computed, they agree to 4 ulp
+    for m in range(3):
+        fx, fy = forms[:, m, 0], forms[:, m, 1]
+        nrm = np.hypot(fx, fy)
+        bx, by = np.abs(fx * (-fy / nrm)), np.abs(fy * (fx / nrm))
+        assert np.all(np.abs(bx - by) <= 4.0 * np.spacing(np.maximum(bx, by)))
+        assert np.any(bx > 0.0)
+    rep = essential_anisotropy_probe(phi, mats)
+    monkeypatch.setattr(comparability, "_axis_sum_parts", _six_part_axis_sum)
+    ref = essential_anisotropy_probe(phi, mats)
+    assert rep["fails"].tobytes() == ref["fails"].tobytes()
+    assert rep["n_failing"] == ref["n_failing"] == len(mats)
+    assert np.all(ref["worst_drops"] > 0.0)
+    np.testing.assert_allclose(rep["worst_drops"], ref["worst_drops"], rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("singular", [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
 def test_probe_rejects_a_singular_map(build9, singular):
     # the singular map sits second, after a unimodular one, and on both paths

@@ -5,6 +5,7 @@ import pytest
 
 from anisolab.construction import tangent_point
 from anisolab.numerics import (
+    LOG1P_EXP_ABSORBED,
     BracketError,
     bisect_increasing_arrays,
     log1p_exp,
@@ -214,6 +215,76 @@ def test_log_sum_exp_clamps_move_no_bit():
             got = log1p_exp(v)
             assert type(got) is float
             assert np.array(got).tobytes() == np.array(_log1p_exp_unclamped(v)).tobytes()
+
+
+def test_log1p_exp_returns_absorbed_arguments_bit_for_bit():
+    t = LOG1P_EXP_ABSORBED
+    assert t == 53.0 * np.log(2.0)
+    edges = [np.nextafter(t, 0.0), t, np.nextafter(t, np.inf), 36.0, 40.0, 700.0, 1e300, np.inf,
+             20.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in edges:
+            got = log1p_exp(v)
+            assert type(got) is float
+            assert np.array(got).tobytes() == np.array(_log1p_exp_two_branch(v)).tobytes()
+            if v >= t:
+                assert got == v
+        # every element absorbed: x itself comes back
+        x = np.array(edges[1:3] + edges[4:8])
+        assert log1p_exp(x) is x
+        assert log1p_exp(x).tobytes() == _log1p_exp_two_branch(x).tobytes()
+        # one element below the threshold, or a NaN, takes the full sum
+        for odd in (edges[0], 36.0, 20.0, -5.0, np.nan):
+            y = np.append(x, odd)
+            got = log1p_exp(y)
+            assert got is not y and got.tobytes() == _log1p_exp_two_branch(y).tobytes()
+        empty = np.empty((0, 3))
+        got = log1p_exp(empty)
+        assert got.shape == (0, 3) and got.dtype == float
+
+
+def _broadcast_cases():
+    """Parts of different shapes, each broadcasting to (4, 5): the widest
+    first, in the middle and last, with specials mixed in."""
+    rng = np.random.default_rng(17)
+    wide = rng.uniform(-800.0, 800.0, (4, 5))
+    wide[0, :3] = [-np.inf, np.inf, 0.0]
+    col = rng.uniform(-50.0, 50.0, (4, 1))
+    col[1, 0] = -np.inf
+    row = rng.uniform(-50.0, 50.0, (5,))
+    yield wide, col, row
+    yield col, wide, row, 3.0
+    yield row, col, 3.0, wide
+    yield col, row, wide
+    yield 2.0, row, col
+
+
+def test_logaddexp_many_broadcasts_bit_for_bit():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for parts in _broadcast_cases():
+            got = logaddexp_many(*parts)
+            ref = _logaddexp_many_unclamped(*parts)
+            assert got.shape == ref.shape == (4, 5) and got.tobytes() == ref.tobytes()
+        # all parts 0-d: numpy scalars and 0-d arrays give a float
+        for parts in [(np.float64(1.0), np.array(-3.0), 2.5), (np.array(0.0), np.array(700.0))]:
+            got = logaddexp_many(*parts)
+            assert isinstance(got, float) and np.ndim(got) == 0
+            assert np.array(got).tobytes() == np.array(_logaddexp_many_unclamped(*parts)).tobytes()
+        # all -inf, with and without broadcasting
+        for parts in [(np.full(4, -np.inf), np.full(4, -np.inf), np.full(4, -np.inf)),
+                      (np.full((3, 1), -np.inf), -np.inf, np.full(2, -np.inf))]:
+            got = logaddexp_many(*parts)
+            assert got.tobytes() == _logaddexp_many_unclamped(*parts).tobytes()
+            assert np.all(got == -np.inf)
+    # one NaN part element: NaN there, the rest as the reference (the NaN
+    # lane overflows exp, as in the reference)
+    a, b, c = np.array([1.0, np.nan, -np.inf]), np.array([0.0, 800.0, 2.0]), np.zeros((2, 1))
+    with np.errstate(over="ignore"):
+        ref = _logaddexp_many_unclamped(a, b, c)
+    got = logaddexp_many(a, b, c)
+    assert got.tobytes() == ref.tobytes() and np.isnan(got[:, 1]).all()
 
 
 def test_logaddexp_many_edge_values():

@@ -1,3 +1,4 @@
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -490,3 +491,53 @@ def test_power_conjugate_at_p_one_is_an_indicator():
         assert np.allclose(dense, (np.abs(outside) - 0.7) * span)
     assert np.array_equal(fn.conjugate(inside), np.zeros_like(inside))
     assert np.all(np.isinf(fn.conjugate(outside)))
+
+
+# The kernels with the -inf selects they dropped, kept as the references
+# they must reproduce bit for bit.
+def _power_log_derivative_with_select(f, logt):
+    if f.p == 1.0:
+        return np.full_like(logt, np.log(f.coef))
+    with np.errstate(invalid="ignore"):
+        out = np.log(f.coef * f.p) + (f.p - 1.0) * logt
+    return np.where(np.isneginf(logt), -np.inf, out)
+
+
+def _powerlog_log_value_with_select(f, logt):
+    lg = _log1p_exp_unselected(logt)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = f.p * logt + f.alpha * np.log(lg)
+    return np.where(np.isneginf(logt), -np.inf, out)
+
+
+def _log1p_exp_unselected(x):
+    return np.maximum(x, 0.0) + np.log1p(np.exp(np.minimum(x, -x)))
+
+
+SELECT_EDGES = np.array([-np.inf, -800.0, np.inf, np.nan, -1e300, -40.0, 0.0, -0.0, 36.0, 1e300])
+
+
+@pytest.mark.parametrize("f", [PowerFn(1.0), PowerFn(1.0, 0.3), PowerFn(1.5), PowerFn(2.0, 3.0),
+                               PowerFn(7.25, 1e-3)])
+def test_power_log_derivative_needs_no_select(f, rng):
+    logt = np.concatenate([SELECT_EDGES, rng.uniform(-800.0, 800.0, 500)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = f.log_derivative(logt)
+    assert got.tobytes() == _power_log_derivative_with_select(f, logt).tobytes()
+    if f.p > 1.0:
+        assert got[0] == -np.inf and got[2] == np.inf and np.isnan(got[3])
+
+
+@pytest.mark.parametrize("f", [PowerLogFn(1.0, 0.3), PowerLogFn(2.0, 1.0), PowerLogFn(3.5, 2.5)])
+def test_powerlog_log_value_needs_no_select(f, rng):
+    logt = np.concatenate([SELECT_EDGES, rng.uniform(-800.0, 800.0, 500)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = f.log_value(logt)
+        # every element absorbed: log(t + 1) rounds to log t
+        big = np.array([40.0, 1e300, np.inf])
+        got_big = f.log_value(big)
+    assert got.tobytes() == _powerlog_log_value_with_select(f, logt).tobytes()
+    assert got_big.tobytes() == _powerlog_log_value_with_select(f, big).tobytes()
+    assert got[0] == -np.inf and got[1] == -np.inf and got[2] == np.inf and np.isnan(got[3])
